@@ -8,7 +8,8 @@ distribution P(x, y) = <Psi| E1(x) E2(y) |Psi> is well defined, and when
 both processes reproduce the statistics of the same accurate observable,
 both observers read the same outcome with probability one. For noisy
 observables the agreement probability drops below one; a seeded sampler
-draws outcome pairs from the joint table for Monte Carlo checks.
+draws outcome pairs from the joint table for Monte Carlo checks. The
+verdict and the sampler both return the joint table they used.
 """
 
 from __future__ import annotations
@@ -26,11 +27,9 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_MAX_DIM,
-    OP_TOL,
     _frozen,
     as_state,
     embed_operator,
-    is_unitary,
     max_abs,
     tensor,
 )
@@ -41,7 +40,7 @@ from .measurement import (
     check_reproducibility,
     evolve_meter,
 )
-from .observables import LABEL_TOL, PROB_NEG_TOL, PROB_SUM_TOL, Pvm
+from .observables import LABEL_TOL, PROB_NEG_TOL, PROB_SUM_TOL, Pvm, _derived
 
 COMMUTATION_TOL = 1e-8  # default locality decision tolerance
 OIT_TOL = 1e-9          # default intersubjectivity decision tolerance
@@ -55,29 +54,13 @@ class JointScenario:
     psi: np.ndarray
     process1: MeasurementProcess
     process2: MeasurementProcess
-    composed_unitary: np.ndarray
     evolved1: EvolvedMeter
     evolved2: EvolvedMeter
     max_commutator_norm: float
 
-    def __post_init__(self):
-        psi = as_state(self.psi)
-        total = (
-            self.process1.system_dim
-            * self.process1.apparatus_dim
-            * self.process2.apparatus_dim
-        )
-        if self.composed_unitary.shape != (total, total):
-            raise DimensionError("composed unitary has the wrong dimension")
-        if not is_unitary(self.composed_unitary, OP_TOL):
-            raise ValidationError("composed evolution operator must be unitary")
-        object.__setattr__(self, "psi", _frozen(psi.copy()))
-        object.__setattr__(self, "composed_unitary", _frozen(self.composed_unitary.copy()))
-        object.__setattr__(self, "max_commutator_norm", float(self.max_commutator_norm))
-
     @property
     def total_dim(self) -> int:
-        return self.composed_unitary.shape[0]
+        return self.evolved1.dim
 
     @property
     def joint_state(self) -> np.ndarray:
@@ -136,6 +119,7 @@ class OitReport:
     max_diagonal_deviation: float
     intersubjective: bool
     tolerance: float
+    joint: JointDistribution  # the table the verdict was computed from
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +130,7 @@ class SampleResult:
     counts: np.ndarray
     empirical: JointDistribution
     seed: int
+    analytic: JointDistribution  # the table the pairs were drawn from
 
 
 def compose(
@@ -156,11 +141,10 @@ def compose(
 ) -> JointScenario:
     """Compose two processes sharing the system into one scenario on H x K1 x K2.
 
-    The composed evolution applies process1's interaction (on H and K1) and
-    then process2's (on H and K2). Each meter is evolved by its own
-    interaction and embedded into the compound space; the largest commutator
-    norm over all pairs of evolved meter projectors is stored so locality
-    can be decided later at any tolerance.
+    Process1's interaction acts on H and K1, process2's on H and K2. Each
+    meter is evolved by its own interaction and embedded into the compound
+    space; the largest commutator norm over all pairs of evolved meter
+    projectors is stored so locality can be decided later at any tolerance.
     """
     psi = as_state(psi)
     d_sys = psi.shape[0]
@@ -174,24 +158,20 @@ def compose(
     total = d_sys * d1 * d2
     if total > max_dim:
         raise DimensionError(f"compound dimension {total} exceeds the cap {max_dim}")
-    u1_full = embed_operator(process1.interaction, dims, [0, 1])
-    u2_full = embed_operator(process2.interaction, dims, [0, 2])
-    composed = u2_full @ u1_full
     ev1 = evolve_meter(process1)
     ev2 = evolve_meter(process2)
     proj1 = tuple(embed_operator(p, dims, [0, 1]) for p in ev1.projectors)
     proj2 = tuple(embed_operator(p, dims, [0, 2]) for p in ev2.projectors)
-    evolved1 = EvolvedMeter(ev1.outcomes, proj1, total)
-    evolved2 = EvolvedMeter(ev2.outcomes, proj2, total)
+    evolved1 = _derived(EvolvedMeter, ev1.outcomes, proj1, total)
+    evolved2 = _derived(EvolvedMeter, ev2.outcomes, proj2, total)
     worst = 0.0
     for a in proj1:
         for b in proj2:
             worst = max(worst, max_abs(a @ b - b @ a))
     return JointScenario(
-        psi=psi,
+        psi=_frozen(psi.copy()),
         process1=process1,
         process2=process2,
-        composed_unitary=composed,
         evolved1=evolved1,
         evolved2=evolved2,
         max_commutator_norm=worst,
@@ -301,6 +281,7 @@ def verify_oit(
         max_diagonal_deviation=worst,
         intersubjective=(off_diagonal_mass <= tol and worst <= tol),
         tolerance=float(tol),
+        joint=dist,
     )
 
 
@@ -337,4 +318,5 @@ def sample_outcomes(
         counts=_frozen(counts),
         empirical=empirical,
         seed=int(seed),
+        analytic=dist,
     )

@@ -1,23 +1,21 @@
 """Dense complex linear algebra for finite-dimensional quantum models.
 
 Operators and states are plain numpy arrays (complex128); the functions
-here validate them, combine them, and decompose Hermitian operators into
-eigenvalue clusters with their eigenspace projectors. All comparisons use
+here validate them, test their structural properties, take tensor
+products and embed operators into compound spaces. All comparisons use
 the max entry modulus norm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NotHermitianError, ParameterError, ValidationError
+from .errors import DimensionError, NotHermitianError, ValidationError
 
 NORM_TOL = 1e-10      # state normalization
 OP_TOL = 1e-9         # operator identity checks
-CLUSTER_TOL = 1e-8    # eigenvalue degeneracy merging
 DEFAULT_MAX_DIM = 256  # guard against accidentally huge compound spaces
 
 
@@ -73,37 +71,6 @@ def tensor(*factors) -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise ValidationError("tensor factors must be finite")
     return out
-
-
-def matmul(a, b) -> np.ndarray:
-    a = as_operator(a)
-    b = as_operator(b)
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"cannot multiply {a.shape} by {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_operator(a).conj().T
-
-
-def apply(a, v) -> np.ndarray:
-    """Apply a matrix to a vector."""
-    a = as_operator(a)
-    v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or a.shape[1] != v.shape[0]:
-        raise DimensionError(f"cannot apply {a.shape} to vector of length {v.shape}")
-    return a @ v
-
-
-def inner(u, v) -> complex:
-    """Inner product <u|v>, conjugating the left argument."""
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != v.shape or u.ndim != 1:
-        raise DimensionError(f"inner product needs equal-length vectors, got {u.shape} and {v.shape}")
-    return complex(np.vdot(u, v))
 
 
 def _square(a) -> np.ndarray:
@@ -172,77 +139,3 @@ def embed_operator(op, dims, sites) -> np.ndarray:
     full = full.transpose(perm + [p + n for p in perm])
     total = math.prod(dims)
     return np.ascontiguousarray(full.reshape(total, total))
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Clustered eigenvalues of a Hermitian operator with eigenspace projectors.
-
-    Eigenvalues are strictly increasing; each projector is idempotent and
-    Hermitian, projectors are mutually orthogonal, and they sum to the
-    identity, all within OP_TOL.
-    """
-
-    eigenvalues: tuple
-    projectors: tuple
-
-    def __post_init__(self):
-        values = tuple(float(x) for x in self.eigenvalues)
-        projs = tuple(_frozen(as_operator(p).copy()) for p in self.projectors)
-        object.__setattr__(self, "eigenvalues", values)
-        object.__setattr__(self, "projectors", projs)
-        if len(values) != len(projs) or not values:
-            raise ValidationError("need one projector per eigenvalue")
-        if any(b - a <= 0 for a, b in zip(values, values[1:])):
-            raise ValidationError("eigenvalues must be strictly increasing")
-        dim = projs[0].shape[0]
-        for p in projs:
-            if p.shape != (dim, dim):
-                raise DimensionError("projectors must share one square shape")
-            if not is_projector(p, OP_TOL):
-                raise ValidationError("each component must be an orthogonal projector")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if max_abs(projs[i] @ projs[j]) > OP_TOL:
-                    raise ValidationError("eigenspace projectors must be mutually orthogonal")
-        if max_abs(sum(projs) - np.eye(dim)) > OP_TOL:
-            raise ValidationError("projectors must sum to the identity")
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].shape[0]
-
-    def reconstruct(self) -> np.ndarray:
-        """Assemble sum_i x_i P_i."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for x, p in zip(self.eigenvalues, self.projectors):
-            out += x * p
-        return out
-
-
-def spectral_decompose(a, cluster_tol: float = CLUSTER_TOL) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix, merging nearly degenerate eigenvalues.
-
-    Consecutive eigenvalues closer than cluster_tol are merged into a single
-    outcome; the reported eigenvalue is the arithmetic mean of the cluster
-    and its projector is the sum of the clustered rank-1 projectors.
-    """
-    a = _square(a)
-    if cluster_tol < 0:
-        raise ParameterError(f"cluster_tol must be >= 0, got {cluster_tol}")
-    if not is_hermitian(a, OP_TOL):
-        raise NotHermitianError("spectral decomposition needs a Hermitian matrix")
-    w, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    breaks = [0]
-    for i in range(1, len(w)):
-        if w[i] - w[i - 1] > cluster_tol:
-            breaks.append(i)
-    breaks.append(len(w))
-    values = []
-    projectors = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        block = vecs[:, lo:hi]
-        proj = block @ block.conj().T
-        values.append(float(np.mean(w[lo:hi])))
-        projectors.append((proj + proj.conj().T) / 2)
-    return SpectralDecomposition(tuple(values), tuple(projectors))

@@ -32,6 +32,7 @@ from .observables import (
     OutcomeDistribution,
     Povm,
     Pvm,
+    _derived,
     born_pvm,
 )
 
@@ -111,7 +112,7 @@ def evolve_meter(process: MeasurementProcess) -> EvolvedMeter:
     for p in process.meter.projectors:
         evolved = u.conj().T @ tensor(eye_sys, p) @ u
         projectors.append((evolved + evolved.conj().T) / 2)
-    return EvolvedMeter(process.meter.outcomes, tuple(projectors), process.total_dim)
+    return _derived(EvolvedMeter, process.meter.outcomes, projectors, process.total_dim)
 
 
 def meter_distribution(process: MeasurementProcess, psi) -> OutcomeDistribution:
@@ -135,7 +136,7 @@ def induced_povm(process: MeasurementProcess) -> Povm:
         blocks = p.reshape(d_sys, d_app, d_sys, d_app)
         effect = np.einsum("k,ikjl,l->ij", xi.conj(), blocks, xi)
         effects.append((effect + effect.conj().T) / 2)
-    return Povm(evolved.outcomes, tuple(effects), d_sys)
+    return _derived(Povm, evolved.outcomes, effects, d_sys)
 
 
 def _match_labels(left, right, label_tol):
@@ -205,7 +206,7 @@ def _pointer_pvm(outcomes, dim: int) -> Pvm:
         p = np.zeros((dim, dim), dtype=complex)
         p[j, j] = 1.0
         projectors.append(p)
-    return Pvm(outcomes, tuple(projectors), dim)
+    return _derived(Pvm, outcomes, projectors, dim)
 
 
 def von_neumann_model(target: Pvm, max_dim: int = DEFAULT_MAX_DIM) -> MeasurementProcess:

@@ -4,7 +4,9 @@ A Pvm is an accurate observable: outcome labels with orthogonal projectors
 that resolve the identity. A Povm is the generalized (possibly noisy)
 observable: labels with positive effects resolving the identity. Both are
 immutable; outcome labels are sorted increasing at construction and must be
-separated by more than LABEL_TOL.
+separated by more than LABEL_TOL. The public constructors check every
+invariant; observables the library derives from checked ones are built
+through _derived and trusted.
 """
 
 from __future__ import annotations
@@ -13,19 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ParameterError, ValidationError
+from .errors import DimensionError, NotHermitianError, ParameterError, ValidationError
 from .linalg import (
-    CLUSTER_TOL,
     OP_TOL,
     PAULI_Z,
     _frozen,
+    _square,
     as_operator,
     as_state,
+    is_hermitian,
     is_projector,
     max_abs,
-    spectral_decompose,
 )
 
+CLUSTER_TOL = 1e-8    # eigenvalue degeneracy merging
 LABEL_TOL = 1e-8      # outcome labels closer than this are considered duplicates
 PROB_SUM_TOL = 1e-10  # distribution normalization
 PROB_NEG_TOL = 1e-12  # largest negative probability clamped to zero
@@ -33,7 +36,10 @@ BORN_IMAG_TOL = 1e-12  # largest imaginary residue tolerated in a Born probabili
 
 
 def _sorted_labeled_ops(outcomes, operators, dim: int, kind: str):
-    """Sort (label, operator) pairs by label and enforce label separation."""
+    """Check dim, sort (label, operator) pairs by label, enforce label separation."""
+    dim = int(dim)
+    if dim < 1:
+        raise DimensionError(f"dim must be >= 1, got {dim}")
     labels = [float(x) for x in outcomes]
     ops = [as_operator(p) for p in operators]
     if len(labels) != len(ops) or not labels:
@@ -51,7 +57,19 @@ def _sorted_labeled_ops(outcomes, operators, dim: int, kind: str):
             raise ValidationError(
                 f"{kind} outcome labels {a!r} and {b!r} are closer than {LABEL_TOL}"
             )
-    return tuple(labels), tuple(_frozen(p.copy()) for p in ops)
+    return dim, tuple(labels), tuple(_frozen(p.copy()) for p in ops)
+
+
+def _projective_defect(ops, tol: float):
+    """Why ops are not mutually orthogonal projectors within tol, or None."""
+    for p in ops:
+        if not is_projector(p, tol):
+            return "each PVM element must be an orthogonal projector"
+    for i in range(len(ops)):
+        for j in range(i + 1, len(ops)):
+            if max_abs(ops[i] @ ops[j]) > tol:
+                return "PVM projectors must be mutually orthogonal"
+    return None
 
 
 def _check_resolution_of_unity(ops, dim: int, kind: str) -> None:
@@ -71,19 +89,12 @@ class Pvm:
     dim: int
 
     def __post_init__(self):
-        dim = int(self.dim)
-        if dim < 1:
-            raise DimensionError(f"dim must be >= 1, got {dim}")
-        object.__setattr__(self, "dim", dim)
-        labels, ops = _sorted_labeled_ops(self.outcomes, self.projectors, dim, "PVM")
-        for p in ops:
-            if not is_projector(p, OP_TOL):
-                raise ValidationError("each PVM element must be an orthogonal projector")
-        for i in range(len(ops)):
-            for j in range(i + 1, len(ops)):
-                if max_abs(ops[i] @ ops[j]) > OP_TOL:
-                    raise ValidationError("PVM projectors must be mutually orthogonal")
+        dim, labels, ops = _sorted_labeled_ops(self.outcomes, self.projectors, self.dim, "PVM")
+        defect = _projective_defect(ops, OP_TOL)
+        if defect is not None:
+            raise ValidationError(defect)
         _check_resolution_of_unity(ops, dim, "PVM")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "outcomes", labels)
         object.__setattr__(self, "projectors", ops)
 
@@ -100,11 +111,7 @@ class Povm:
     dim: int
 
     def __post_init__(self):
-        dim = int(self.dim)
-        if dim < 1:
-            raise DimensionError(f"dim must be >= 1, got {dim}")
-        object.__setattr__(self, "dim", dim)
-        labels, ops = _sorted_labeled_ops(self.outcomes, self.effects, dim, "POVM")
+        dim, labels, ops = _sorted_labeled_ops(self.outcomes, self.effects, self.dim, "POVM")
         for e in ops:
             if max_abs(e - e.conj().T) > OP_TOL:
                 raise ValidationError("each effect must be Hermitian")
@@ -114,11 +121,27 @@ class Povm:
                     f"effect eigenvalues must lie in [0, 1], got range [{w[0]!r}, {w[-1]!r}]"
                 )
         _check_resolution_of_unity(ops, dim, "POVM")
+        object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "outcomes", labels)
         object.__setattr__(self, "effects", ops)
 
     def __len__(self) -> int:
         return len(self.outcomes)
+
+
+def _derived(cls, outcomes, operators, dim: int):
+    """A Pvm or Povm (or a subclass) built without running its checks.
+
+    Only for observables the library derives from already-checked ones:
+    the outcomes are sorted and separated, and the operators satisfy the
+    invariants of cls within OP_TOL. The operator arrays are frozen in place.
+    """
+    obj = object.__new__(cls)
+    field = "effects" if issubclass(cls, Povm) else "projectors"
+    object.__setattr__(obj, "outcomes", tuple(outcomes))
+    object.__setattr__(obj, field, tuple(_frozen(p) for p in operators))
+    object.__setattr__(obj, "dim", int(dim))
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,9 +186,27 @@ def _born(outcomes, operators, dim: int, psi) -> OutcomeDistribution:
 
 
 def pvm_from_observable(a, cluster_tol: float = CLUSTER_TOL) -> Pvm:
-    """Spectral PVM of a Hermitian operator, with degenerate eigenvalues merged."""
-    decomp = spectral_decompose(a, cluster_tol)
-    return Pvm(decomp.eigenvalues, decomp.projectors, decomp.dim)
+    """Spectral PVM of a Hermitian operator, with degenerate eigenvalues merged.
+
+    Consecutive eigenvalues closer than cluster_tol are merged into a single
+    outcome; its label is the arithmetic mean of the cluster and its
+    projector is the sum of the clustered rank-1 projectors.
+    """
+    a = _square(a)
+    if cluster_tol < 0:
+        raise ParameterError(f"cluster_tol must be >= 0, got {cluster_tol}")
+    if not is_hermitian(a, OP_TOL):
+        raise NotHermitianError("spectral decomposition needs a Hermitian matrix")
+    w, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+    breaks = [0] + [i for i in range(1, len(w)) if w[i] - w[i - 1] > cluster_tol] + [len(w)]
+    values = []
+    projectors = []
+    for lo, hi in zip(breaks, breaks[1:]):
+        block = vecs[:, lo:hi]
+        proj = block @ block.conj().T
+        values.append(float(np.mean(w[lo:hi])))
+        projectors.append((proj + proj.conj().T) / 2)
+    return Pvm(tuple(values), tuple(projectors), a.shape[0])
 
 
 def born_pvm(pvm: Pvm, psi) -> OutcomeDistribution:
@@ -180,19 +221,12 @@ def born_povm(povm: Povm, psi) -> OutcomeDistribution:
 
 def as_povm(pvm: Pvm) -> Povm:
     """View an accurate observable as a generalized one with the same operators."""
-    return Povm(pvm.outcomes, pvm.projectors, pvm.dim)
+    return _derived(Povm, pvm.outcomes, pvm.projectors, pvm.dim)
 
 
 def is_projective(povm: Povm, tol: float = OP_TOL) -> bool:
     """True iff every effect is a projector and effects are mutually orthogonal."""
-    for e in povm.effects:
-        if not is_projector(e, tol):
-            return False
-    for i in range(len(povm.effects)):
-        for j in range(i + 1, len(povm.effects)):
-            if max_abs(povm.effects[i] @ povm.effects[j]) > tol:
-                return False
-    return True
+    return _projective_defect(povm.effects, tol) is None
 
 
 def unsharp_qubit_povm(eta: float) -> Povm:

@@ -24,7 +24,6 @@ Schema sketch (see the README for a worked example):
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -43,7 +42,7 @@ from .intersubjectivity import (
     table_agreement,
     verify_oit,
 )
-from .linalg import CLUSTER_TOL, DEFAULT_MAX_DIM
+from .linalg import DEFAULT_MAX_DIM
 from .measurement import (
     REPRO_TOL,
     MeasurementProcess,
@@ -53,8 +52,10 @@ from .measurement import (
     von_neumann_model,
 )
 from .observables import (
+    CLUSTER_TOL,
     Povm,
     Pvm,
+    _derived,
     as_povm,
     born_povm,
     is_projective,
@@ -62,6 +63,8 @@ from .observables import (
     unsharp_qubit_povm,
 )
 from .serialize import (
+    _is_count,
+    _is_number,
     _require,
     matrix_from_json,
     matrix_to_json,
@@ -119,7 +122,6 @@ class Scenario:
     tolerances: dict
     n_samples: int
     seed: int
-    raw: dict  # the parsed source document, kept for sweeps
 
 
 def _check_keys(data: dict, allowed, required, where: str):
@@ -146,7 +148,7 @@ def _gated_state(raw, where: str, dim: Optional[int] = None) -> np.ndarray:
 
 def _maybe_pvm(povm: Povm) -> Optional[Pvm]:
     if is_projective(povm):
-        return Pvm(outcomes=povm.outcomes, projectors=povm.effects, dim=povm.dim)
+        return _derived(Pvm, povm.outcomes, povm.effects, povm.dim)
     return None
 
 
@@ -181,8 +183,7 @@ def _build_observable(data, dim: int, cluster_tol: float) -> ObservableSpec:
     _require(isinstance(block, dict), f"{where}.unsharp: expected an object")
     _check_keys(block, ("eta",), ("eta",), f"{where}.unsharp")
     eta = block["eta"]
-    _require(isinstance(eta, (int, float)) and not isinstance(eta, bool),
-             f"{where}.unsharp.eta: must be a number, got {eta!r}")
+    _require(_is_number(eta), f"{where}.unsharp.eta: must be a number, got {eta!r}")
     _require(dim == 2, f"{where}: the unsharp observable needs a 2-dimensional system")
     povm = unsharp_qubit_povm(float(eta))
     return ObservableSpec(kind=kind, povm=povm, pvm=_maybe_pvm(povm), eta=float(eta))
@@ -209,8 +210,7 @@ def _build_process(entry, index: int, observable: ObservableSpec,
         _check_keys(entry, fields, fields, where)
         apparatus_dim = entry["apparatus_dim"]
         _require(
-            isinstance(apparatus_dim, int) and not isinstance(apparatus_dim, bool)
-            and apparatus_dim >= 1,
+            _is_count(apparatus_dim),
             f"{where}.apparatus_dim: must be a positive integer, got {apparatus_dim!r}",
         )
         xi = _gated_state(entry["xi"], f"{where}.xi", apparatus_dim)
@@ -228,6 +228,17 @@ def _build_process(entry, index: int, observable: ObservableSpec,
     )
 
 
+def _checked_tolerance(value, where: str) -> float:
+    _require(_is_number(value) and value >= 0,
+             f"{where}: must be a non-negative number, got {value!r}")
+    return float(value)
+
+
+def _checked_seed(value, where: str) -> int:
+    _require(_is_count(value, 0), f"{where}: must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
 def _build_tolerances(data) -> dict:
     tolerances = dict(DEFAULT_TOLERANCES)
     if data is None:
@@ -236,12 +247,7 @@ def _build_tolerances(data) -> dict:
     _require(isinstance(data, dict), f"{where}: expected an object")
     _check_keys(data, tuple(DEFAULT_TOLERANCES), (), where)
     for key, value in data.items():
-        _require(
-            isinstance(value, (int, float)) and not isinstance(value, bool)
-            and value >= 0,
-            f"{where}.{key}: must be a non-negative number, got {value!r}",
-        )
-        tolerances[key] = float(value)
+        tolerances[key] = _checked_tolerance(value, f"{where}.{key}")
     return tolerances
 
 
@@ -264,8 +270,7 @@ def load_scenario(data, max_dim: int = DEFAULT_MAX_DIM) -> Scenario:
     _require(isinstance(system, dict), "system: expected an object")
     _check_keys(system, ("dim", "state"), ("dim", "state"), "system")
     dim = system["dim"]
-    _require(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1,
-             f"system.dim: must be a positive integer, got {dim!r}")
+    _require(_is_count(dim), f"system.dim: must be a positive integer, got {dim!r}")
     psi = _gated_state(system["state"], "system.state", dim)
 
     experiment = data["experiment"]
@@ -278,12 +283,9 @@ def load_scenario(data, max_dim: int = DEFAULT_MAX_DIM) -> Scenario:
     _check_keys(params, ("tolerances", "n_samples", "seed"), (), "params")
     tolerances = _build_tolerances(params.get("tolerances"))
     n_samples = params.get("n_samples", DEFAULT_N_SAMPLES)
-    _require(isinstance(n_samples, int) and not isinstance(n_samples, bool)
-             and n_samples >= 1,
+    _require(_is_count(n_samples),
              f"params.n_samples: must be a positive integer, got {n_samples!r}")
-    seed = params.get("seed", DEFAULT_SEED)
-    _require(isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0,
-             f"params.seed: must be a non-negative integer, got {seed!r}")
+    seed = _checked_seed(params.get("seed", DEFAULT_SEED), "params.seed")
 
     observable = _build_observable(data["observable"], dim, tolerances["cluster"])
 
@@ -313,13 +315,18 @@ def load_scenario(data, max_dim: int = DEFAULT_MAX_DIM) -> Scenario:
         tolerances=tolerances,
         n_samples=n_samples,
         seed=seed,
-        raw=copy.deepcopy(data),
     )
 
 
 def load_scenario_file(path, max_dim: int = DEFAULT_MAX_DIM) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValidationError(f"{path}: JSON nested too deeply") from None
+        except ValueError as exc:
+            # malformed JSON, bad UTF-8, or an integer beyond int()'s digit limit
+            raise ValidationError(f"{path}: {exc}") from None
     return load_scenario(data, max_dim=max_dim)
 
 
@@ -331,14 +338,6 @@ def _prob_map(outcomes, values) -> dict:
     return {_label_key(x): float(p) for x, p in zip(outcomes, values)}
 
 
-def _effective_tolerances(scenario: Scenario, tol_override: Optional[float]) -> dict:
-    tolerances = dict(scenario.tolerances)
-    decision = DECISION_TOLERANCE.get(scenario.experiment)
-    if tol_override is not None and decision is not None:
-        tolerances[decision] = float(tol_override)
-    return tolerances
-
-
 def run_experiment(
     scenario: Scenario,
     tol_override: Optional[float] = None,
@@ -348,9 +347,13 @@ def run_experiment(
 
     tol_override replaces the experiment's decision tolerance (see
     DECISION_TOLERANCE); seed_override replaces the sampling seed. Both are
-    the CLI flags' hooks and default to the scenario's own parameters.
+    the CLI flags' hooks, default to the scenario's own parameters, and are
+    checked as the loader checks the values they replace.
     """
-    tolerances = _effective_tolerances(scenario, tol_override)
+    tolerances = dict(scenario.tolerances)
+    decision = DECISION_TOLERANCE.get(scenario.experiment)
+    if tol_override is not None and decision is not None:
+        tolerances[decision] = _checked_tolerance(tol_override, "tol_override")
     diagnostics = {"tolerances": tolerances}
     experiment = scenario.experiment
 
@@ -399,7 +402,7 @@ def run_experiment(
                 reproducibility_tol=tolerances["reproducibility"],
                 commutation_tol=tolerances["commutation"],
             )
-            dist = joint_distribution(joint, tolerances["commutation"])
+            dist = report.joint
             results = {
                 "intersubjective": bool(report.intersubjective),
                 "off_diagonal_mass": float(report.off_diagonal_mass),
@@ -413,7 +416,8 @@ def run_experiment(
                 "joint_table": dist.probabilities.tolist(),
             }
         else:
-            seed = scenario.seed if seed_override is None else int(seed_override)
+            seed = (scenario.seed if seed_override is None
+                    else _checked_seed(seed_override, "seed_override"))
             sample = sample_outcomes(
                 joint, scenario.n_samples, seed, tolerances["commutation"]
             )
@@ -425,9 +429,7 @@ def run_experiment(
                 "counts": sample.counts.tolist(),
                 "empirical_table": sample.empirical.probabilities.tolist(),
                 "empirical_agreement": table_agreement(sample.empirical),
-                "analytic_agreement": agreement_probability(
-                    joint, tolerances["commutation"]
-                ),
+                "analytic_agreement": table_agreement(sample.analytic),
             }
 
     return {"experiment": experiment, "results": results, "diagnostics": diagnostics}
@@ -446,9 +448,9 @@ def _target_pvm(scenario: Scenario) -> Pvm:
 def sweep_agreement(scenario: Scenario, etas, max_dim: int = DEFAULT_MAX_DIM):
     """Agreement probability as a function of the unsharpness eta.
 
-    Rebuilds the scenario at each eta, so only scenarios whose observable is
-    the unsharp family and whose processes are derived models (not custom
-    interactions, which do not depend on eta) can be swept.
+    Rebuilds the observable and the processes at each eta, so only the
+    unsharp family with derived models (not custom interactions, which do
+    not depend on eta) can be swept.
     """
     _require(
         scenario.observable.kind == "unsharp",
@@ -464,12 +466,16 @@ def sweep_agreement(scenario: Scenario, etas, max_dim: int = DEFAULT_MAX_DIM):
     )
     rows = []
     for eta in etas:
-        data = copy.deepcopy(scenario.raw)
-        data["observable"] = {"unsharp": {"eta": float(eta)}}
-        rebuilt = load_scenario(data, max_dim=max_dim)
-        joint = compose(rebuilt.psi, rebuilt.processes[0], rebuilt.processes[1])
+        observable = _build_observable(
+            {"unsharp": {"eta": float(eta)}}, scenario.system_dim, scenario.tolerances["cluster"]
+        )
+        p1, p2 = (
+            _build_process({"model": model}, i, observable, scenario.system_dim, max_dim)[0]
+            for i, model in enumerate(scenario.models)
+        )
+        joint = compose(scenario.psi, p1, p2)
         rows.append((float(eta), agreement_probability(
-            joint, rebuilt.tolerances["commutation"]
+            joint, scenario.tolerances["commutation"]
         )))
     return rows
 

@@ -1,23 +1,41 @@
-"""JSON encoding for states, operators, observables, and processes.
+"""JSON encoding for states, operators, and observables.
 
 Complex numbers are written as [re, im] pairs so files stay diffable and
 language neutral. Matrices carry explicit row/column counts and a dense
 row-major entry list; decoding is strict and raises ValidationError on any
-shape or type mismatch rather than guessing.
+shape or type mismatch rather than guessing. Measuring processes are
+encoded only inside scenario files (see scenario.py).
 """
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .errors import ValidationError
-from .measurement import MeasurementProcess
 from .observables import Povm, Pvm
 
 
 def _require(cond: bool, message: str):
     if not cond:
         raise ValidationError(message)
+
+
+def _is_number(x) -> bool:
+    """A real number that converts to a float: no bool, no oversized integer."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        float(x)
+    except OverflowError:
+        return False
+    return True
+
+
+def _is_count(x, minimum: int = 1) -> bool:
+    """An integer of at least minimum that passes _is_number."""
+    return isinstance(x, numbers.Integral) and _is_number(x) and x >= minimum
 
 
 def _pair(z) -> list:
@@ -32,8 +50,7 @@ def _from_pair(entry, where: str) -> complex:
     )
     re, im = entry
     _require(
-        isinstance(re, (int, float)) and not isinstance(re, bool)
-        and isinstance(im, (int, float)) and not isinstance(im, bool),
+        _is_number(re) and _is_number(im),
         f"{where}: entries of a [re, im] pair must be numbers, got {entry!r}",
     )
     return complex(re, im)
@@ -55,14 +72,8 @@ def matrix_from_json(data, where: str = "matrix") -> np.ndarray:
     for key in ("rows", "cols", "entries"):
         _require(key in data, f"{where}: missing field {key!r}")
     rows, cols = data["rows"], data["cols"]
-    _require(
-        isinstance(rows, int) and not isinstance(rows, bool) and rows >= 1,
-        f"{where}: rows must be a positive integer, got {rows!r}",
-    )
-    _require(
-        isinstance(cols, int) and not isinstance(cols, bool) and cols >= 1,
-        f"{where}: cols must be a positive integer, got {cols!r}",
-    )
+    _require(_is_count(rows), f"{where}: rows must be a positive integer, got {rows!r}")
+    _require(_is_count(cols), f"{where}: cols must be a positive integer, got {cols!r}")
     entries = data["entries"]
     _require(isinstance(entries, list), f"{where}: entries must be a list")
     _require(
@@ -124,47 +135,15 @@ def _labeled_ops_from_json(data, op_field: str, where: str):
     for key in ("dim", "outcomes", op_field):
         _require(key in data, f"{where}: missing field {key!r}")
     dim = data["dim"]
-    _require(isinstance(dim, int) and not isinstance(dim, bool) and dim >= 1,
-             f"{where}: dim must be a positive integer, got {dim!r}")
+    _require(_is_count(dim), f"{where}: dim must be a positive integer, got {dim!r}")
     outcomes = data["outcomes"]
     _require(isinstance(outcomes, list) and len(outcomes) >= 1,
              f"{where}: outcomes must be a non-empty list")
     for i, x in enumerate(outcomes):
-        _require(isinstance(x, (int, float)) and not isinstance(x, bool),
+        _require(_is_number(x),
                  f"{where}.outcomes[{i}]: outcome labels must be real numbers, got {x!r}")
     ops = data[op_field]
     _require(isinstance(ops, list) and len(ops) == len(outcomes),
              f"{where}: {op_field} must be a list matching outcomes in length")
     mats = [matrix_from_json(m, f"{where}.{op_field}[{i}]") for i, m in enumerate(ops)]
     return [float(x) for x in outcomes], mats
-
-
-def process_to_json(process: MeasurementProcess) -> dict:
-    return {
-        "system_dim": int(process.system_dim),
-        "apparatus_dim": int(process.apparatus_dim),
-        "apparatus_state": state_to_json(process.apparatus_state),
-        "interaction": matrix_to_json(process.interaction),
-        "meter": pvm_to_json(process.meter),
-    }
-
-
-def process_from_json(data, where: str = "process", max_dim=None) -> MeasurementProcess:
-    _require(isinstance(data, dict), f"{where}: expected an object")
-    for key in ("system_dim", "apparatus_dim", "apparatus_state", "interaction", "meter"):
-        _require(key in data, f"{where}: missing field {key!r}")
-    for key in ("system_dim", "apparatus_dim"):
-        value = data[key]
-        _require(isinstance(value, int) and not isinstance(value, bool) and value >= 1,
-                 f"{where}.{key}: must be a positive integer, got {value!r}")
-    kwargs = {}
-    if max_dim is not None:
-        kwargs["max_dim"] = int(max_dim)
-    return MeasurementProcess(
-        system_dim=data["system_dim"],
-        apparatus_dim=data["apparatus_dim"],
-        apparatus_state=state_from_json(data["apparatus_state"], f"{where}.apparatus_state"),
-        interaction=matrix_from_json(data["interaction"], f"{where}.interaction"),
-        meter=pvm_from_json(data["meter"], f"{where}.meter"),
-        **kwargs,
-    )

@@ -19,6 +19,8 @@ from conftest import (
 )
 from qmeasure import (
     PAULI_Z,
+    Povm,
+    Pvm,
     as_povm,
     born_povm,
     check_reproducibility,
@@ -184,8 +186,13 @@ def test_criterion_7_structural_invariant_suite():
             evolved = evolve_meter(process)
             assert all(is_projector(p, 1e-9) for p in evolved.projectors)
             assert max_abs(sum(evolved.projectors) - np.eye(evolved.dim)) < 1e-9
+            # derived objects are built unchecked: run the public constructors' checks
+            Pvm(evolved.outcomes, evolved.projectors, evolved.dim)
+            induced = induced_povm(process)
+            Povm(induced.outcomes, induced.effects, induced.dim)
             checked += 1
         induced = induced_povm(dilation_model(unsharp_qubit_povm(0.5)))
+        Povm(induced.outcomes, induced.effects, induced.dim)
         assert not any(is_projector(e, 1e-9) for e in induced.effects)
         checked += 1
         assert checked >= 1000

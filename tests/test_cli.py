@@ -11,6 +11,7 @@ from qmeasure import (
     PAULI_Z,
     dilation_model,
     pvm_from_observable,
+    pvm_to_json,
     scenario_to_json,
     unsharp_qubit_povm,
     von_neumann_model,
@@ -134,6 +135,67 @@ def test_run_unknown_field_rejected(capsys, tmp_path):
     assert "unknown field" in err
 
 
+def _oversized(doc, path, value=10**400):
+    """Put value at path in doc; the last key may index a list."""
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return json.dumps(doc)
+
+
+def _bundled(path, **replace):
+    doc = json.loads(path.read_text())
+    doc.update(replace)
+    return doc
+
+
+_MALFORMED_INPUTS = {
+    "matrix_entry": lambda: _oversized(
+        _bundled(OIT_SCENARIO), ("observable", "hermitian_matrix", "entries", 0, 0)),
+    "state_amplitude": lambda: _oversized(
+        _bundled(OIT_SCENARIO), ("system", "state", 1, 0)),
+    "unsharp_eta": lambda: _oversized(
+        _bundled(UNSHARP_SCENARIO), ("observable", "unsharp", "eta")),
+    "tolerance": lambda: _oversized(
+        _bundled(OIT_SCENARIO, params={"tolerances": {"oit": 0}}),
+        ("params", "tolerances", "oit")),
+    "pvm_outcome_label": lambda: _oversized(
+        _bundled(OIT_SCENARIO, observable={"pvm": pvm_to_json(SIGMA_Z_PVM)}),
+        ("observable", "pvm", "outcomes", 0)),
+    "deep_nesting": lambda: OIT_SCENARIO.read_text().replace(
+        '"experiment"', '"params": ' + "[" * 100_000 + "]" * 100_000 + ', "experiment"'),
+    "too_many_digits": lambda: OIT_SCENARIO.read_text().replace(
+        '"dim": 2', '"dim": ' + "1" * 5000),
+    "invalid_utf8": lambda: b'{"schema_version": "\xff"}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_INPUTS))
+def test_run_malformed_input_exits_2(capsys, tmp_path, case):
+    text = _MALFORMED_INPUTS[case]()
+    path = tmp_path / "scenario.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code, _, err = _run(capsys, "run", path)
+    assert code == 2, err
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--seed", "-5"), ("--tol", "-1"), ("--tol", "nan")],
+)
+def test_run_rejects_bad_overrides(capsys, tmp_path, flag, value):
+    povm = unsharp_qubit_povm(0.8)
+    doc = scenario_to_json(
+        GROUND, povm, [dilation_model(povm), dilation_model(povm)],
+        "sample", n_samples=100, seed=5,
+    )
+    code, _, err = _run(capsys, "run", _write(tmp_path, doc), flag, value)
+    assert code == 2
+    assert flag[2:] + "_override" in err
+
+
 def test_run_non_commuting_meters_exit_code(capsys, tmp_path):
     path = _write(tmp_path, _noncommuting_joint_doc())
     code, _, err = _run(capsys, "run", path)
@@ -237,6 +299,18 @@ def test_sweep_rejects_out_of_range_eta(capsys):
                         "--param", "eta", "--values", "0.5,1.2")
     assert code == 2
     assert "eta" in err
+
+
+def test_sweep_with_pointer_models_needs_a_sharp_eta(capsys, tmp_path):
+    doc = _bundled(UNSHARP_SCENARIO, observable={"unsharp": {"eta": 1.0}},
+                   processes=[{"model": "von_neumann"}, {"model": "von_neumann"}])
+    path = _write(tmp_path, doc)
+    code, out, _ = _run(capsys, "sweep", path, "--param", "eta", "--values", "1")
+    assert code == 0
+    assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(1.0, abs=1e-12)
+    code, _, err = _run(capsys, "sweep", path, "--param", "eta", "--values", "1,0.5")
+    assert code == 2
+    assert "von_neumann" in err
 
 
 def test_sweep_rejects_non_sweepable_scenario(capsys):

@@ -1,3 +1,5 @@
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from qmeasure import (
     MeasurementProcess,
     NonCommutingMetersError,
     PreconditionError,
+    Pvm,
     ValidationError,
     agreement_probability,
     as_povm,
@@ -23,7 +26,9 @@ from qmeasure import (
     dilation_model,
     induced_povm,
     joint_distribution,
+    load_scenario_file,
     pvm_from_observable,
+    run_experiment,
     sample_outcomes,
     table_agreement,
     unsharp_qubit_povm,
@@ -57,6 +62,30 @@ def test_compose_two_dilations_commute():
     js = _unsharp_scenario(0.8, GROUND)
     assert js.max_commutator_norm < 1e-9
     assert check_commutation(js).commuting
+
+
+def test_compose_embedded_meters_pass_the_pvm_checks():
+    # embedded meters are built unchecked; the public constructor checks them here
+    js = compose(PLUS, von_neumann_model(SIGMA_Z_PVM), dilation_model(unsharp_qubit_povm(0.7)))
+    for ev in (js.evolved1, js.evolved2):
+        assert ev.dim == js.total_dim
+        Pvm(ev.outcomes, ev.projectors, ev.dim)
+
+
+def test_oit_run_checks_only_the_observable_as_a_pvm(monkeypatch):
+    checks = []
+    original = Pvm.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        original(self)
+
+    monkeypatch.setattr(Pvm, "__post_init__", counting)
+    scenario = load_scenario_file(
+        pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "oit_sigma_z.json"
+    )
+    assert run_experiment(scenario)["results"]["intersubjective"] is True
+    assert len(checks) == 1
 
 
 def test_compose_incompatible_observables_flagged_not_local():
@@ -145,6 +174,15 @@ def test_oit_qutrit_degenerate_oracle():
     assert report.diagonal[3.0] == pytest.approx(2 / 3, abs=1e-12)
     assert report.diagonal[7.0] == pytest.approx(1 / 3, abs=1e-12)
     assert report.off_diagonal_mass == pytest.approx(0.0, abs=1e-12)
+
+
+def test_verdict_and_sampler_return_the_joint_table_they_used():
+    js = _unsharp_scenario(0.8, GROUND)
+    table = joint_distribution(js).probabilities
+    assert np.array_equal(sample_outcomes(js, 10, seed=1).analytic.probabilities, table)
+    accurate = _accurate_z_scenario(PLUS)
+    report = verify_oit(accurate, SIGMA_Z_PVM)
+    assert np.array_equal(report.joint.probabilities, joint_distribution(accurate).probabilities)
 
 
 def test_oit_precondition_rejects_non_reproducing_process():

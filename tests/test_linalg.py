@@ -11,21 +11,17 @@ from qmeasure import (
     DimensionError,
     NotHermitianError,
     ParameterError,
-    SpectralDecomposition,
+    Pvm,
     ValidationError,
-    adjoint,
-    apply,
     as_operator,
     as_state,
     embed_operator,
-    inner,
     is_hermitian,
     is_projector,
     is_unitary,
-    matmul,
     max_abs,
     psd_sqrt,
-    spectral_decompose,
+    pvm_from_observable,
     tensor,
 )
 
@@ -84,29 +80,6 @@ def _matrix_strategy():
 def test_tensor_associative(a, b, c):
     # integer entries keep the comparison exact
     assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-
-
-def test_matmul_apply_inner_dimension_errors():
-    with pytest.raises(DimensionError):
-        matmul(np.eye(2), np.eye(3))
-    with pytest.raises(DimensionError):
-        apply(np.eye(2), np.ones(3))
-    with pytest.raises(DimensionError):
-        inner(np.ones(2), np.ones(3))
-
-
-def test_inner_conjugates_left_argument():
-    u = np.array([1j, 0])
-    v = np.array([1, 0], dtype=complex)
-    assert inner(u, v) == pytest.approx(-1j)
-    assert inner(v, u) == pytest.approx(1j)
-
-
-def test_adjoint_involution():
-    rng = np.random.default_rng(3)
-    a = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    assert np.array_equal(adjoint(adjoint(a)), a)
-    assert adjoint(a).shape == (4, 3)
 
 
 def test_predicates_on_paulis():
@@ -187,35 +160,40 @@ def test_embed_operator_validation():
         embed_operator(np.eye(3), [2, 2], [0])
 
 
+# spectral decomposition of a Hermitian operator into its PVM
+
+
 def test_spectral_decompose_sigma_z():
-    dec = spectral_decompose(PAULI_Z)
-    assert dec.eigenvalues == (-1.0, 1.0)
-    assert max_abs(dec.projectors[0] - np.diag([0.0, 1.0])) < 1e-12
-    assert max_abs(dec.projectors[1] - np.diag([1.0, 0.0])) < 1e-12
+    pvm = pvm_from_observable(PAULI_Z)
+    assert pvm.outcomes == (-1.0, 1.0)
+    assert max_abs(pvm.projectors[0] - np.diag([0.0, 1.0])) < 1e-12
+    assert max_abs(pvm.projectors[1] - np.diag([1.0, 0.0])) < 1e-12
 
 
 def test_spectral_decompose_merges_degenerate_eigenvalues():
-    dec = spectral_decompose(np.diag([3.0, 3.0, 7.0]).astype(complex))
-    assert dec.eigenvalues == (3.0, 7.0)
-    assert max_abs(dec.projectors[0] - np.diag([1.0, 1.0, 0.0])) < 1e-12
-    traces = [float(np.trace(p).real) for p in dec.projectors]
+    pvm = pvm_from_observable(np.diag([3.0, 3.0, 7.0]).astype(complex))
+    assert pvm.outcomes == (3.0, 7.0)
+    assert max_abs(pvm.projectors[0] - np.diag([1.0, 1.0, 0.0])) < 1e-12
+    traces = [float(np.trace(p).real) for p in pvm.projectors]
     assert traces == pytest.approx([2.0, 1.0])
 
 
 def test_spectral_decompose_cluster_tolerance_merges_near_degeneracy():
     a = np.diag([1.0, 1.0 + 1e-12, 2.0]).astype(complex)
-    dec = spectral_decompose(a)
-    assert len(dec.eigenvalues) == 2
-    wide = spectral_decompose(a, cluster_tol=3.0)
-    assert len(wide.eigenvalues) == 1
+    pvm = pvm_from_observable(a)
+    assert len(pvm.outcomes) == 2
+    wide = pvm_from_observable(a, cluster_tol=3.0)
+    assert len(wide.outcomes) == 1
     assert max_abs(wide.projectors[0] - np.eye(3)) < 1e-12
 
 
 def test_spectral_decompose_errors():
     with pytest.raises(NotHermitianError):
-        spectral_decompose(np.array([[0, 1], [0, 0]], dtype=complex))
+        pvm_from_observable(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(ParameterError):
-        spectral_decompose(PAULI_Z, cluster_tol=-1e-3)
+        pvm_from_observable(PAULI_Z, cluster_tol=-1e-3)
+    with pytest.raises(DimensionError):
+        pvm_from_observable(np.ones((2, 3), dtype=complex))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -223,23 +201,26 @@ def test_spectral_decompose_errors():
 def test_spectral_decompose_reconstructs(seed, dim):
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng, dim)
-    dec = spectral_decompose(a)
-    assert max_abs(dec.reconstruct() - a) < 1e-9
-    assert max_abs(sum(dec.projectors) - np.eye(dim)) < 1e-9
-    assert all(b - a2 > 0 for a2, b in zip(dec.eigenvalues, dec.eigenvalues[1:]))
+    pvm = pvm_from_observable(a)
+    assert max_abs(sum(x * p for x, p in zip(pvm.outcomes, pvm.projectors)) - a) < 1e-9
+    assert max_abs(sum(pvm.projectors) - np.eye(dim)) < 1e-9
+    assert all(b - a2 > 0 for a2, b in zip(pvm.outcomes, pvm.outcomes[1:]))
 
 
 def test_spectral_decomposition_rejects_non_orthogonal_projectors():
     p = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValidationError):
-        SpectralDecomposition((0.0, 1.0), (p, p))
+        Pvm((0.0, 1.0), (p, p), 2)
     with pytest.raises(ValidationError):
-        SpectralDecomposition((0.0,), (np.diag([1.0, 0.0]).astype(complex),))
-    with pytest.raises(ValidationError):
-        SpectralDecomposition((1.0, 0.0), (p, np.eye(2) - p))
+        Pvm((0.0,), (np.diag([1.0, 0.0]).astype(complex),), 2)
+    # descending labels are put in ascending order, each projector kept with its label
+    pvm = Pvm((1.0, 0.0), (p, np.eye(2) - p), 2)
+    assert pvm.outcomes == (0.0, 1.0)
+    assert max_abs(pvm.projectors[0] - (np.eye(2) - p)) < 1e-12
+    assert max_abs(pvm.projectors[1] - p) < 1e-12
 
 
 def test_frozen_arrays_are_read_only():
-    dec = spectral_decompose(PAULI_Z)
+    pvm = pvm_from_observable(PAULI_Z)
     with pytest.raises(ValueError):
-        dec.projectors[0][0, 0] = 5.0
+        pvm.projectors[0][0, 0] = 5.0

@@ -14,6 +14,8 @@ from qmeasure import (
     PAULI_Z,
     DimensionError,
     MeasurementProcess,
+    Povm,
+    Pvm,
     ValidationError,
     as_povm,
     born_povm,
@@ -183,15 +185,19 @@ def test_evolved_meter_projectors_are_projectors():
     evolved = evolve_meter(process)
     assert evolved.dim == process.total_dim
     assert is_projective(as_povm(evolved))
+    # evolved meters are built unchecked; the public constructor checks them here
+    Pvm(evolved.outcomes, evolved.projectors, evolved.dim)
 
 
 def test_induced_povm_of_random_process_is_valid_povm():
     rng = np.random.default_rng(42)
     for _ in range(5):
         process = random_process(rng, 2, 3)
-        induced = induced_povm(process)  # constructor re-validates the invariants
+        induced = induced_povm(process)
         assert induced.dim == 2
         assert len(induced) == 3
+        # induced POVMs are built unchecked; the public constructor checks them here
+        Povm(induced.outcomes, induced.effects, induced.dim)
 
 
 def test_von_neumann_respects_dimension_cap():

@@ -47,6 +47,10 @@ def test_pvm_rejects_non_orthogonal():
     p = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValidationError):
         Pvm((0.0, 1.0), (p, p), 2)
+    with pytest.raises(ValidationError):
+        Pvm((0.0, 1.0), (p,), 2)
+    with pytest.raises(ValidationError):
+        Pvm((), (), 2)
 
 
 def test_pvm_rejects_near_duplicate_labels():

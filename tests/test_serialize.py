@@ -3,18 +3,18 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_povm, random_process, random_pvm
+from conftest import random_povm, random_process, random_pvm, random_state
 from qmeasure import (
     ValidationError,
+    load_scenario,
     matrix_from_json,
     matrix_to_json,
     max_abs,
     povm_from_json,
     povm_to_json,
-    process_from_json,
-    process_to_json,
     pvm_from_json,
     pvm_to_json,
+    scenario_to_json,
     state_from_json,
     state_to_json,
 )
@@ -104,21 +104,37 @@ def test_pvm_from_json_outcome_type_gate():
         pvm_from_json(doc)
 
 
+def _custom_process_doc(seed):
+    """A one-process induce scenario whose process is written out as custom."""
+    rng = np.random.default_rng(seed)
+    process = random_process(rng, 2, 3)
+    doc = scenario_to_json(random_state(rng, 2), random_pvm(rng, 2, 2), [process], "induce")
+    return process, json.loads(json.dumps(doc))
+
+
 def test_process_round_trip():
-    process = random_process(np.random.default_rng(6), 2, 3)
-    back = process_from_json(json.loads(json.dumps(process_to_json(process))))
+    process, doc = _custom_process_doc(6)
+    back = load_scenario(doc).processes[0]
     assert back.system_dim == 2 and back.apparatus_dim == 3
-    assert max_abs(back.interaction - process.interaction) == 0.0
-    assert max_abs(back.apparatus_state - process.apparatus_state) == 0.0
+    assert np.array_equal(back.interaction, process.interaction)
+    assert np.array_equal(back.apparatus_state, process.apparatus_state)
     assert back.meter.outcomes == process.meter.outcomes
+    assert all(np.array_equal(a, b)
+               for a, b in zip(back.meter.projectors, process.meter.projectors))
 
 
-def test_process_from_json_strictness():
-    doc = process_to_json(random_process(np.random.default_rng(7), 2, 2))
-    doc["system_dim"] = -1
-    with pytest.raises(ValidationError):
-        process_from_json(doc)
-    doc2 = process_to_json(random_process(np.random.default_rng(7), 2, 2))
-    doc2.pop("meter")
-    with pytest.raises(ValidationError):
-        process_from_json(doc2)
+def test_custom_process_strictness():
+    mutations = [
+        lambda p: p.__setitem__("apparatus_dim", -1),
+        lambda p: p.__setitem__("apparatus_dim", True),
+        lambda p: p.pop("meter"),
+        lambda p: p.__setitem__("extra", 1),
+        lambda p: p["xi"].pop(),
+        lambda p: p["unitary"]["entries"].__setitem__(0, [2.0, 0.0]),
+        lambda p: p["meter"]["outcomes"].__setitem__(0, "zero"),
+    ]
+    for mutate in mutations:
+        _, doc = _custom_process_doc(7)
+        mutate(doc["processes"][0])
+        with pytest.raises(ValidationError):
+            load_scenario(doc)
