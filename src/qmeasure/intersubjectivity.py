@@ -2,14 +2,16 @@
 
 Two measuring processes that share the system are composed on
 H x K1 x K2. Each meter is evolved by its own process's interaction and
-embedded into the compound space; the scenario is local when every pair of
-evolved meter projectors commutes. For local scenarios the joint outcome
-distribution P(x, y) = <Psi| E1(x) E2(y) |Psi> is well defined, and when
-both processes reproduce the statistics of the same accurate observable,
-both observers read the same outcome with probability one. For noisy
-observables the agreement probability drops below one; a seeded sampler
-draws outcome pairs from the joint table for Monte Carlo checks. The
-verdict and the sampler both return the joint table they used.
+kept on its own factor, H x K1 or H x K2; no operator on the whole compound
+space is ever built. The scenario is local when every pair of evolved meter
+projectors, each extended by the identity on the other apparatus, commutes.
+For local scenarios the joint outcome distribution
+P(x, y) = <Psi| E1(x) E2(y) |Psi> is well defined, and when both processes
+reproduce the statistics of the same accurate observable, both observers
+read the same outcome with probability one. For noisy observables the
+agreement probability drops below one; a seeded sampler draws outcome pairs
+from the joint table for Monte Carlo checks. The verdict and the sampler
+both return the joint table they used.
 """
 
 from __future__ import annotations
@@ -25,22 +27,9 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .linalg import (
-    DEFAULT_MAX_DIM,
-    _frozen,
-    as_state,
-    embed_operator,
-    max_abs,
-    tensor,
-)
-from .measurement import (
-    REPRO_TOL,
-    EvolvedMeter,
-    MeasurementProcess,
-    check_reproducibility,
-    evolve_meter,
-)
-from .observables import LABEL_TOL, PROB_NEG_TOL, PROB_SUM_TOL, Pvm, _derived
+from .linalg import DEFAULT_MAX_DIM, _frozen, as_state, max_abs
+from .measurement import REPRO_TOL, MeasurementProcess, _compare, _pinch, evolve_meter
+from .observables import LABEL_TOL, PROB_NEG_TOL, PROB_SUM_TOL, Pvm
 
 COMMUTATION_TOL = 1e-8  # default locality decision tolerance
 OIT_TOL = 1e-9          # default intersubjectivity decision tolerance
@@ -49,22 +38,22 @@ JOINT_IMAG_TOL = 1e-10  # largest imaginary residue tolerated in a joint probabi
 
 @dataclass(frozen=True, eq=False)
 class JointScenario:
-    """A system state with two measuring processes composed on H x K1 x K2."""
+    """A system state with two measuring processes composed on H x K1 x K2.
+
+    evolved1 is process1's evolved meter on H x K1 and evolved2 is
+    process2's on H x K2, as evolve_meter returns them.
+    """
 
     psi: np.ndarray
     process1: MeasurementProcess
     process2: MeasurementProcess
-    evolved1: EvolvedMeter
-    evolved2: EvolvedMeter
+    evolved1: Pvm
+    evolved2: Pvm
     max_commutator_norm: float
 
     @property
     def total_dim(self) -> int:
-        return self.evolved1.dim
-
-    @property
-    def joint_state(self) -> np.ndarray:
-        return tensor(self.psi, self.process1.apparatus_state, self.process2.apparatus_state)
+        return self.process1.total_dim * self.process2.apparatus_dim
 
 
 class CommutationCheck(NamedTuple):
@@ -142,9 +131,9 @@ def compose(
     """Compose two processes sharing the system into one scenario on H x K1 x K2.
 
     Process1's interaction acts on H and K1, process2's on H and K2. Each
-    meter is evolved by its own interaction and embedded into the compound
-    space; the largest commutator norm over all pairs of evolved meter
-    projectors is stored so locality can be decided later at any tolerance.
+    meter is evolved by its own interaction and kept on its own factor. The
+    largest commutator norm over all pairs of evolved meter projectors on
+    H x K1 x K2 is stored so locality can be decided later at any tolerance.
     """
     psi = as_state(psi)
     d_sys = psi.shape[0]
@@ -153,21 +142,19 @@ def compose(
             f"processes act on system dims {process1.system_dim} and "
             f"{process2.system_dim}, state has dim {d_sys}"
         )
-    d1, d2 = process1.apparatus_dim, process2.apparatus_dim
-    dims = [d_sys, d1, d2]
-    total = d_sys * d1 * d2
+    total = process1.total_dim * process2.apparatus_dim
     if total > max_dim:
         raise DimensionError(f"compound dimension {total} exceeds the cap {max_dim}")
-    ev1 = evolve_meter(process1)
-    ev2 = evolve_meter(process2)
-    proj1 = tuple(embed_operator(p, dims, [0, 1]) for p in ev1.projectors)
-    proj2 = tuple(embed_operator(p, dims, [0, 2]) for p in ev2.projectors)
-    evolved1 = _derived(EvolvedMeter, ev1.outcomes, proj1, total)
-    evolved2 = _derived(EvolvedMeter, ev2.outcomes, proj2, total)
+    evolved1 = evolve_meter(process1)
+    evolved2 = evolve_meter(process2)
+    blocks1 = [_blocks(p, d_sys) for p in evolved1.projectors]
+    blocks2 = [_blocks(p, d_sys) for p in evolved2.projectors]
     worst = 0.0
-    for a in proj1:
-        for b in proj2:
-            worst = max(worst, max_abs(a @ b - b @ a))
+    for a in blocks1:
+        for b in blocks2:
+            ab = np.tensordot(a, b, axes=(2, 1))  # [p, i, q, j] = (a[p] b[q])[i, j]
+            ba = np.tensordot(b, a, axes=(2, 1))  # [q, i, p, j] = (b[q] a[p])[i, j]
+            worst = max(worst, max_abs(ab - ba.transpose(2, 1, 0, 3)))
     return JointScenario(
         psi=_frozen(psi.copy()),
         process1=process1,
@@ -176,6 +163,18 @@ def compose(
         evolved2=evolved2,
         max_commutator_norm=worst,
     )
+
+
+def _blocks(projector: np.ndarray, d_sys: int) -> np.ndarray:
+    """The d_sys x d_sys blocks E[a, c] of E = sum_ac E[a, c] x |a><c| on H x K.
+
+    Returned as a (k*k, d_sys, d_sys) stack. The commutator of E1 x I_K2 and
+    E2 x I_K1 on H x K1 x K2 is sum [E1[a, c], E2[b, e]] x |a><c| x |b><e|,
+    so its largest entry is the largest entry of the block commutators.
+    """
+    k = projector.shape[0] // d_sys
+    blocks = projector.reshape(d_sys, k, d_sys, k).transpose(1, 3, 0, 2)
+    return blocks.reshape(k * k, d_sys, d_sys)
 
 
 def check_commutation(scenario: JointScenario, tol: float = COMMUTATION_TOL) -> CommutationCheck:
@@ -198,19 +197,20 @@ def joint_distribution(
             f"evolved meters do not commute (max commutator norm "
             f"{check.max_commutator_norm:.3e} > {commutation_tol})"
         )
-    state = scenario.joint_state
-    left = [p @ state for p in scenario.evolved1.projectors]
-    right = [p @ state for p in scenario.evolved2.projectors]
-    table = np.empty((len(left), len(right)), dtype=float)
-    for i, lvec in enumerate(left):
-        for j, rvec in enumerate(right):
-            value = complex(np.vdot(lvec, rvec))
-            if abs(value.imag) > JOINT_IMAG_TOL:
-                raise ValidationError(
-                    f"joint probability has imaginary residue {value.imag!r}"
-                )
-            table[i, j] = value.real
-    return JointDistribution(scenario.evolved1.outcomes, scenario.evolved2.outcomes, table)
+    d = scenario.psi.shape[0]
+    p1, p2 = scenario.process1, scenario.process2
+    d1, d2 = p1.apparatus_dim, p2.apparatus_dim
+    # the product state psi x xi1 x xi2 as a (d, d1, d2) tensor
+    state = np.einsum("i,a,b->iab", scenario.psi, p1.apparatus_state, p2.apparatus_state)
+    e1 = np.array(scenario.evolved1.projectors).reshape(-1, d, d1, d, d1)
+    e2 = np.array(scenario.evolved2.projectors).reshape(-1, d, d2, d, d2)
+    left = np.einsum("xiajc,jcb->xiab", e1, state)   # E1(x) Psi
+    right = np.einsum("yibje,jae->yiab", e2, state)  # E2(y) Psi
+    table = np.einsum("xiab,yiab->xy", left.conj(), right)
+    residue = max_abs(table.imag)
+    if residue > JOINT_IMAG_TOL:
+        raise ValidationError(f"joint probability has imaginary residue {residue!r}")
+    return JointDistribution(scenario.evolved1.outcomes, scenario.evolved2.outcomes, table.real)
 
 
 def _diagonal_cells(dist: JointDistribution, label_tol: float = LABEL_TOL):
@@ -251,8 +251,12 @@ def verify_oit(
     quantity instead. The report compares the joint table against the ideal:
     zero off-diagonal mass and diagonal P(x, x) = ||E(x) psi||^2.
     """
-    for name, process in (("process1", scenario.process1), ("process2", scenario.process2)):
-        report = check_reproducibility(process, observable, reproducibility_tol)
+    for name, process, evolved in (
+        ("process1", scenario.process1, scenario.evolved1),
+        ("process2", scenario.process2, scenario.evolved2),
+    ):
+        report = _compare(_pinch(evolved, process.apparatus_state), observable,
+                          reproducibility_tol)
         if not report.reproducible:
             raise PreconditionError(
                 f"{name} does not reproduce the observable's statistics "

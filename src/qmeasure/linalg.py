@@ -1,14 +1,11 @@
 """Dense complex linear algebra for finite-dimensional quantum models.
 
 Operators and states are plain numpy arrays (complex128); the functions
-here validate them, test their structural properties, take tensor
-products and embed operators into compound spaces. All comparisons use
-the max entry modulus norm.
+here validate them, test their structural properties and take tensor
+products. All comparisons use the max entry modulus norm.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -109,33 +106,3 @@ def psd_sqrt(a, clamp_tol: float = 1e-10) -> np.ndarray:
         raise ValidationError(f"matrix is not positive semidefinite (eigenvalue {w[0]!r})")
     root = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ vecs.conj().T
     return (root + root.conj().T) / 2
-
-
-def embed_operator(op, dims, sites) -> np.ndarray:
-    """Embed an operator acting on selected tensor factors into the full space.
-
-    ``dims`` lists the dimension of every factor (slow index first) and
-    ``sites`` names the factors ``op`` acts on, in the order of op's own
-    tensor structure; the remaining factors are acted on as identity.
-    """
-    op = _square(op)
-    dims = [int(d) for d in dims]
-    sites = [int(s) for s in sites]
-    n = len(dims)
-    if any(d < 1 for d in dims):
-        raise DimensionError("all factor dimensions must be >= 1")
-    if len(set(sites)) != len(sites) or any(s < 0 or s >= n for s in sites):
-        raise DimensionError(f"invalid site list {sites} for {n} factors")
-    d_sites = math.prod(dims[s] for s in sites)
-    if op.shape[0] != d_sites:
-        raise DimensionError(f"operator dim {op.shape[0]} does not match sites {sites} of dims {dims}")
-    rest = [i for i in range(n) if i not in sites]
-    order = sites + rest
-    d_rest = math.prod(dims[i] for i in rest)
-    full = np.kron(op, np.eye(d_rest, dtype=complex))
-    shape = [dims[i] for i in order]
-    full = full.reshape(shape + shape)
-    perm = [order.index(i) for i in range(n)]
-    full = full.transpose(perm + [p + n for p in perm])
-    total = math.prod(dims)
-    return np.ascontiguousarray(full.reshape(total, total))

@@ -41,11 +41,6 @@ COMPLETION_THRESHOLD = 1e-8   # candidates more dependent than this are skipped
 
 
 @dataclass(frozen=True, eq=False)
-class EvolvedMeter(Pvm):
-    """Meter PVM conjugated into the Heisenberg picture on system x apparatus."""
-
-
-@dataclass(frozen=True, eq=False)
 class MeasurementProcess:
     """The measuring-process quadruple with an explicit system dimension."""
 
@@ -104,7 +99,7 @@ class ReproducibilityReport:
     tolerance: float
 
 
-def evolve_meter(process: MeasurementProcess) -> EvolvedMeter:
+def evolve_meter(process: MeasurementProcess) -> Pvm:
     """Heisenberg-evolved meter: E(x) = U^dag (I x E_M(x)) U on system x apparatus."""
     u = process.interaction
     eye_sys = np.eye(process.system_dim, dtype=complex)
@@ -112,7 +107,7 @@ def evolve_meter(process: MeasurementProcess) -> EvolvedMeter:
     for p in process.meter.projectors:
         evolved = u.conj().T @ tensor(eye_sys, p) @ u
         projectors.append((evolved + evolved.conj().T) / 2)
-    return _derived(EvolvedMeter, process.meter.outcomes, projectors, process.total_dim)
+    return _derived(Pvm, process.meter.outcomes, projectors, process.total_dim)
 
 
 def meter_distribution(process: MeasurementProcess, psi) -> OutcomeDistribution:
@@ -126,17 +121,21 @@ def meter_distribution(process: MeasurementProcess, psi) -> OutcomeDistribution:
     return born_pvm(evolve_meter(process), joint_state)
 
 
-def induced_povm(process: MeasurementProcess) -> Povm:
-    """System-side POVM generated by the process: Pi(x) = <xi|E_evolved(x)|xi>."""
-    d_sys, d_app = process.system_dim, process.apparatus_dim
-    xi = process.apparatus_state
-    evolved = evolve_meter(process)
+def _pinch(evolved: Pvm, xi) -> Povm:
+    """Pi(x) = <xi|E(x)|xi> for a meter evolved on system x apparatus."""
+    d_app = xi.shape[0]
+    d_sys = evolved.dim // d_app
     effects = []
     for p in evolved.projectors:
         blocks = p.reshape(d_sys, d_app, d_sys, d_app)
         effect = np.einsum("k,ikjl,l->ij", xi.conj(), blocks, xi)
         effects.append((effect + effect.conj().T) / 2)
     return _derived(Povm, evolved.outcomes, effects, d_sys)
+
+
+def induced_povm(process: MeasurementProcess) -> Povm:
+    """System-side POVM generated by the process: Pi(x) = <xi|E_evolved(x)|xi>."""
+    return _pinch(evolve_meter(process), process.apparatus_state)
 
 
 def _match_labels(left, right, label_tol):
@@ -161,24 +160,14 @@ def _match_labels(left, right, label_tol):
     return pairs, left_only, right_only
 
 
-def check_reproducibility(
-    process: MeasurementProcess,
-    target: Pvm,
-    tol: float = REPRO_TOL,
-    label_tol: float = LABEL_TOL,
+def _compare(
+    induced: Povm, target: Pvm, tol: float = REPRO_TOL, label_tol: float = LABEL_TOL
 ) -> ReproducibilityReport:
-    """Compare the induced POVM against the target PVM, outcome by outcome.
-
-    Outcome labels are matched within label_tol; an outcome present on only
-    one side is compared against the zero operator. The process reproduces
-    the target's statistics iff the largest per-outcome operator deviation
-    is at most tol.
-    """
-    if process.system_dim != target.dim:
+    """check_reproducibility on an induced POVM that is already built."""
+    if induced.dim != target.dim:
         raise DimensionError(
-            f"process system dim {process.system_dim} does not match PVM dim {target.dim}"
+            f"process system dim {induced.dim} does not match PVM dim {target.dim}"
         )
-    induced = induced_povm(process)
     pairs, induced_only, target_only = _match_labels(
         induced.outcomes, target.outcomes, label_tol
     )
@@ -198,6 +187,22 @@ def check_reproducibility(
         per_outcome_deviation=per_outcome,
         tolerance=float(tol),
     )
+
+
+def check_reproducibility(
+    process: MeasurementProcess,
+    target: Pvm,
+    tol: float = REPRO_TOL,
+    label_tol: float = LABEL_TOL,
+) -> ReproducibilityReport:
+    """Compare the induced POVM against the target PVM, outcome by outcome.
+
+    Outcome labels are matched within label_tol; an outcome present on only
+    one side is compared against the zero operator. The process reproduces
+    the target's statistics iff the largest per-outcome operator deviation
+    is at most tol.
+    """
+    return _compare(induced_povm(process), target, tol, label_tol)
 
 
 def _pointer_pvm(outcomes, dim: int) -> Pvm:

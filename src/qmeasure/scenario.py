@@ -97,6 +97,7 @@ DECISION_TOLERANCE = {
 }
 
 DEFAULT_N_SAMPLES = 10000
+MAX_N_SAMPLES = 10**7  # a sample run holds a few arrays of this length in memory
 DEFAULT_SEED = 0
 
 
@@ -283,8 +284,9 @@ def load_scenario(data, max_dim: int = DEFAULT_MAX_DIM) -> Scenario:
     _check_keys(params, ("tolerances", "n_samples", "seed"), (), "params")
     tolerances = _build_tolerances(params.get("tolerances"))
     n_samples = params.get("n_samples", DEFAULT_N_SAMPLES)
-    _require(_is_count(n_samples),
-             f"params.n_samples: must be a positive integer, got {n_samples!r}")
+    _require(_is_count(n_samples) and n_samples <= MAX_N_SAMPLES,
+             f"params.n_samples: must be a positive integer at most {MAX_N_SAMPLES}, "
+             f"got {n_samples!r}")
     seed = _checked_seed(params.get("seed", DEFAULT_SEED), "params.seed")
 
     observable = _build_observable(data["observable"], dim, tolerances["cluster"])
@@ -303,6 +305,11 @@ def load_scenario(data, max_dim: int = DEFAULT_MAX_DIM) -> Scenario:
     ]
     processes = tuple(p for p, _ in built)
     models = tuple(m for _, m in built)
+    if needed == 2:
+        # compose's own cap, checked here so that validate rejects what run would
+        total = processes[0].total_dim * processes[1].apparatus_dim
+        _require(total <= max_dim,
+                 f"processes: compound dimension {total} exceeds the cap {max_dim}")
 
     return Scenario(
         schema_version=version,

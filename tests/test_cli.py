@@ -17,6 +17,7 @@ from qmeasure import (
     von_neumann_model,
 )
 from qmeasure.cli import main
+from qmeasure.scenario import MAX_N_SAMPLES
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 OIT_SCENARIO = REPO / "scenarios" / "oit_sigma_z.json"
@@ -335,6 +336,43 @@ def test_validate_and_run_accept_the_same_inputs(capsys, tmp_path):
         r_code, _, _ = _run(capsys, "run", path)
         assert v_code == 0
         assert r_code in (0, 3)
+
+
+def _oit_doc(d):
+    doc = scenario_to_json(np.ones(d) / np.sqrt(d), np.diag(np.arange(d, dtype=float)), [], "oit")
+    doc["processes"] = [{"model": "von_neumann"}, {"model": "von_neumann"}]
+    return doc
+
+
+def test_validate_rejects_what_run_rejects_at_the_dimension_cap(capsys, tmp_path):
+    # d = 7 pointer models compose to 7**3 = 343 > 256; d = 6 composes to 216
+    path = _write(tmp_path, _oit_doc(7))
+    for command in ("validate", "run"):
+        code, _, err = _run(capsys, command, path)
+        assert code == 2, command
+        assert "compound dimension 343 exceeds the cap 256" in err
+    code, out, _ = _run(capsys, "validate", _write(tmp_path, _oit_doc(6)))
+    assert code == 0 and out.startswith("valid:")
+
+
+def _sample_doc(n_samples):
+    povm = unsharp_qubit_povm(0.8)
+    return scenario_to_json(GROUND, povm, [dilation_model(povm), dilation_model(povm)],
+                            "sample", n_samples=n_samples, seed=5)
+
+
+@pytest.mark.parametrize("n_samples", [MAX_N_SAMPLES + 1, 10**20])
+def test_n_samples_above_the_cap_exits_2(capsys, tmp_path, n_samples):
+    path = _write(tmp_path, _sample_doc(n_samples))
+    for command in ("validate", "run"):
+        code, _, err = _run(capsys, command, path)
+        assert code == 2, command
+        assert "params.n_samples" in err
+
+
+def test_n_samples_at_the_cap_is_valid(capsys, tmp_path):
+    code, out, _ = _run(capsys, "validate", _write(tmp_path, _sample_doc(MAX_N_SAMPLES)))
+    assert code == 0 and out.startswith("valid:")
 
 
 def test_console_script_end_to_end():

@@ -1,9 +1,11 @@
 """Reports of the bundled scenarios compared against recorded ones.
 
 tests/data holds the standard output of `qmeasure run` on both bundled
-scenarios and of one 11-value sweep. Keys, strings and booleans must match
-exactly; numbers must agree within NUMBER_TOL. Regenerate a file only when
-a report is meant to change, and say why in the commit.
+scenarios and of one 11-value sweep, and two scenarios of its own with their
+`run` output: a non-diagonal d=4 `oit` and a d=3 `joint` whose processes have
+apparatus dims 3 and 2. Keys, strings and booleans must match exactly;
+numbers must agree within NUMBER_TOL. Regenerate a file only when a report
+is meant to change, and say why in the commit.
 """
 
 import json
@@ -18,6 +20,13 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 DATA = REPO / "tests" / "data"
 NUMBER_TOL = 1e-12
 SWEEP_VALUES = "0,0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1"
+# the directory holding each recorded scenario: bundled ones, or tests/data's own
+SCENARIO_DIRS = {
+    "oit_sigma_z": REPO / "scenarios",
+    "unsharp_eta08": REPO / "scenarios",
+    "oit_nondiagonal_d4": DATA,
+    "joint_unequal_apparatus_d3": DATA,
+}
 
 
 def assert_matches(got, want, where="report"):
@@ -41,9 +50,9 @@ def _stdout(capsys, *argv):
     return capsys.readouterr().out
 
 
-@pytest.mark.parametrize("name", ["oit_sigma_z", "unsharp_eta08"])
+@pytest.mark.parametrize("name", sorted(SCENARIO_DIRS))
 def test_run_report_matches_recorded(capsys, name):
-    out = _stdout(capsys, "run", REPO / "scenarios" / f"{name}.json")
+    out = _stdout(capsys, "run", SCENARIO_DIRS[name] / f"{name}.json")
     want = json.loads((DATA / f"run_{name}.json").read_text())
     assert_matches(json.loads(out), want)
 

@@ -15,6 +15,7 @@ from qmeasure import (
     JointDistribution,
     MeasurementProcess,
     NonCommutingMetersError,
+    Povm,
     PreconditionError,
     Pvm,
     ValidationError,
@@ -24,9 +25,12 @@ from qmeasure import (
     check_commutation,
     compose,
     dilation_model,
+    evolve_meter,
     induced_povm,
+    intersubjectivity,
     joint_distribution,
     load_scenario_file,
+    measurement,
     pvm_from_observable,
     run_experiment,
     sample_outcomes,
@@ -65,10 +69,16 @@ def test_compose_two_dilations_commute():
 
 
 def test_compose_embedded_meters_pass_the_pvm_checks():
-    # embedded meters are built unchecked; the public constructor checks them here
-    js = compose(PLUS, von_neumann_model(SIGMA_Z_PVM), dilation_model(unsharp_qubit_povm(0.7)))
-    for ev in (js.evolved1, js.evolved2):
-        assert ev.dim == js.total_dim
+    # each evolved meter stays on H x K_i, built unchecked; the public constructor checks it here
+    low, high = unsharp_qubit_povm(0.7).effects
+    three = Povm((-1.0, 0.0, 1.0), (low / 2, low / 2, high), 2)
+    p1, p2 = von_neumann_model(SIGMA_Z_PVM), dilation_model(three)
+    js = compose(PLUS, p1, p2)
+    assert js.total_dim == 2 * 2 * 3
+    for ev, process in ((js.evolved1, p1), (js.evolved2, p2)):
+        assert ev.dim == process.total_dim == 2 * process.apparatus_dim
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(ev.projectors, evolve_meter(process).projectors))
         Pvm(ev.outcomes, ev.projectors, ev.dim)
 
 
@@ -86,6 +96,24 @@ def test_oit_run_checks_only_the_observable_as_a_pvm(monkeypatch):
     )
     assert run_experiment(scenario)["results"]["intersubjective"] is True
     assert len(checks) == 1
+
+
+def test_oit_run_evolves_each_meter_once(monkeypatch):
+    evolved = []
+    original = measurement.evolve_meter
+
+    def counting(process):
+        evolved.append(process)
+        return original(process)
+
+    # compose and induced_povm look the function up in their own modules
+    for module in (intersubjectivity, measurement):
+        monkeypatch.setattr(module, "evolve_meter", counting)
+    scenario = load_scenario_file(
+        pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "oit_sigma_z.json"
+    )
+    assert run_experiment(scenario)["results"]["intersubjective"] is True
+    assert evolved == list(scenario.processes)
 
 
 def test_compose_incompatible_observables_flagged_not_local():

@@ -15,7 +15,6 @@ from qmeasure import (
     ValidationError,
     as_operator,
     as_state,
-    embed_operator,
     is_hermitian,
     is_projector,
     is_unitary,
@@ -109,55 +108,6 @@ def test_psd_sqrt_clamps_rounding_noise_but_rejects_negatives():
         psd_sqrt(np.diag([1.0, -1e-6]).astype(complex))
     with pytest.raises(NotHermitianError):
         psd_sqrt(np.array([[0, 1], [0, 0]], dtype=complex))
-
-
-def test_embed_operator_single_site_matches_kron():
-    dims = [2, 3, 2]
-    b = random_hermitian(np.random.default_rng(7), 3)
-    full = embed_operator(b, dims, [1])
-    expected = tensor(np.eye(2), b, np.eye(2))
-    assert max_abs(full - expected) < 1e-12
-
-
-def test_embed_operator_adjacent_pair_matches_kron():
-    rng = np.random.default_rng(8)
-    u = random_unitary(rng, 6)
-    full = embed_operator(u, [2, 3, 4], [0, 1])
-    assert max_abs(full - tensor(u, np.eye(4))) < 1e-12
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_embed_operator_non_adjacent_sites_on_product_vectors(seed):
-    rng = np.random.default_rng(seed)
-    dims = [2, 3, 2]
-    a = random_hermitian(rng, 2)
-    b = random_hermitian(rng, 2)
-    full = embed_operator(tensor(a, b), dims, [0, 2])
-    u, v, w = (random_state(rng, d) for d in dims)
-    lhs = full @ tensor(u, v, w)
-    rhs = tensor(a @ u, v, b @ w)
-    assert max_abs(lhs - rhs) < 1e-12
-
-
-def test_embed_operator_site_order_is_operator_order():
-    # op = A (x) B placed on sites [2, 0]: A acts on factor 2, B on factor 0
-    rng = np.random.default_rng(9)
-    a = random_hermitian(rng, 2)
-    b = random_hermitian(rng, 3)
-    full = embed_operator(tensor(a, b), [3, 2, 2], [2, 0])
-    u = random_state(rng, 3)
-    v = random_state(rng, 2)
-    w = random_state(rng, 2)
-    assert max_abs(full @ tensor(u, v, w) - tensor(b @ u, v, a @ w)) < 1e-12
-
-
-def test_embed_operator_validation():
-    with pytest.raises(DimensionError):
-        embed_operator(np.eye(2), [2, 2], [0, 0])
-    with pytest.raises(DimensionError):
-        embed_operator(np.eye(2), [2, 2], [2])
-    with pytest.raises(DimensionError):
-        embed_operator(np.eye(3), [2, 2], [0])
 
 
 # spectral decomposition of a Hermitian operator into its PVM
