@@ -27,7 +27,7 @@ from .errors import (
     PreconditionError,
     ValidationError,
 )
-from .linalg import DEFAULT_MAX_DIM, _frozen, as_state, max_abs
+from .linalg import _check_dim, _frozen, as_state, max_abs
 from .measurement import REPRO_TOL, MeasurementProcess, _compare, _pinch, evolve_meter
 from .observables import LABEL_TOL, PROB_NEG_TOL, PROB_SUM_TOL, Pvm
 
@@ -122,18 +122,15 @@ class SampleResult:
     analytic: JointDistribution  # the table the pairs were drawn from
 
 
-def compose(
-    psi,
-    process1: MeasurementProcess,
-    process2: MeasurementProcess,
-    max_dim: int = DEFAULT_MAX_DIM,
-) -> JointScenario:
+def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess) -> JointScenario:
     """Compose two processes sharing the system into one scenario on H x K1 x K2.
 
     Process1's interaction acts on H and K1, process2's on H and K2. Each
     meter is evolved by its own interaction and kept on its own factor. The
     largest commutator norm over all pairs of evolved meter projectors on
     H x K1 x K2 is stored so locality can be decided later at any tolerance.
+    A compound dimension over linalg.MAX_DIM raises DimensionError before
+    either meter is evolved.
     """
     psi = as_state(psi)
     d_sys = psi.shape[0]
@@ -142,9 +139,7 @@ def compose(
             f"processes act on system dims {process1.system_dim} and "
             f"{process2.system_dim}, state has dim {d_sys}"
         )
-    total = process1.total_dim * process2.apparatus_dim
-    if total > max_dim:
-        raise DimensionError(f"compound dimension {total} exceeds the cap {max_dim}")
+    _check_dim(process1.total_dim * process2.apparatus_dim)
     evolved1 = evolve_meter(process1)
     evolved2 = evolve_meter(process2)
     blocks1 = [_blocks(p, d_sys) for p in evolved1.projectors]

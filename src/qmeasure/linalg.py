@@ -13,7 +13,13 @@ from .errors import DimensionError, NotHermitianError, ValidationError
 
 NORM_TOL = 1e-10      # state normalization
 OP_TOL = 1e-9         # operator identity checks
-DEFAULT_MAX_DIM = 256  # guard against accidentally huge compound spaces
+MAX_DIM = 256         # compound dimension cap; a constant, not an option
+
+
+def _check_dim(total: int) -> None:
+    """Reject a compound space over the cap, before anything is allocated on it."""
+    if total > MAX_DIM:
+        raise DimensionError(f"compound dimension {total} exceeds the cap {MAX_DIM}")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -11,14 +11,14 @@ realizing any generalized observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .linalg import (
-    DEFAULT_MAX_DIM,
     OP_TOL,
+    _check_dim,
     _frozen,
     as_operator,
     as_state,
@@ -27,14 +27,7 @@ from .linalg import (
     psd_sqrt,
     tensor,
 )
-from .observables import (
-    LABEL_TOL,
-    OutcomeDistribution,
-    Povm,
-    Pvm,
-    _derived,
-    born_pvm,
-)
+from .observables import LABEL_TOL, Povm, Pvm, _derived
 
 REPRO_TOL = 1e-9              # default reproducibility decision tolerance
 COMPLETION_THRESHOLD = 1e-8   # candidates more dependent than this are skipped
@@ -49,7 +42,6 @@ class MeasurementProcess:
     apparatus_state: np.ndarray
     interaction: np.ndarray
     meter: Pvm
-    max_dim: int = field(default=DEFAULT_MAX_DIM, repr=False)
 
     def __post_init__(self):
         system_dim = int(self.system_dim)
@@ -57,10 +49,7 @@ class MeasurementProcess:
         if system_dim < 1 or apparatus_dim < 1:
             raise DimensionError("system and apparatus dimensions must be >= 1")
         total = system_dim * apparatus_dim
-        if total > self.max_dim:
-            raise DimensionError(
-                f"compound dimension {total} exceeds the cap {self.max_dim}"
-            )
+        _check_dim(total)
         xi = as_state(self.apparatus_state)
         if xi.shape[0] != apparatus_dim:
             raise DimensionError(
@@ -108,17 +97,6 @@ def evolve_meter(process: MeasurementProcess) -> Pvm:
         evolved = u.conj().T @ tensor(eye_sys, p) @ u
         projectors.append((evolved + evolved.conj().T) / 2)
     return _derived(Pvm, process.meter.outcomes, projectors, process.total_dim)
-
-
-def meter_distribution(process: MeasurementProcess, psi) -> OutcomeDistribution:
-    """Outcome distribution of the pointer readings for a system state psi."""
-    psi = as_state(psi)
-    if psi.shape[0] != process.system_dim:
-        raise DimensionError(
-            f"state dim {psi.shape[0]} does not match system dim {process.system_dim}"
-        )
-    joint_state = tensor(psi, process.apparatus_state)
-    return born_pvm(evolve_meter(process), joint_state)
 
 
 def _pinch(evolved: Pvm, xi) -> Povm:
@@ -214,7 +192,7 @@ def _pointer_pvm(outcomes, dim: int) -> Pvm:
     return _derived(Pvm, outcomes, projectors, dim)
 
 
-def von_neumann_model(target: Pvm, max_dim: int = DEFAULT_MAX_DIM) -> MeasurementProcess:
+def von_neumann_model(target: Pvm) -> MeasurementProcess:
     """Pointer model realizing an accurate observable.
 
     The apparatus is one pointer level per outcome, started in level 0; the
@@ -223,8 +201,10 @@ def von_neumann_model(target: Pvm, max_dim: int = DEFAULT_MAX_DIM) -> Measuremen
     complete). The induced POVM equals the target PVM exactly.
     """
     n = len(target.outcomes)
+    total = target.dim * n
+    _check_dim(total)
     eye_app = np.eye(n, dtype=complex)
-    u = np.zeros((target.dim * n, target.dim * n), dtype=complex)
+    u = np.zeros((total, total), dtype=complex)
     for j, proj in enumerate(target.projectors):
         shift_j = np.roll(eye_app, j, axis=0)
         u += tensor(proj, shift_j)
@@ -236,7 +216,6 @@ def von_neumann_model(target: Pvm, max_dim: int = DEFAULT_MAX_DIM) -> Measuremen
         apparatus_state=xi,
         interaction=u,
         meter=_pointer_pvm(target.outcomes, n),
-        max_dim=max_dim,
     )
 
 
@@ -273,9 +252,7 @@ def _standard_basis_candidates(dim: int):
 
 
 def dilation_model(
-    povm: Povm,
-    completion_rng: np.random.Generator | None = None,
-    max_dim: int = DEFAULT_MAX_DIM,
+    povm: Povm, completion_rng: np.random.Generator | None = None
 ) -> MeasurementProcess:
     """Measuring process realizing an arbitrary generalized observable.
 
@@ -289,8 +266,7 @@ def dilation_model(
     n = len(povm.outcomes)
     d_sys = povm.dim
     total = d_sys * n
-    if total > max_dim:
-        raise DimensionError(f"compound dimension {total} exceeds the cap {max_dim}")
+    _check_dim(total)
     roots = np.array([psd_sqrt(e) for e in povm.effects])
     # V[(i, j), h] = roots[j][i, h]; column h is V applied to basis state h
     isometry = roots.transpose(1, 0, 2).reshape(total, d_sys)
@@ -314,5 +290,4 @@ def dilation_model(
         apparatus_state=xi,
         interaction=u,
         meter=_pointer_pvm(povm.outcomes, n),
-        max_dim=max_dim,
     )

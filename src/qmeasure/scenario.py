@@ -42,7 +42,7 @@ from .intersubjectivity import (
     table_agreement,
     verify_oit,
 )
-from .linalg import DEFAULT_MAX_DIM
+from .linalg import _check_dim
 from .measurement import (
     REPRO_TOL,
     MeasurementProcess,
@@ -190,8 +190,7 @@ def _build_observable(data, dim: int, cluster_tol: float) -> ObservableSpec:
     return ObservableSpec(kind=kind, povm=povm, pvm=_maybe_pvm(povm), eta=float(eta))
 
 
-def _build_process(entry, index: int, observable: ObservableSpec,
-                   system_dim: int, max_dim: int):
+def _build_process(entry, index: int, observable: ObservableSpec, system_dim: int):
     where = f"processes[{index}]"
     _require(isinstance(entry, dict), f"{where}: expected an object")
     _require("model" in entry, f"{where}: missing field 'model'")
@@ -202,10 +201,10 @@ def _build_process(entry, index: int, observable: ObservableSpec,
             observable.pvm is not None,
             f"{where}: the von_neumann model needs a projective observable",
         )
-        return von_neumann_model(observable.pvm, max_dim=max_dim), model
+        return von_neumann_model(observable.pvm), model
     if model == "dilation":
         _check_keys(entry, ("model",), ("model",), where)
-        return dilation_model(observable.povm, max_dim=max_dim), model
+        return dilation_model(observable.povm), model
     if model == "custom":
         fields = ("model", "apparatus_dim", "xi", "unitary", "meter")
         _check_keys(entry, fields, fields, where)
@@ -221,7 +220,6 @@ def _build_process(entry, index: int, observable: ObservableSpec,
             apparatus_state=xi,
             interaction=matrix_from_json(entry["unitary"], f"{where}.unitary"),
             meter=pvm_from_json(entry["meter"], f"{where}.meter"),
-            max_dim=max_dim,
         )
         return process, model
     raise ValidationError(
@@ -252,8 +250,13 @@ def _build_tolerances(data) -> dict:
     return tolerances
 
 
-def load_scenario(data, max_dim: int = DEFAULT_MAX_DIM) -> Scenario:
-    """Build and invariant-check every object a scenario file declares."""
+def load_scenario(data) -> Scenario:
+    """Build and invariant-check every object a scenario file declares.
+
+    Each process's H x K and, for two-process experiments, the compound
+    H x K1 x K2 must fit linalg.MAX_DIM, the cap compose applies; a model
+    process over it raises DimensionError before its interaction is built.
+    """
     _require(isinstance(data, dict), "scenario: expected a JSON object at top level")
     _check_keys(
         data,
@@ -299,17 +302,12 @@ def load_scenario(data, max_dim: int = DEFAULT_MAX_DIM) -> Scenario:
         f"processes: the {experiment} experiment needs exactly {needed} "
         f"process(es), got {len(entries)}",
     )
-    built = [
-        _build_process(entry, i, observable, dim, max_dim)
-        for i, entry in enumerate(entries)
-    ]
+    built = [_build_process(entry, i, observable, dim) for i, entry in enumerate(entries)]
     processes = tuple(p for p, _ in built)
     models = tuple(m for _, m in built)
     if needed == 2:
         # compose's own cap, checked here so that validate rejects what run would
-        total = processes[0].total_dim * processes[1].apparatus_dim
-        _require(total <= max_dim,
-                 f"processes: compound dimension {total} exceeds the cap {max_dim}")
+        _check_dim(processes[0].total_dim * processes[1].apparatus_dim)
 
     return Scenario(
         schema_version=version,
@@ -325,7 +323,7 @@ def load_scenario(data, max_dim: int = DEFAULT_MAX_DIM) -> Scenario:
     )
 
 
-def load_scenario_file(path, max_dim: int = DEFAULT_MAX_DIM) -> Scenario:
+def load_scenario_file(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -334,7 +332,7 @@ def load_scenario_file(path, max_dim: int = DEFAULT_MAX_DIM) -> Scenario:
         except ValueError as exc:
             # malformed JSON, bad UTF-8, or an integer beyond int()'s digit limit
             raise ValidationError(f"{path}: {exc}") from None
-    return load_scenario(data, max_dim=max_dim)
+    return load_scenario(data)
 
 
 def _label_key(x) -> str:
@@ -452,7 +450,7 @@ def _target_pvm(scenario: Scenario) -> Pvm:
     return scenario.observable.pvm
 
 
-def sweep_agreement(scenario: Scenario, etas, max_dim: int = DEFAULT_MAX_DIM):
+def sweep_agreement(scenario: Scenario, etas):
     """Agreement probability as a function of the unsharpness eta.
 
     Rebuilds the observable and the processes at each eta, so only the
@@ -477,7 +475,7 @@ def sweep_agreement(scenario: Scenario, etas, max_dim: int = DEFAULT_MAX_DIM):
             {"unsharp": {"eta": float(eta)}}, scenario.system_dim, scenario.tolerances["cluster"]
         )
         p1, p2 = (
-            _build_process({"model": model}, i, observable, scenario.system_dim, max_dim)[0]
+            _build_process({"model": model}, i, observable, scenario.system_dim)[0]
             for i, model in enumerate(scenario.models)
         )
         joint = compose(scenario.psi, p1, p2)

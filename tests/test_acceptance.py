@@ -23,6 +23,7 @@ from qmeasure import (
     Pvm,
     as_povm,
     born_povm,
+    born_pvm,
     check_reproducibility,
     compose,
     dilation_model,
@@ -31,10 +32,10 @@ from qmeasure import (
     is_projector,
     joint_distribution,
     max_abs,
-    meter_distribution,
     agreement_probability,
     pvm_from_observable,
     sample_outcomes,
+    tensor,
     unsharp_qubit_povm,
     verify_oit,
     von_neumann_model,
@@ -129,7 +130,7 @@ def test_criterion_5_born_rule_consistency():
             d_app = int(rng.integers(2, 5))
             process = random_process(rng, d_sys, d_app)
             psi = random_state(rng, d_sys)
-            direct = meter_distribution(process, psi)
+            direct = born_pvm(evolve_meter(process), tensor(psi, process.apparatus_state))
             indirect = born_povm(induced_povm(process), psi)
             assert direct.outcomes == indirect.outcomes
             worst = max(abs(a - b) for a, b in

@@ -355,6 +355,17 @@ def test_validate_rejects_what_run_rejects_at_the_dimension_cap(capsys, tmp_path
     assert code == 0 and out.startswith("valid:")
 
 
+def test_oversized_single_process_exits_2(capsys, tmp_path):
+    # one pointer model of a 40-outcome observable: 40 * 40 = 1600 > 256
+    doc = _oit_doc(40)
+    doc.update(experiment="induce", processes=[{"model": "von_neumann"}])
+    path = _write(tmp_path, doc)
+    for command in ("validate", "run"):
+        code, _, err = _run(capsys, command, path)
+        assert code == 2, command
+        assert "compound dimension 1600 exceeds the cap 256" in err
+
+
 def _sample_doc(n_samples):
     povm = unsharp_qubit_povm(0.8)
     return scenario_to_json(GROUND, povm, [dilation_model(povm), dilation_model(povm)],

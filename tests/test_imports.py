@@ -1,7 +1,9 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+module-level private name is used in some module.
 
-No linter ships with the project, so this stdlib-ast check stands in for
-one. ``__init__.py`` is skipped: its imports are the public re-exports.
+No linter ships with the project, so these stdlib-ast checks stand in for
+one. The import check skips ``__init__.py``: its imports are the public
+re-exports.
 """
 
 import ast
@@ -10,7 +12,8 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qmeasure"
-MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+SOURCES = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+MODULES = [name for name in SOURCES if name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list:
@@ -29,9 +32,45 @@ def unused_imports(source: str) -> list:
 
 @pytest.mark.parametrize("module", MODULES)
 def test_module_uses_every_import(module):
-    assert unused_imports((SRC / module).read_text()) == []
+    assert unused_imports(SOURCES[module]) == []
 
 
 def test_unused_import_is_reported():
     source = "import math\nimport numpy as np\nfrom os import path, sep\nnp.zeros(path)\n"
     assert unused_imports(source) == [(1, "math"), (3, "sep")]
+
+
+def dead_private_names(sources: dict) -> list:
+    """(module, name) for each module-level `_name` that no module reads."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(module, n) for n in names
+                        if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted((module, name) for module, name in defined if name not in used)
+
+
+def test_every_private_name_is_used():
+    assert dead_private_names(SOURCES) == []
+
+
+def test_dead_private_name_is_reported():
+    sources = {
+        "a.py": "_used = 1\n_dead = 2\n__all__ = []\n"
+                "def _helper():\n    pass\nclass _Gone:\n    pass\n",
+        "b.py": "import a\nfrom a import _used\nprint(_used, a._helper)\n",
+    }
+    assert dead_private_names(sources) == [("a.py", "_Gone"), ("a.py", "_dead")]

@@ -131,14 +131,16 @@ def test_compose_dimension_mismatch():
         compose(PLUS, von_neumann_model(SIGMA_Z_PVM), von_neumann_model(qutrit))
 
 
+def _pointer_models(d):
+    pvm = pvm_from_observable(np.diag(np.arange(d, dtype=float)))
+    return np.ones(d) / np.sqrt(d), von_neumann_model(pvm), von_neumann_model(pvm)
+
+
 def test_compose_respects_dimension_cap():
-    with pytest.raises(DimensionError):
-        compose(
-            PLUS,
-            von_neumann_model(SIGMA_Z_PVM),
-            von_neumann_model(SIGMA_Z_PVM),
-            max_dim=4,
-        )
+    # d = 7 pointer models compose to 7**3 = 343 > 256; d = 6 composes to 216
+    with pytest.raises(DimensionError, match="compound dimension 343 exceeds the cap 256"):
+        compose(*_pointer_models(7))
+    assert compose(*_pointer_models(6)).total_dim == 216
 
 
 def test_joint_distribution_superposition_oracle():

@@ -6,7 +6,6 @@ from conftest import (
     random_hermitian_with_outcomes,
     random_povm,
     random_process,
-    random_pvm,
     random_state,
     random_unitary,
 )
@@ -19,6 +18,7 @@ from qmeasure import (
     ValidationError,
     as_povm,
     born_povm,
+    born_pvm,
     check_reproducibility,
     dilation_model,
     evolve_meter,
@@ -26,8 +26,8 @@ from qmeasure import (
     is_projective,
     is_unitary,
     max_abs,
-    meter_distribution,
     pvm_from_observable,
+    tensor,
     unsharp_qubit_povm,
     von_neumann_model,
 )
@@ -51,10 +51,13 @@ def test_process_validation():
 
 
 def test_process_dimension_cap():
-    with pytest.raises(DimensionError):
-        MeasurementProcess(
-            2, 2, np.array([1, 0], dtype=complex), np.eye(4), pointer_meter(2), max_dim=3
-        )
+    # the cap is linalg.MAX_DIM = 256: 128 x 2 fits, 257 x 1 does not
+    process = MeasurementProcess(
+        128, 2, np.array([1, 0], dtype=complex), np.eye(256), pointer_meter(2)
+    )
+    assert process.total_dim == 256
+    with pytest.raises(DimensionError, match="compound dimension 257 exceeds the cap 256"):
+        MeasurementProcess(257, 1, np.array([1], dtype=complex), np.eye(257), pointer_meter(1))
 
 
 def test_von_neumann_sigma_z_artifacts():
@@ -88,19 +91,14 @@ def test_von_neumann_model_reproduces_random_observables(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_meter_distribution_matches_born_of_induced(seed):
+    # the pointer readings on psi x xi follow the Born rule of the induced POVM
     rng = np.random.default_rng(seed)
     process = random_process(rng, 3, 2)
     psi = random_state(rng, 3)
-    direct = meter_distribution(process, psi)
+    direct = born_pvm(evolve_meter(process), tensor(psi, process.apparatus_state))
     via_povm = born_povm(induced_povm(process), psi)
     assert direct.outcomes == via_povm.outcomes
     assert direct.probabilities == pytest.approx(via_povm.probabilities, abs=1e-10)
-
-
-def test_meter_distribution_dim_check():
-    process = von_neumann_model(SIGMA_Z_PVM)
-    with pytest.raises(DimensionError):
-        meter_distribution(process, np.ones(3) / np.sqrt(3))
 
 
 def test_reproducibility_fails_for_unsharp_dilation():
@@ -175,9 +173,10 @@ def test_dilation_completion_choice_does_not_matter(seed):
 
 
 def test_dilation_respects_dimension_cap():
-    povm = random_povm(np.random.default_rng(0), 4, 5)
-    with pytest.raises(DimensionError):
-        dilation_model(povm, max_dim=16)
+    # 17 outcomes on d = 16 need 272 > 256 dimensions
+    povm = Povm(tuple(float(j) for j in range(17)), (np.eye(16) / 17,) * 17, 16)
+    with pytest.raises(DimensionError, match="compound dimension 272 exceeds the cap 256"):
+        dilation_model(povm)
 
 
 def test_evolved_meter_projectors_are_projectors():
@@ -201,6 +200,7 @@ def test_induced_povm_of_random_process_is_valid_povm():
 
 
 def test_von_neumann_respects_dimension_cap():
-    pvm = random_pvm(np.random.default_rng(1), 4, 4)
-    with pytest.raises(DimensionError):
-        von_neumann_model(pvm, max_dim=8)
+    # 17 outcomes on d = 17 need 289 > 256 dimensions; 16 on d = 16 fit exactly
+    with pytest.raises(DimensionError, match="compound dimension 289 exceeds the cap 256"):
+        von_neumann_model(pvm_from_observable(np.diag(np.arange(17.0))))
+    assert von_neumann_model(pvm_from_observable(np.diag(np.arange(16.0)))).total_dim == 256

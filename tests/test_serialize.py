@@ -1,10 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_povm, random_process, random_pvm, random_state
 from qmeasure import (
+    DimensionError,
     ValidationError,
     load_scenario,
     matrix_from_json,
@@ -138,3 +140,18 @@ def test_custom_process_strictness():
         mutate(doc["processes"][0])
         with pytest.raises(ValidationError):
             load_scenario(doc)
+
+
+def test_oversized_process_is_rejected_before_allocation():
+    # one pointer model of a 40-outcome observable: a 1600 x 1600 complex
+    # interaction alone would take 41 MB
+    doc = scenario_to_json(np.ones(40) / np.sqrt(40), np.diag(np.arange(40.0)), [], "induce")
+    doc["processes"] = [{"model": "von_neumann"}]
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionError, match="compound dimension 1600 exceeds the cap 256"):
+            load_scenario(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
