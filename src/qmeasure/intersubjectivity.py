@@ -4,7 +4,8 @@ Two measuring processes that share the system are composed on
 H x K1 x K2. Each meter is evolved by its own process's interaction and
 kept on its own factor, H x K1 or H x K2; no operator on the whole compound
 space is ever built. The scenario is local when every pair of evolved meter
-projectors, each extended by the identity on the other apparatus, commutes.
+projectors, each extended by the identity on the other apparatus, commutes:
+when JointScenario.max_commutator_norm is at most the commutation tolerance.
 For local scenarios the joint outcome distribution
 P(x, y) = <Psi| E1(x) E2(y) |Psi> is well defined, and when both processes
 reproduce the statistics of the same accurate observable, both observers
@@ -12,12 +13,15 @@ read the same outcome with probability one. For noisy observables the
 agreement probability drops below one; a seeded sampler draws outcome pairs
 from the joint table for Monte Carlo checks. The verdict and the sampler
 both return the joint table they used.
+
+The three tolerances a scenario sets (commutation, reproducibility, oit)
+are parameters here; outcome labels are matched within the constant
+LABEL_TOL, the separation every observable's labels already keep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,11 +58,6 @@ class JointScenario:
     @property
     def total_dim(self) -> int:
         return self.process1.total_dim * self.process2.apparatus_dim
-
-
-class CommutationCheck(NamedTuple):
-    commuting: bool
-    max_commutator_norm: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,25 +171,19 @@ def _blocks(projector: np.ndarray, d_sys: int) -> np.ndarray:
     return blocks.reshape(k * k, d_sys, d_sys)
 
 
-def check_commutation(scenario: JointScenario, tol: float = COMMUTATION_TOL) -> CommutationCheck:
-    """Decide locality: do all pairs of evolved meter projectors commute within tol?"""
-    worst = scenario.max_commutator_norm
-    return CommutationCheck(commuting=worst <= tol, max_commutator_norm=worst)
-
-
 def joint_distribution(
     scenario: JointScenario, commutation_tol: float = COMMUTATION_TOL
 ) -> JointDistribution:
     """Joint table P(x, y) = <Psi| E1(x) E2(y) |Psi> for a local scenario.
 
-    Raises NonCommutingMetersError when the meters fail the commutation
-    check; the product of non-commuting projectors is not a probability.
+    Raises NonCommutingMetersError when max_commutator_norm exceeds
+    commutation_tol; the product of non-commuting projectors is not a
+    probability.
     """
-    check = check_commutation(scenario, commutation_tol)
-    if not check.commuting:
+    if not scenario.max_commutator_norm <= commutation_tol:
         raise NonCommutingMetersError(
             f"evolved meters do not commute (max commutator norm "
-            f"{check.max_commutator_norm:.3e} > {commutation_tol})"
+            f"{scenario.max_commutator_norm:.3e} > {commutation_tol})"
         )
     d = scenario.psi.shape[0]
     p1, p2 = scenario.process1, scenario.process2
@@ -208,19 +201,19 @@ def joint_distribution(
     return JointDistribution(scenario.evolved1.outcomes, scenario.evolved2.outcomes, table.real)
 
 
-def _diagonal_cells(dist: JointDistribution, label_tol: float = LABEL_TOL):
-    """Index pairs (i, j) whose outcome labels agree within label_tol."""
+def _diagonal_cells(dist: JointDistribution):
+    """Index pairs (i, j) whose outcome labels agree within LABEL_TOL."""
     cells = []
     for i, x in enumerate(dist.outcomes1):
         for j, y in enumerate(dist.outcomes2):
-            if abs(x - y) <= label_tol:
+            if abs(x - y) <= LABEL_TOL:
                 cells.append((i, j))
     return cells
 
 
-def table_agreement(dist: JointDistribution, label_tol: float = LABEL_TOL) -> float:
-    """Total mass on cells of a joint table whose two labels agree within label_tol."""
-    return float(sum(dist.probabilities[i, j] for i, j in _diagonal_cells(dist, label_tol)))
+def table_agreement(dist: JointDistribution) -> float:
+    """Total mass on cells of a joint table whose two labels agree within LABEL_TOL."""
+    return float(sum(dist.probabilities[i, j] for i, j in _diagonal_cells(dist)))
 
 
 def agreement_probability(
@@ -236,15 +229,17 @@ def verify_oit(
     tol: float = OIT_TOL,
     reproducibility_tol: float = REPRO_TOL,
     commutation_tol: float = COMMUTATION_TOL,
-    label_tol: float = LABEL_TOL,
 ) -> OitReport:
     """Check that joint accurate measurements of one observable always agree.
 
     Both processes must reproduce the observable's statistics (their induced
     POVMs must equal its PVM within reproducibility_tol); otherwise
     PreconditionError is raised and agreement_probability is the meaningful
-    quantity instead. The report compares the joint table against the ideal:
-    zero off-diagonal mass and diagonal P(x, x) = ||E(x) psi||^2.
+    quantity instead. The meters must commute within commutation_tol, or
+    NonCommutingMetersError is raised. The report compares the joint table
+    against the ideal, zero off-diagonal mass and diagonal
+    P(x, x) = ||E(x) psi||^2, and is intersubjective when both deviations
+    are at most tol. Labels are matched within the constant LABEL_TOL.
     """
     for name, process, evolved in (
         ("process1", scenario.process1, scenario.evolved1),
@@ -259,7 +254,7 @@ def verify_oit(
                 f"use agreement_probability for noisy observables"
             )
     dist = joint_distribution(scenario, commutation_tol)
-    diag_cells = _diagonal_cells(dist, label_tol)
+    diag_cells = _diagonal_cells(dist)
     diagonal_mass = sum(dist.probabilities[i, j] for i, j in diag_cells)
     off_diagonal_mass = float(dist.probabilities.sum() - diagonal_mass)
     expected = {}
@@ -267,7 +262,7 @@ def verify_oit(
         expected[x] = float(np.linalg.norm(proj @ scenario.psi) ** 2)
     diagonal = {}
     for i, j in diag_cells:
-        matches = [x for x in observable.outcomes if abs(x - dist.outcomes1[i]) <= label_tol]
+        matches = [x for x in observable.outcomes if abs(x - dist.outcomes1[i]) <= LABEL_TOL]
         key = matches[0] if matches else dist.outcomes1[i]
         diagonal[key] = float(dist.probabilities[i, j])
     worst = 0.0

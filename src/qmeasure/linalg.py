@@ -2,7 +2,8 @@
 
 Operators and states are plain numpy arrays (complex128); the functions
 here validate them, test their structural properties and take tensor
-products. All comparisons use the max entry modulus norm.
+products. All comparisons use the max entry modulus norm, against the
+module constants NORM_TOL and OP_TOL; neither is an option.
 """
 
 from __future__ import annotations
@@ -42,16 +43,16 @@ def as_operator(a) -> np.ndarray:
     return a
 
 
-def as_state(v, tol: float = NORM_TOL) -> np.ndarray:
-    """Coerce to a 1-D complex array, requiring unit norm within tol."""
+def as_state(v) -> np.ndarray:
+    """Coerce to a 1-D complex array, requiring unit norm within NORM_TOL."""
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1 or v.shape[0] < 1:
         raise DimensionError(f"expected a vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValidationError("state amplitudes must be finite")
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > tol:
-        raise ValidationError(f"state norm is {norm!r}, not 1 within {tol}")
+    norm = float(np.linalg.norm(v))
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValidationError(f"state norm is {norm!r}, not 1 within {NORM_TOL}")
     return v
 
 
@@ -83,32 +84,36 @@ def _square(a) -> np.ndarray:
     return a
 
 
-def is_hermitian(a, tol: float = OP_TOL) -> bool:
+def is_hermitian(a) -> bool:
     a = _square(a)
-    return max_abs(a - a.conj().T) <= tol
+    return max_abs(a - a.conj().T) <= OP_TOL
 
 
-def is_unitary(a, tol: float = OP_TOL) -> bool:
+def is_unitary(a) -> bool:
     a = _square(a)
-    return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= tol
+    return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= OP_TOL
 
 
-def is_projector(a, tol: float = OP_TOL) -> bool:
+def is_projector(a) -> bool:
     a = _square(a)
-    return is_hermitian(a, tol) and max_abs(a @ a - a) <= tol
+    return is_hermitian(a) and max_abs(a @ a - a) <= OP_TOL
 
 
-def psd_sqrt(a, clamp_tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(a) -> np.ndarray:
     """Operator square root of a positive semidefinite Hermitian matrix.
 
-    Eigenvalues in [-clamp_tol, 0) are treated as rounding noise and
-    clamped to 0; anything below -clamp_tol is an error.
+    Eigenvalues in [-OP_TOL, 0) are treated as rounding noise and clamped
+    to 0, the same floor Povm allows on its effects, so every effect of a
+    valid POVM has a root; anything below -OP_TOL is an error.
     """
     a = _square(a)
-    if not is_hermitian(a, OP_TOL):
+    if not is_hermitian(a):
         raise NotHermitianError("operator square root needs a Hermitian matrix")
     w, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    if w[0] < -clamp_tol:
-        raise ValidationError(f"matrix is not positive semidefinite (eigenvalue {w[0]!r})")
+    if w[0] < -OP_TOL:
+        raise ValidationError(
+            f"matrix is not positive semidefinite (eigenvalue {float(w[0])!r} "
+            f"is below -{OP_TOL})"
+        )
     root = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ vecs.conj().T
     return (root + root.conj().T) / 2

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .linalg import (
-    OP_TOL,
     _check_dim,
     _frozen,
     as_operator,
@@ -60,7 +59,7 @@ class MeasurementProcess:
             raise DimensionError(
                 f"interaction must be {total}x{total} on system x apparatus, got {u.shape}"
             )
-        if not is_unitary(u, OP_TOL):
+        if not is_unitary(u):
             raise ValidationError("interaction operator must be unitary")
         if not isinstance(self.meter, Pvm):
             raise ValidationError("meter must be a Pvm")
@@ -116,8 +115,8 @@ def induced_povm(process: MeasurementProcess) -> Povm:
     return _pinch(evolve_meter(process), process.apparatus_state)
 
 
-def _match_labels(left, right, label_tol):
-    """Pair up nearly equal labels from two sorted sequences.
+def _match_labels(left, right):
+    """Pair up labels from two sorted sequences that agree within LABEL_TOL.
 
     Returns (pairs, left_only, right_only) as index lists.
     """
@@ -126,9 +125,9 @@ def _match_labels(left, right, label_tol):
     used_right = set()
     j = 0
     for i, x in enumerate(left):
-        while j < len(right) and right[j] < x - label_tol:
+        while j < len(right) and right[j] < x - LABEL_TOL:
             j += 1
-        if j < len(right) and abs(right[j] - x) <= label_tol:
+        if j < len(right) and abs(right[j] - x) <= LABEL_TOL:
             pairs.append((i, j))
             used_left.add(i)
             used_right.add(j)
@@ -138,17 +137,13 @@ def _match_labels(left, right, label_tol):
     return pairs, left_only, right_only
 
 
-def _compare(
-    induced: Povm, target: Pvm, tol: float = REPRO_TOL, label_tol: float = LABEL_TOL
-) -> ReproducibilityReport:
+def _compare(induced: Povm, target: Pvm, tol: float = REPRO_TOL) -> ReproducibilityReport:
     """check_reproducibility on an induced POVM that is already built."""
     if induced.dim != target.dim:
         raise DimensionError(
             f"process system dim {induced.dim} does not match PVM dim {target.dim}"
         )
-    pairs, induced_only, target_only = _match_labels(
-        induced.outcomes, target.outcomes, label_tol
-    )
+    pairs, induced_only, target_only = _match_labels(induced.outcomes, target.outcomes)
     per_outcome = {}
     for i, j in pairs:
         per_outcome[target.outcomes[j]] = max_abs(
@@ -168,28 +163,41 @@ def _compare(
 
 
 def check_reproducibility(
-    process: MeasurementProcess,
-    target: Pvm,
-    tol: float = REPRO_TOL,
-    label_tol: float = LABEL_TOL,
+    process: MeasurementProcess, target: Pvm, tol: float = REPRO_TOL
 ) -> ReproducibilityReport:
     """Compare the induced POVM against the target PVM, outcome by outcome.
 
-    Outcome labels are matched within label_tol; an outcome present on only
-    one side is compared against the zero operator. The process reproduces
-    the target's statistics iff the largest per-outcome operator deviation
-    is at most tol.
+    Outcome labels are matched within the constant LABEL_TOL, the separation
+    every observable's labels already keep; an outcome present on only one
+    side is compared against the zero operator. The process reproduces the
+    target's statistics iff the largest per-outcome operator deviation is at
+    most tol, the scenario's reproducibility tolerance.
     """
-    return _compare(induced_povm(process), target, tol, label_tol)
+    return _compare(induced_povm(process), target, tol)
 
 
-def _pointer_pvm(outcomes, dim: int) -> Pvm:
+def _model_process(system_dim: int, outcomes, interaction) -> MeasurementProcess:
+    """A model process built without running the MeasurementProcess checks.
+
+    Only for the constructive models below, whose interaction on system x
+    apparatus is unitary by construction: the apparatus has one pointer
+    level per outcome, starts in level 0 and is read by the pointer meter.
+    """
+    n = len(outcomes)
+    xi = np.zeros(n, dtype=complex)
+    xi[0] = 1.0
     projectors = []
-    for j in range(dim):
-        p = np.zeros((dim, dim), dtype=complex)
+    for j in range(n):
+        p = np.zeros((n, n), dtype=complex)
         p[j, j] = 1.0
         projectors.append(p)
-    return _derived(Pvm, outcomes, projectors, dim)
+    process = object.__new__(MeasurementProcess)
+    object.__setattr__(process, "system_dim", system_dim)
+    object.__setattr__(process, "apparatus_dim", n)
+    object.__setattr__(process, "apparatus_state", _frozen(xi))
+    object.__setattr__(process, "interaction", _frozen(interaction))
+    object.__setattr__(process, "meter", _derived(Pvm, outcomes, projectors, n))
+    return process
 
 
 def von_neumann_model(target: Pvm) -> MeasurementProcess:
@@ -208,23 +216,16 @@ def von_neumann_model(target: Pvm) -> MeasurementProcess:
     for j, proj in enumerate(target.projectors):
         shift_j = np.roll(eye_app, j, axis=0)
         u += tensor(proj, shift_j)
-    xi = np.zeros(n, dtype=complex)
-    xi[0] = 1.0
-    return MeasurementProcess(
-        system_dim=target.dim,
-        apparatus_dim=n,
-        apparatus_state=xi,
-        interaction=u,
-        meter=_pointer_pvm(target.outcomes, n),
-    )
+    return _model_process(target.dim, target.outcomes, u)
 
 
-def _complete_columns(matrix, free_slots, candidates, threshold=COMPLETION_THRESHOLD):
+def _complete_columns(matrix, free_slots, candidates):
     """Fill the given column slots with vectors orthonormal to all columns.
 
     Candidates are orthogonalized (two rounds of modified Gram-Schmidt)
     against every column placed so far; candidates whose residual norm is
-    at most threshold are skipped as near-dependent.
+    at most COMPLETION_THRESHOLD are skipped as near-dependent. Raises
+    ValidationError when the candidates run out before the slots do.
     """
     placed = [matrix[:, j] for j in range(matrix.shape[1]) if j not in free_slots]
     slots = list(free_slots)
@@ -236,7 +237,7 @@ def _complete_columns(matrix, free_slots, candidates, threshold=COMPLETION_THRES
             for u in placed:
                 v -= np.vdot(u, v) * u
         norm = np.linalg.norm(v)
-        if norm <= threshold:
+        if norm <= COMPLETION_THRESHOLD:
             continue
         v /= norm
         slot = slots.pop(0)
@@ -282,12 +283,4 @@ def dilation_model(
             for _ in range(20 * total)
         )
     _complete_columns(u, free, candidates)
-    xi = np.zeros(n, dtype=complex)
-    xi[0] = 1.0
-    return MeasurementProcess(
-        system_dim=d_sys,
-        apparatus_dim=n,
-        apparatus_state=xi,
-        interaction=u,
-        meter=_pointer_pvm(povm.outcomes, n),
-    )
+    return _model_process(d_sys, povm.outcomes, u)

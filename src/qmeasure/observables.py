@@ -60,14 +60,14 @@ def _sorted_labeled_ops(outcomes, operators, dim: int, kind: str):
     return dim, tuple(labels), tuple(_frozen(p.copy()) for p in ops)
 
 
-def _projective_defect(ops, tol: float):
-    """Why ops are not mutually orthogonal projectors within tol, or None."""
+def _projective_defect(ops):
+    """Why ops are not mutually orthogonal projectors within OP_TOL, or None."""
     for p in ops:
-        if not is_projector(p, tol):
+        if not is_projector(p):
             return "each PVM element must be an orthogonal projector"
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
-            if max_abs(ops[i] @ ops[j]) > tol:
+            if max_abs(ops[i] @ ops[j]) > OP_TOL:
                 return "PVM projectors must be mutually orthogonal"
     return None
 
@@ -90,7 +90,7 @@ class Pvm:
 
     def __post_init__(self):
         dim, labels, ops = _sorted_labeled_ops(self.outcomes, self.projectors, self.dim, "PVM")
-        defect = _projective_defect(ops, OP_TOL)
+        defect = _projective_defect(ops)
         if defect is not None:
             raise ValidationError(defect)
         _check_resolution_of_unity(ops, dim, "PVM")
@@ -113,12 +113,13 @@ class Povm:
     def __post_init__(self):
         dim, labels, ops = _sorted_labeled_ops(self.outcomes, self.effects, self.dim, "POVM")
         for e in ops:
-            if max_abs(e - e.conj().T) > OP_TOL:
+            if not is_hermitian(e):
                 raise ValidationError("each effect must be Hermitian")
             w = np.linalg.eigvalsh((e + e.conj().T) / 2)
             if w[0] < -OP_TOL or w[-1] > 1 + OP_TOL:
                 raise ValidationError(
-                    f"effect eigenvalues must lie in [0, 1], got range [{w[0]!r}, {w[-1]!r}]"
+                    f"effect eigenvalues must lie in [0, 1] within {OP_TOL}, "
+                    f"got range [{float(w[0])!r}, {float(w[-1])!r}]"
                 )
         _check_resolution_of_unity(ops, dim, "POVM")
         object.__setattr__(self, "dim", dim)
@@ -195,7 +196,7 @@ def pvm_from_observable(a, cluster_tol: float = CLUSTER_TOL) -> Pvm:
     a = _square(a)
     if cluster_tol < 0:
         raise ParameterError(f"cluster_tol must be >= 0, got {cluster_tol}")
-    if not is_hermitian(a, OP_TOL):
+    if not is_hermitian(a):
         raise NotHermitianError("spectral decomposition needs a Hermitian matrix")
     w, vecs = np.linalg.eigh((a + a.conj().T) / 2)
     breaks = [0] + [i for i in range(1, len(w)) if w[i] - w[i - 1] > cluster_tol] + [len(w)]
@@ -224,9 +225,9 @@ def as_povm(pvm: Pvm) -> Povm:
     return _derived(Povm, pvm.outcomes, pvm.projectors, pvm.dim)
 
 
-def is_projective(povm: Povm, tol: float = OP_TOL) -> bool:
-    """True iff every effect is a projector and effects are mutually orthogonal."""
-    return _projective_defect(povm.effects, tol) is None
+def is_projective(povm: Povm) -> bool:
+    """True iff the effects are mutually orthogonal projectors within OP_TOL."""
+    return _projective_defect(povm.effects) is None
 
 
 def unsharp_qubit_povm(eta: float) -> Povm:

@@ -35,7 +35,6 @@ from .intersubjectivity import (
     COMMUTATION_TOL,
     OIT_TOL,
     agreement_probability,
-    check_commutation,
     compose,
     joint_distribution,
     sample_outcomes,
@@ -386,9 +385,8 @@ def run_experiment(
         }
     else:
         joint = compose(scenario.psi, scenario.processes[0], scenario.processes[1])
-        check = check_commutation(joint, tolerances["commutation"])
-        diagnostics["max_commutator_norm"] = float(check.max_commutator_norm)
-        diagnostics["commuting"] = bool(check.commuting)
+        diagnostics["max_commutator_norm"] = float(joint.max_commutator_norm)
+        diagnostics["commuting"] = bool(joint.max_commutator_norm <= tolerances["commutation"])
         if experiment == "joint":
             dist = joint_distribution(joint, tolerances["commutation"])
             results = {

@@ -165,7 +165,7 @@ def test_criterion_7_structural_invariant_suite():
             dim = int(rng.integers(2, 6))
             k = int(rng.integers(2, dim + 1))
             pvm = random_pvm(rng, dim, k)
-            assert all(is_projector(p, 1e-9) for p in pvm.projectors)
+            assert all(is_projector(p) for p in pvm.projectors)
             assert max_abs(sum(pvm.projectors) - np.eye(dim)) < 1e-9
             for i in range(len(pvm.projectors)):
                 for j in range(i + 1, len(pvm.projectors)):
@@ -185,7 +185,7 @@ def test_criterion_7_structural_invariant_suite():
             rng = np.random.default_rng(1200 + seed)
             process = random_process(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
             evolved = evolve_meter(process)
-            assert all(is_projector(p, 1e-9) for p in evolved.projectors)
+            assert all(is_projector(p) for p in evolved.projectors)
             assert max_abs(sum(evolved.projectors) - np.eye(evolved.dim)) < 1e-9
             # derived objects are built unchecked: run the public constructors' checks
             Pvm(evolved.outcomes, evolved.projectors, evolved.dim)
@@ -194,7 +194,7 @@ def test_criterion_7_structural_invariant_suite():
             checked += 1
         induced = induced_povm(dilation_model(unsharp_qubit_povm(0.5)))
         Povm(induced.outcomes, induced.effects, induced.dim)
-        assert not any(is_projector(e, 1e-9) for e in induced.effects)
+        assert not any(is_projector(e) for e in induced.effects)
         checked += 1
         assert checked >= 1000
         print(f"(structural instances checked: {checked})", end=" ")

@@ -136,6 +136,29 @@ def test_run_unknown_field_rejected(capsys, tmp_path):
     assert "unknown field" in err
 
 
+def _povm_doc(diag0, diag1, state):
+    """An induce document: two diagonal qubit effects and one dilation process."""
+    def matrix(diag):
+        return {"rows": 2, "cols": 2,
+                "entries": [[diag[0], 0.0], [0.0, 0.0], [0.0, 0.0], [diag[1], 0.0]]}
+    return {
+        "schema_version": "1",
+        "system": {"dim": 2, "state": [[a, 0.0] for a in state]},
+        "observable": {"povm": {"dim": 2, "outcomes": [0.0, 1.0],
+                                "effects": [matrix(diag0), matrix(diag1)]}},
+        "processes": [{"model": "dilation"}],
+        "experiment": "induce",
+    }
+
+
+def test_dilation_accepts_effects_at_the_eigenvalue_floor(capsys, tmp_path):
+    # Povm admits effect eigenvalues down to -OP_TOL; the dilation's square roots must too
+    path = _write(tmp_path, _povm_doc((1 + 5e-10, 0.3), (-5e-10, 0.7), (0.0, 1.0)))
+    for command in ("validate", "run"):
+        code, _, err = _run(capsys, command, path)
+        assert code == 0, err
+
+
 def _oversized(doc, path, value=10**400):
     """Put value at path in doc; the last key may index a list."""
     node = doc
@@ -169,6 +192,7 @@ _MALFORMED_INPUTS = {
     "too_many_digits": lambda: OIT_SCENARIO.read_text().replace(
         '"dim": 2', '"dim": ' + "1" * 5000),
     "invalid_utf8": lambda: b'{"schema_version": "\xff"}',
+    "effect_eigenvalue": lambda: json.dumps(_povm_doc((1.5, 0.0), (-0.5, 1.0), (1.0, 0.0))),
 }
 
 
@@ -180,6 +204,7 @@ def test_run_malformed_input_exits_2(capsys, tmp_path, case):
     code, _, err = _run(capsys, "run", path)
     assert code == 2, err
     assert err.startswith("error:")
+    assert "np.float64" not in err
 
 
 @pytest.mark.parametrize(

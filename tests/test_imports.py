@@ -1,5 +1,6 @@
-"""Every name a library module imports is used in that module, and every
-module-level private name is used in some module.
+"""Every name a library module imports is used in that module, every
+module-level private name is used in some module, and the only tolerance
+parameters are the ones a scenario sets.
 
 No linter ships with the project, so these stdlib-ast checks stand in for
 one. The import check skips ``__init__.py``: its imports are the public
@@ -74,3 +75,49 @@ def test_dead_private_name_is_reported():
         "b.py": "import a\nfrom a import _used\nprint(_used, a._helper)\n",
     }
     assert dead_private_names(sources) == [("a.py", "_Gone"), ("a.py", "_dead")]
+
+
+# the parameters that carry a scenario's params.tolerances (or --tol); every
+# other tolerance is a module constant its function reads directly
+SCENARIO_TOLERANCES = {
+    ("observables.py", "pvm_from_observable", "cluster_tol"),
+    ("scenario.py", "_build_observable", "cluster_tol"),
+    ("measurement.py", "check_reproducibility", "tol"),
+    ("measurement.py", "_compare", "tol"),
+    ("intersubjectivity.py", "verify_oit", "tol"),
+    ("intersubjectivity.py", "verify_oit", "reproducibility_tol"),
+    ("intersubjectivity.py", "verify_oit", "commutation_tol"),
+    ("intersubjectivity.py", "joint_distribution", "commutation_tol"),
+    ("intersubjectivity.py", "agreement_probability", "commutation_tol"),
+    ("intersubjectivity.py", "sample_outcomes", "commutation_tol"),
+}
+
+
+def tolerance_parameters(sources: dict) -> set:
+    """(module, function, parameter) for each parameter named tol, *_tol or threshold."""
+    found = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                for arg in args.posonlyargs + args.args + args.kwonlyargs:
+                    name = arg.arg
+                    if name in ("tol", "threshold") or name.endswith("_tol"):
+                        found.add((module, getattr(node, "name", "<lambda>"), name))
+    return found
+
+
+def test_only_scenario_tolerances_are_parameters():
+    assert tolerance_parameters(SOURCES) == SCENARIO_TOLERANCES
+
+
+def test_tolerance_parameter_is_reported():
+    source = ("def f(x, tol=1e-9, *, label_tol=0.0, threshold=1):\n    pass\n"
+              "g = lambda y, clamp_tol=0: y\n"
+              "def h(total, stol, tolerance):\n    pass\n")
+    assert tolerance_parameters({"a.py": source}) == {
+        ("a.py", "f", "tol"),
+        ("a.py", "f", "label_tol"),
+        ("a.py", "f", "threshold"),
+        ("a.py", "<lambda>", "clamp_tol"),
+    }

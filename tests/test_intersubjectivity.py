@@ -22,7 +22,6 @@ from qmeasure import (
     agreement_probability,
     as_povm,
     born_povm,
-    check_commutation,
     compose,
     dilation_model,
     evolve_meter,
@@ -39,6 +38,7 @@ from qmeasure import (
     verify_oit,
     von_neumann_model,
 )
+from qmeasure.intersubjectivity import COMMUTATION_TOL
 
 SIGMA_Z_PVM = pvm_from_observable(PAULI_Z)
 SIGMA_X_PVM = pvm_from_observable(PAULI_X)
@@ -58,14 +58,14 @@ def _unsharp_scenario(eta, psi):
 def test_compose_two_pointer_models_commute():
     js = _accurate_z_scenario(PLUS)
     assert js.max_commutator_norm < 1e-10
-    assert check_commutation(js).commuting
+    assert js.max_commutator_norm <= COMMUTATION_TOL
     assert js.total_dim == 8
 
 
 def test_compose_two_dilations_commute():
     js = _unsharp_scenario(0.8, GROUND)
     assert js.max_commutator_norm < 1e-9
-    assert check_commutation(js).commuting
+    assert js.max_commutator_norm <= COMMUTATION_TOL
 
 
 def test_compose_embedded_meters_pass_the_pvm_checks():
@@ -118,9 +118,8 @@ def test_oit_run_evolves_each_meter_once(monkeypatch):
 
 def test_compose_incompatible_observables_flagged_not_local():
     js = compose(PLUS, von_neumann_model(SIGMA_Z_PVM), von_neumann_model(SIGMA_X_PVM))
-    check = check_commutation(js)
-    assert not check.commuting
-    assert check.max_commutator_norm == pytest.approx(0.5, abs=1e-9)
+    assert js.max_commutator_norm > COMMUTATION_TOL
+    assert js.max_commutator_norm == pytest.approx(0.5, abs=1e-9)
     with pytest.raises(NonCommutingMetersError):
         joint_distribution(js)
 

@@ -34,7 +34,7 @@ def test_as_operator_rejects_vectors_and_nonfinite():
 
 def test_as_state_norm_gate():
     as_state(np.array([1, 0], dtype=complex))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"state norm is 1\.4142135623730951, not 1"):
         as_state(np.array([1, 1], dtype=complex))
     with pytest.raises(DimensionError):
         as_state(np.eye(2))
@@ -101,10 +101,10 @@ def test_psd_sqrt_squares_back(seed):
 
 
 def test_psd_sqrt_clamps_rounding_noise_but_rejects_negatives():
-    noisy = np.diag([1.0, -5e-11]).astype(complex)
-    root = psd_sqrt(noisy)
-    assert max_abs(root - np.diag([1.0, 0.0])) < 1e-5
-    with pytest.raises(ValidationError):
+    for noise in (-5e-11, -5e-10):
+        root = psd_sqrt(np.diag([1.0, noise]).astype(complex))
+        assert max_abs(root - np.diag([1.0, 0.0])) < 1e-5
+    with pytest.raises(ValidationError, match=r"eigenvalue -1e-06 is below -1e-09"):
         psd_sqrt(np.diag([1.0, -1e-6]).astype(complex))
     with pytest.raises(NotHermitianError):
         psd_sqrt(np.array([[0, 1], [0, 0]], dtype=complex))

@@ -26,6 +26,7 @@ from qmeasure import (
     is_projective,
     is_unitary,
     max_abs,
+    measurement,
     pvm_from_observable,
     tensor,
     unsharp_qubit_povm,
@@ -170,6 +171,35 @@ def test_dilation_completion_choice_does_not_matter(seed):
     alt = induced_povm(dilation_model(povm, completion_rng=np.random.default_rng(seed + 100)))
     worst = max(max_abs(a - b) for a, b in zip(base.effects, alt.effects))
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_model_processes_are_built_unchecked_and_pass_the_checks(monkeypatch, seed):
+    rng = np.random.default_rng(seed)
+    pvm = pvm_from_observable(random_hermitian_with_outcomes(rng, 3, 2))
+    povm = random_povm(rng, 2, 3)
+    checked = []
+    monkeypatch.setattr(measurement, "is_unitary", lambda u: checked.append(u) or True)
+    processes = [von_neumann_model(pvm), dilation_model(povm),
+                 dilation_model(povm, completion_rng=rng)]
+    monkeypatch.undo()
+    assert checked == []
+    for process in processes:
+        # the public constructors check what the models built unchecked
+        MeasurementProcess(process.system_dim, process.apparatus_dim,
+                           process.apparatus_state, process.interaction, process.meter)
+        meter = process.meter
+        Pvm(meter.outcomes, meter.projectors, meter.dim)
+        assert process.apparatus_state.tolist() == [1.0] + [0.0] * (process.apparatus_dim - 1)
+        assert not process.interaction.flags.writeable
+        assert not process.apparatus_state.flags.writeable
+
+
+def test_completion_raises_when_the_candidates_run_out():
+    u = np.zeros((2, 2), dtype=complex)
+    u[:, 0] = [1.0, 0.0]
+    with pytest.raises(ValidationError, match="could not complete the interaction"):
+        measurement._complete_columns(u, [1], [np.array([1.0, 0.0], dtype=complex)])
 
 
 def test_dilation_respects_dimension_cap():
