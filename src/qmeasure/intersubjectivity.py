@@ -5,7 +5,7 @@ H x K1 x K2. Each meter is evolved by its own process's interaction and
 kept on its own factor, H x K1 or H x K2; no operator on the whole compound
 space is ever built. The scenario is local when every pair of evolved meter
 projectors, each extended by the identity on the other apparatus, commutes:
-when JointScenario.max_commutator_norm is at most the commutation tolerance.
+its commutator_bound, else the exact max_commutator_norm, is within tolerance.
 For local scenarios the joint outcome distribution
 P(x, y) = <Psi| E1(x) E2(y) |Psi> is well defined, and when both processes
 reproduce the statistics of the same accurate observable, both observers
@@ -22,6 +22,7 @@ LABEL_TOL, the separation every observable's labels already keep.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .linalg import _check_dim, _frozen, as_state, max_abs
 from .measurement import REPRO_TOL, MeasurementProcess, _compare, _pinch, evolve_meter
-from .observables import LABEL_TOL, PROB_NEG_TOL, PROB_SUM_TOL, Pvm
+from .observables import LABEL_TOL, Pvm, _checked_probabilities
 
 COMMUTATION_TOL = 1e-8  # default locality decision tolerance
 OIT_TOL = 1e-9          # default intersubjectivity decision tolerance
@@ -53,11 +54,25 @@ class JointScenario:
     process2: MeasurementProcess
     evolved1: Pvm
     evolved2: Pvm
-    max_commutator_norm: float
+    commutator_bound: float
 
     @property
     def total_dim(self) -> int:
         return self.process1.total_dim * self.process2.apparatus_dim
+
+    @cached_property
+    def max_commutator_norm(self) -> float:
+        """Largest entry of any commutator of evolved meter projectors on H x K1 x K2."""
+        d_sys = self.psi.shape[0]
+        blocks1 = [_blocks(p, d_sys) for p in self.evolved1.projectors]
+        blocks2 = [_blocks(p, d_sys) for p in self.evolved2.projectors]
+        worst = 0.0
+        for a in blocks1:
+            for b in blocks2:
+                ab = np.tensordot(a, b, axes=(2, 1))  # [p, i, q, j] = (a[p] b[q])[i, j]
+                ba = np.tensordot(b, a, axes=(2, 1))  # [q, i, p, j] = (b[q] a[p])[i, j]
+                worst = max(worst, max_abs(ab - ba.transpose(2, 1, 0, 3)))
+        return worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,15 +92,7 @@ class JointDistribution:
                 f"joint table shape {table.shape} does not match outcome counts "
                 f"({len(o1)}, {len(o2)})"
             )
-        lowest = float(table.min())
-        if lowest < -PROB_NEG_TOL:
-            raise ValidationError(
-                f"joint probability {lowest!r} is below the -{PROB_NEG_TOL} floor"
-            )
-        table = np.clip(table, 0.0, None)
-        total = float(table.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"joint probabilities sum to {total!r}, not 1")
+        table = _checked_probabilities(table, "joint ")
         object.__setattr__(self, "outcomes1", o1)
         object.__setattr__(self, "outcomes2", o2)
         object.__setattr__(self, "probabilities", _frozen(table))
@@ -112,24 +119,27 @@ class OitReport:
 
 @dataclass(frozen=True, eq=False)
 class SampleResult:
-    """Outcome pairs drawn from a joint table plus their empirical distribution."""
+    """Outcome counts drawn from a joint table plus their empirical distribution."""
 
-    pairs: np.ndarray
     counts: np.ndarray
     empirical: JointDistribution
     seed: int
-    analytic: JointDistribution  # the table the pairs were drawn from
+    analytic: JointDistribution  # the table the counts were drawn from
 
 
 def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess) -> JointScenario:
     """Compose two processes sharing the system into one scenario on H x K1 x K2.
 
     Process1's interaction acts on H and K1, process2's on H and K2. Each
-    meter is evolved by its own interaction and kept on its own factor. The
-    largest commutator norm over all pairs of evolved meter projectors on
-    H x K1 x K2 is stored so locality can be decided later at any tolerance.
-    A compound dimension over linalg.MAX_DIM raises DimensionError before
+    meter is evolved by its own interaction and kept on its own factor. A
+    compound dimension over linalg.MAX_DIM raises DimensionError before
     either meter is evolved.
+
+    commutator_bound decides locality later, at any tolerance. With each
+    side's blocks (see _blocks) stacked as the rows of X = U S Q and
+    Y = V T R (SVDs), sum_kl ||[X_k, Y_l]||_F^2 = sum_ij s_i^2 t_j^2
+    ||[Q_i, R_j]||_F^2, each [Q_i, R_j] formed directly. Its square root plus
+    4 (d + 1) eps (above the exact loop's rounding) bounds max_commutator_norm.
     """
     psi = as_state(psi)
     d_sys = psi.shape[0]
@@ -141,22 +151,27 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess) -> 
     _check_dim(process1.total_dim * process2.apparatus_dim)
     evolved1 = evolve_meter(process1)
     evolved2 = evolve_meter(process2)
-    blocks1 = [_blocks(p, d_sys) for p in evolved1.projectors]
-    blocks2 = [_blocks(p, d_sys) for p in evolved2.projectors]
-    worst = 0.0
-    for a in blocks1:
-        for b in blocks2:
-            ab = np.tensordot(a, b, axes=(2, 1))  # [p, i, q, j] = (a[p] b[q])[i, j]
-            ba = np.tensordot(b, a, axes=(2, 1))  # [q, i, p, j] = (b[q] a[p])[i, j]
-            worst = max(worst, max_abs(ab - ba.transpose(2, 1, 0, 3)))
+    s, q = _block_span(evolved1, d_sys)
+    t, r = _block_span(evolved2, d_sys)
+    qr = np.tensordot(q, r, axes=(2, 1))  # [i, a, j, c] = (q[i] r[j])[a, c]
+    rq = np.tensordot(r, q, axes=(2, 1))  # [j, a, i, c] = (r[j] q[i])[a, c]
+    comm = qr - rq.transpose(2, 1, 0, 3)  # [i, a, j, c] = [q[i], r[j]][a, c]
+    squared = s**2 @ (comm.real**2 + comm.imag**2).sum(axis=(1, 3)) @ t**2
     return JointScenario(
         psi=_frozen(psi.copy()),
         process1=process1,
         process2=process2,
         evolved1=evolved1,
         evolved2=evolved2,
-        max_commutator_norm=worst,
+        commutator_bound=float(np.sqrt(squared)) + 4 * (d_sys + 1) * np.finfo(float).eps,
     )
+
+
+def _block_span(evolved: Pvm, d_sys: int):
+    """Singular values s and d_sys x d_sys right singular vectors Q of all blocks stacked."""
+    stacked = np.concatenate([_blocks(p, d_sys) for p in evolved.projectors])
+    _, s, q = np.linalg.svd(stacked.reshape(-1, d_sys * d_sys), full_matrices=False)
+    return s, q.reshape(-1, d_sys, d_sys)
 
 
 def _blocks(projector: np.ndarray, d_sys: int) -> np.ndarray:
@@ -180,10 +195,11 @@ def joint_distribution(
     commutation_tol; the product of non-commuting projectors is not a
     probability.
     """
-    if not scenario.max_commutator_norm <= commutation_tol:
+    norm = _commutator_norm(scenario, commutation_tol)
+    if not norm <= commutation_tol:
         raise NonCommutingMetersError(
             f"evolved meters do not commute (max commutator norm "
-            f"{scenario.max_commutator_norm:.3e} > {commutation_tol})"
+            f"{norm:.3e} > {commutation_tol})"
         )
     d = scenario.psi.shape[0]
     p1, p2 = scenario.process1, scenario.process2
@@ -199,6 +215,12 @@ def joint_distribution(
     if residue > JOINT_IMAG_TOL:
         raise ValidationError(f"joint probability has imaginary residue {residue!r}")
     return JointDistribution(scenario.evolved1.outcomes, scenario.evolved2.outcomes, table.real)
+
+
+def _commutator_norm(scenario: JointScenario, commutation_tol: float) -> float:
+    """The bound when it settles locality within commutation_tol, else the exact norm."""
+    bound = scenario.commutator_bound
+    return bound if bound <= commutation_tol else scenario.max_commutator_norm
 
 
 def _diagonal_cells(dist: JointDistribution):
@@ -301,14 +323,9 @@ def sample_outcomes(
     draws = rng.random(n)
     cells = np.searchsorted(cdf, draws, side="right")
     cells = np.clip(cells, 0, flat.size - 1)
-    n2 = len(dist.outcomes2)
-    xs = np.asarray(dist.outcomes1)[cells // n2]
-    ys = np.asarray(dist.outcomes2)[cells % n2]
-    pairs = np.column_stack([xs, ys])
     counts = np.bincount(cells, minlength=flat.size).reshape(dist.probabilities.shape)
     empirical = JointDistribution(dist.outcomes1, dist.outcomes2, counts / n)
     return SampleResult(
-        pairs=_frozen(pairs),
         counts=_frozen(counts),
         empirical=empirical,
         seed=int(seed),

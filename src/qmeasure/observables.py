@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, NotHermitianError, ParameterError, ValidationError
 from .linalg import (
+    MAX_DIM,
     OP_TOL,
     PAULI_Z,
     _frozen,
@@ -30,8 +31,7 @@ from .linalg import (
 
 CLUSTER_TOL = 1e-8    # eigenvalue degeneracy merging
 LABEL_TOL = 1e-8      # outcome labels closer than this are considered duplicates
-PROB_SUM_TOL = 1e-10  # distribution normalization
-PROB_NEG_TOL = 1e-12  # largest negative probability clamped to zero
+PROB_TOL = MAX_DIM * OP_TOL  # OP_TOL per entry moves a Born weight by up to dim * OP_TOL
 BORN_IMAG_TOL = 1e-12  # largest imaginary residue tolerated in a Born probability
 
 
@@ -145,27 +145,33 @@ def _derived(cls, outcomes, operators, dim: int):
     return obj
 
 
+def _checked_probabilities(probs: np.ndarray, kind: str) -> np.ndarray:
+    """probs, summing to 1 within PROB_TOL, with entries in [-PROB_TOL, 0) clamped to 0."""
+    lowest = float(probs.min())
+    if lowest < -PROB_TOL:
+        raise ValidationError(f"{kind}probability {lowest!r} is below the -{PROB_TOL} floor")
+    probs = np.clip(probs, 0.0, None)
+    total = float(probs.sum())
+    if abs(total - 1.0) > PROB_TOL:
+        raise ValidationError(f"{kind}probabilities sum to {total!r}, not 1 within {PROB_TOL}")
+    return probs
+
+
 @dataclass(frozen=True, eq=False)
 class OutcomeDistribution:
-    """Probabilities over outcome labels; sums to 1 within PROB_SUM_TOL."""
+    """Probabilities over outcome labels; sums to 1 within PROB_TOL."""
 
     outcomes: tuple
     probabilities: tuple
 
     def __post_init__(self):
         labels = tuple(float(x) for x in self.outcomes)
-        probs = [float(p) for p in self.probabilities]
+        probs = np.array([float(p) for p in self.probabilities])
         if len(labels) != len(probs) or not labels:
             raise ValidationError("need one probability per outcome")
-        for p in probs:
-            if p < -PROB_NEG_TOL:
-                raise ValidationError(f"probability {p!r} is below the -{PROB_NEG_TOL} floor")
-        probs = tuple(max(p, 0.0) for p in probs)
-        total = sum(probs)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"probabilities sum to {total!r}, not 1 within {PROB_SUM_TOL}")
+        probs = _checked_probabilities(probs, "")
         object.__setattr__(self, "outcomes", labels)
-        object.__setattr__(self, "probabilities", probs)
+        object.__setattr__(self, "probabilities", tuple(probs.tolist()))
 
     def as_dict(self) -> dict:
         return dict(zip(self.outcomes, self.probabilities))

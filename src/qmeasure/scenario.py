@@ -34,6 +34,7 @@ from .errors import ValidationError
 from .intersubjectivity import (
     COMMUTATION_TOL,
     OIT_TOL,
+    _commutator_norm,
     agreement_probability,
     compose,
     joint_distribution,
@@ -385,8 +386,9 @@ def run_experiment(
         }
     else:
         joint = compose(scenario.psi, scenario.processes[0], scenario.processes[1])
-        diagnostics["max_commutator_norm"] = float(joint.max_commutator_norm)
-        diagnostics["commuting"] = bool(joint.max_commutator_norm <= tolerances["commutation"])
+        norm = _commutator_norm(joint, tolerances["commutation"])
+        diagnostics["max_commutator_norm"] = norm
+        diagnostics["commuting"] = bool(norm <= tolerances["commutation"])
         if experiment == "joint":
             dist = joint_distribution(joint, tolerances["commutation"])
             results = {

@@ -152,11 +152,14 @@ def _povm_doc(diag0, diag1, state):
 
 
 def test_dilation_accepts_effects_at_the_eigenvalue_floor(capsys, tmp_path):
-    # Povm admits effect eigenvalues down to -OP_TOL; the dilation's square roots must too
-    path = _write(tmp_path, _povm_doc((1 + 5e-10, 0.3), (-5e-10, 0.7), (0.0, 1.0)))
-    for command in ("validate", "run"):
-        code, _, err = _run(capsys, command, path)
-        assert code == 0, err
+    # Povm admits effect eigenvalues down to -OP_TOL; the dilation's square roots
+    # must too, and on |0> the Born weights (1 + 5e-10, -5e-10) must pass as a
+    # distribution
+    for state in ((0.0, 1.0), (1.0, 0.0)):
+        path = _write(tmp_path, _povm_doc((1 + 5e-10, 0.3), (-5e-10, 0.7), state))
+        for command in ("validate", "run"):
+            code, _, err = _run(capsys, command, path)
+            assert code == 0, (state, command, err)
 
 
 def _oversized(doc, path, value=10**400):

@@ -3,23 +3,47 @@
 compose keeps each evolved meter on its own factor. Here every evolved
 projector is embedded into the whole compound space by kron and a permutation
 of the tensor factors, and the commutator norm and the joint table are
-recomputed with dense D x D products, D = d * d1 * d2.
+recomputed with dense D x D products, D = d * d1 * d2. compose's
+commutator_bound must lie above that norm and decide locality as it does.
 """
 
+import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from conftest import pointer_meter, random_process, random_pvm, random_state, random_unitary
+from conftest import (
+    pointer_meter,
+    random_hermitian_with_outcomes,
+    random_process,
+    random_pvm,
+    random_state,
+    random_unitary,
+)
 from qmeasure import (
+    PAULI_X,
+    PAULI_Z,
+    JointScenario,
     MeasurementProcess,
     NonCommutingMetersError,
     compose,
+    dilation_model,
     evolve_meter,
     joint_distribution,
+    pvm_from_observable,
+    scenario_to_json,
+    unsharp_qubit_povm,
+    von_neumann_model,
 )
-from qmeasure.intersubjectivity import COMMUTATION_TOL
+from qmeasure.cli import main
+from qmeasure.intersubjectivity import COMMUTATION_TOL, _commutator_norm
+
+SIGMA_Z_PVM = pvm_from_observable(PAULI_Z)
+SIGMA_X_PVM = pvm_from_observable(PAULI_X)
+PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
+GROUND = np.array([1, 0], dtype=complex)
 
 AGREE_TOL = 1e-12
 DIMS = range(1, 5)
@@ -51,6 +75,22 @@ def dense_reference(psi, p1, p2):
     return worst, table
 
 
+def assert_bound_decides_like_the_oracle(js, worst):
+    """commutator_bound is at least the dense max entry, and locality is decided on it.
+
+    At every tolerance the decision equals the exact pair loop's, and it
+    equals the dense oracle's wherever rounding (AGREE_TOL) cannot tell the
+    two apart.
+    """
+    bound = js.commutator_bound
+    assert bound >= worst
+    for tol in (worst / 2, 2 * worst, bound / 2, 2 * bound, COMMUTATION_TOL):
+        local = _commutator_norm(js, tol) <= tol
+        assert local == (js.max_commutator_norm <= tol), (tol, worst, bound)
+        if abs(worst - tol) > AGREE_TOL:
+            assert local == (worst <= tol), (tol, worst, bound)
+
+
 @pytest.mark.parametrize("commuting", [True, False])
 @pytest.mark.parametrize("d", DIMS)
 def test_factored_compose_matches_dense_oracle(d, commuting):
@@ -68,6 +108,7 @@ def test_factored_compose_matches_dense_oracle(d, commuting):
         assert js.total_dim == d * d1 * d2
         assert (js.evolved1.dim, js.evolved2.dim) == (d * d1, d * d2)
         assert abs(js.max_commutator_norm - worst) <= AGREE_TOL, (d1, d2)
+        assert_bound_decides_like_the_oracle(js, worst)
         if commuting:
             assert worst < 1e-10
         elif min(d, d1, d2) > 1:
@@ -78,3 +119,55 @@ def test_factored_compose_matches_dense_oracle(d, commuting):
         else:
             with pytest.raises(NonCommutingMetersError):
                 joint_distribution(js)
+
+
+@pytest.mark.parametrize("eta", np.linspace(0.0, 1.0, 11))
+def test_commutator_bound_of_unsharp_dilations(eta):
+    povm = unsharp_qubit_povm(eta)
+    p1, p2 = dilation_model(povm), dilation_model(povm)
+    js = compose(GROUND, p1, p2)
+    worst, _ = dense_reference(GROUND, p1, p2)
+    assert_bound_decides_like_the_oracle(js, worst)
+    assert js.commutator_bound <= COMMUTATION_TOL
+
+
+@pytest.fixture
+def exact_reads(monkeypatch):
+    """Each JointScenario whose exact max_commutator_norm is computed, once per computation."""
+    reads = []
+    exact = JointScenario.max_commutator_norm.func
+
+    def counted(self):
+        reads.append(self)
+        return exact(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(JointScenario, "max_commutator_norm")
+    monkeypatch.setattr(JointScenario, "max_commutator_norm", prop)
+    return reads
+
+
+def test_pointer_model_oit_run_never_reads_the_exact_norm(exact_reads, capsys, tmp_path):
+    rng = np.random.default_rng(6)
+    d = 6
+    pvm = pvm_from_observable(random_hermitian_with_outcomes(rng, d, d))
+    psi = random_state(rng, d)
+    doc = scenario_to_json(psi, pvm, [von_neumann_model(pvm), von_neumann_model(pvm)], "oit")
+    path = tmp_path / "oit.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["intersubjective"] is True
+    assert report["diagnostics"]["commuting"] is True
+    assert exact_reads == []
+
+
+def test_non_commuting_joint_run_reads_the_exact_norm_once(exact_reads, capsys, tmp_path):
+    p1, p2 = von_neumann_model(SIGMA_Z_PVM), von_neumann_model(SIGMA_X_PVM)
+    doc = scenario_to_json(PLUS, SIGMA_Z_PVM, [p1, p2], "joint")
+    path = tmp_path / "joint.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 3
+    worst, _ = dense_reference(PLUS, p1, p2)
+    assert f"max commutator norm {worst:.3e} > {COMMUTATION_TOL}" in capsys.readouterr().err
+    assert len(exact_reads) == 1

@@ -90,6 +90,7 @@ SCENARIO_TOLERANCES = {
     ("intersubjectivity.py", "joint_distribution", "commutation_tol"),
     ("intersubjectivity.py", "agreement_probability", "commutation_tol"),
     ("intersubjectivity.py", "sample_outcomes", "commutation_tol"),
+    ("intersubjectivity.py", "_commutator_norm", "commutation_tol"),
 }
 
 

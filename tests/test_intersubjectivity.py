@@ -263,15 +263,16 @@ def test_sampling_is_deterministic_per_seed():
     first = sample_outcomes(js, 500, seed=21)
     second = sample_outcomes(js, 500, seed=21)
     other = sample_outcomes(js, 500, seed=22)
-    assert np.array_equal(first.pairs, second.pairs)
-    assert not np.array_equal(first.pairs, other.pairs)
+    assert np.array_equal(first.counts, second.counts)
+    assert not np.array_equal(first.counts, other.counts)
     assert first.counts.sum() == 500
 
 
 def test_sampling_accurate_scenario_never_disagrees():
     js = _accurate_z_scenario(PLUS)
     result = sample_outcomes(js, 100_000, seed=3)
-    assert np.all(result.pairs[:, 0] == result.pairs[:, 1])
+    assert result.empirical.outcomes1 == result.empirical.outcomes2
+    assert np.trace(result.counts) == result.counts.sum() == 100_000
     assert table_agreement(result.empirical) == pytest.approx(1.0, abs=1e-12)
 
 
