@@ -104,7 +104,10 @@ def psd_sqrt(a) -> np.ndarray:
 
     Eigenvalues in [-OP_TOL, 0) are treated as rounding noise and clamped
     to 0, the same floor Povm allows on its effects, so every effect of a
-    valid POVM has a root; anything below -OP_TOL is an error.
+    valid POVM has a root; anything below -OP_TOL is an error. Eigenvalues
+    up to eigh's own rounding, dim * eps * max(1, |w_max|), are set to 0
+    too, so the root of a projector is the projector: sqrt would lift a
+    rounding residue of 1e-16 to 1e-8.
     """
     a = _square(a)
     if not is_hermitian(a):
@@ -115,5 +118,6 @@ def psd_sqrt(a) -> np.ndarray:
             f"matrix is not positive semidefinite (eigenvalue {float(w[0])!r} "
             f"is below -{OP_TOL})"
         )
-    root = vecs @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ vecs.conj().T
+    noise = len(w) * np.finfo(float).eps * max(1.0, abs(float(w[-1])))
+    root = vecs @ np.diag(np.sqrt(np.where(w <= noise, 0.0, w))) @ vecs.conj().T
     return (root + root.conj().T) / 2

@@ -28,8 +28,7 @@ from .linalg import (
 )
 from .observables import LABEL_TOL, Povm, Pvm, _derived
 
-REPRO_TOL = 1e-9              # default reproducibility decision tolerance
-COMPLETION_THRESHOLD = 1e-8   # candidates more dependent than this are skipped
+REPRO_TOL = 1e-9  # default reproducibility decision tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,68 +218,31 @@ def von_neumann_model(target: Pvm) -> MeasurementProcess:
     return _model_process(target.dim, target.outcomes, u)
 
 
-def _complete_columns(matrix, free_slots, candidates):
-    """Fill the given column slots with vectors orthonormal to all columns.
-
-    Candidates are orthogonalized (two rounds of modified Gram-Schmidt)
-    against every column placed so far; candidates whose residual norm is
-    at most COMPLETION_THRESHOLD are skipped as near-dependent. Raises
-    ValidationError when the candidates run out before the slots do.
-    """
-    placed = [matrix[:, j] for j in range(matrix.shape[1]) if j not in free_slots]
-    slots = list(free_slots)
-    for cand in candidates:
-        if not slots:
-            return
-        v = np.asarray(cand, dtype=complex).copy()
-        for _ in range(2):
-            for u in placed:
-                v -= np.vdot(u, v) * u
-        norm = np.linalg.norm(v)
-        if norm <= COMPLETION_THRESHOLD:
-            continue
-        v /= norm
-        slot = slots.pop(0)
-        matrix[:, slot] = v
-        placed.append(v)
-    if slots:
-        raise ValidationError("could not complete the interaction to a unitary")
-
-
-def _standard_basis_candidates(dim: int):
-    eye = np.eye(dim, dtype=complex)
-    return [eye[:, k] for k in range(dim)]
-
-
-def dilation_model(
-    povm: Povm, completion_rng: np.random.Generator | None = None
-) -> MeasurementProcess:
+def dilation_model(povm: Povm) -> MeasurementProcess:
     """Measuring process realizing an arbitrary generalized observable.
 
-    Builds the isometry V = sum_j sqrt(Pi(x_j)) x |j> (an isometry because
-    the effects resolve the identity), places its columns at the slots that
-    carry |psi> x |0>, and completes the remaining columns to a unitary.
-    The induced POVM equals the input POVM regardless of the completion;
-    completion_rng switches the completion candidates from the standard
-    basis to random vectors, which is useful for checking exactly that.
+    With the apparatus index slow, the isometry V = sum_j sqrt(Pi(x_j)) x |j>
+    (an isometry because the effects resolve the identity) splits into
+    A = sqrt(Pi(x_0)) on pointer level 0 and the stacked roots B on the
+    others. It is completed in closed form to the unitary
+
+        U = [[A, -B^dag], [B, I - B (I + A)^-1 B^dag]],
+
+    which is unitary because A >= 0 and A^2 + B^dag B = I. The completion
+    is covariant: the POVM W Pi W^dag dilates to (W x I) U (W^dag x I), so
+    dilations of commuting effects have commuting meters in every basis.
+    The induced POVM equals the input POVM whatever the completion.
     """
     n = len(povm.outcomes)
     d_sys = povm.dim
     total = d_sys * n
     _check_dim(total)
     roots = np.array([psd_sqrt(e) for e in povm.effects])
-    # V[(i, j), h] = roots[j][i, h]; column h is V applied to basis state h
-    isometry = roots.transpose(1, 0, 2).reshape(total, d_sys)
-    u = np.zeros((total, total), dtype=complex)
-    specified = [h * n for h in range(d_sys)]
-    u[:, specified] = isometry
-    free = [c for c in range(total) if c not in specified]
-    if completion_rng is None:
-        candidates = _standard_basis_candidates(total)
-    else:
-        candidates = (
-            completion_rng.normal(size=total) + 1j * completion_rng.normal(size=total)
-            for _ in range(20 * total)
-        )
-    _complete_columns(u, free, candidates)
+    a = roots[0]
+    b = roots[1:].reshape(-1, d_sys)
+    b_dag = b.conj().T
+    corner = np.eye(total - d_sys) - b @ np.linalg.solve(np.eye(d_sys) + a, b_dag)
+    u = np.block([[a, -b_dag], [b, corner]])
+    # apparatus-major (j, i) rows and columns to the system-major (i, j) of H x K
+    u = u.reshape(n, d_sys, n, d_sys).transpose(1, 0, 3, 2).reshape(total, total)
     return _model_process(d_sys, povm.outcomes, u)

@@ -5,8 +5,8 @@ that resolve the identity. A Povm is the generalized (possibly noisy)
 observable: labels with positive effects resolving the identity. Both are
 immutable; outcome labels are sorted increasing at construction and must be
 separated by more than LABEL_TOL. The public constructors check every
-invariant; observables the library derives from checked ones are built
-through _derived and trusted.
+invariant, the linalg.MAX_DIM cap included; observables the library
+derives from checked ones are built through _derived and trusted.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .linalg import (
     MAX_DIM,
     OP_TOL,
     PAULI_Z,
+    _check_dim,
     _frozen,
     _square,
     as_operator,
@@ -40,6 +41,7 @@ def _sorted_labeled_ops(outcomes, operators, dim: int, kind: str):
     dim = int(dim)
     if dim < 1:
         raise DimensionError(f"dim must be >= 1, got {dim}")
+    _check_dim(dim)
     labels = [float(x) for x in outcomes]
     ops = [as_operator(p) for p in operators]
     if len(labels) != len(ops) or not labels:

@@ -108,12 +108,10 @@ class ObservableSpec:
     kind: str
     povm: Povm
     pvm: Optional[Pvm]  # present when the observable is projective
-    eta: Optional[float]
 
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    schema_version: str
     system_dim: int
     psi: np.ndarray
     observable: ObservableSpec
@@ -169,17 +167,17 @@ def _build_observable(data, dim: int, cluster_tol: float) -> ObservableSpec:
         _require(a.shape == (dim, dim),
                  f"{where}: matrix shape {a.shape} does not match system dim {dim}")
         pvm = pvm_from_observable(a, cluster_tol)
-        return ObservableSpec(kind=kind, povm=as_povm(pvm), pvm=pvm, eta=None)
+        return ObservableSpec(kind=kind, povm=as_povm(pvm), pvm=pvm)
     if kind == "pvm":
         pvm = pvm_from_json(data[kind], f"{where}.pvm")
         _require(pvm.dim == dim,
                  f"{where}: pvm dim {pvm.dim} does not match system dim {dim}")
-        return ObservableSpec(kind=kind, povm=as_povm(pvm), pvm=pvm, eta=None)
+        return ObservableSpec(kind=kind, povm=as_povm(pvm), pvm=pvm)
     if kind == "povm":
         povm = povm_from_json(data[kind], f"{where}.povm")
         _require(povm.dim == dim,
                  f"{where}: povm dim {povm.dim} does not match system dim {dim}")
-        return ObservableSpec(kind=kind, povm=povm, pvm=_maybe_pvm(povm), eta=None)
+        return ObservableSpec(kind=kind, povm=povm, pvm=_maybe_pvm(povm))
     block = data["unsharp"]
     _require(isinstance(block, dict), f"{where}.unsharp: expected an object")
     _check_keys(block, ("eta",), ("eta",), f"{where}.unsharp")
@@ -187,7 +185,7 @@ def _build_observable(data, dim: int, cluster_tol: float) -> ObservableSpec:
     _require(_is_number(eta), f"{where}.unsharp.eta: must be a number, got {eta!r}")
     _require(dim == 2, f"{where}: the unsharp observable needs a 2-dimensional system")
     povm = unsharp_qubit_povm(float(eta))
-    return ObservableSpec(kind=kind, povm=povm, pvm=_maybe_pvm(povm), eta=float(eta))
+    return ObservableSpec(kind=kind, povm=povm, pvm=_maybe_pvm(povm))
 
 
 def _build_process(entry, index: int, observable: ObservableSpec, system_dim: int):
@@ -310,7 +308,6 @@ def load_scenario(data) -> Scenario:
         _check_dim(processes[0].total_dim * processes[1].apparatus_dim)
 
     return Scenario(
-        schema_version=version,
         system_dim=dim,
         psi=psi,
         observable=observable,

@@ -79,3 +79,19 @@ def random_process(rng, system_dim, apparatus_dim):
         interaction=random_unitary(rng, system_dim * apparatus_dim),
         meter=pointer_meter(apparatus_dim),
     )
+
+
+def recompleted(rng, process):
+    """The process with its interaction completed differently.
+
+    U (I on the columns that carry |h> x |0> (+) a random unitary on the rest),
+    checked by the public MeasurementProcess: the isometry the process applies
+    to |psi> x |0> is unchanged, so the induced POVM must be too.
+    """
+    n = process.apparatus_dim
+    total = process.total_dim
+    free = [c for c in range(total) if c % n]
+    mix = np.eye(total, dtype=complex)
+    mix[np.ix_(free, free)] = random_unitary(rng, len(free))
+    return MeasurementProcess(process.system_dim, n, process.apparatus_state,
+                              process.interaction @ mix, process.meter)

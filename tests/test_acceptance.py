@@ -16,6 +16,7 @@ from conftest import (
     random_process,
     random_pvm,
     random_state,
+    recompleted,
 )
 from qmeasure import (
     PAULI_Z,
@@ -101,9 +102,7 @@ def test_criterion_3_dilation_round_trip():
             induced = induced_povm(dilation_model(povm))
             worst = max(max_abs(a - b) for a, b in zip(induced.effects, povm.effects))
             assert worst < 1e-9
-            alt = induced_povm(
-                dilation_model(povm, completion_rng=np.random.default_rng(seed))
-            )
+            alt = induced_povm(recompleted(rng, dilation_model(povm)))
             drift = max(max_abs(a - b) for a, b in zip(induced.effects, alt.effects))
             assert drift < 1e-9
 

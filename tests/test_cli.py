@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import random_povm
 from qmeasure import (
     PAULI_X,
     PAULI_Z,
@@ -228,6 +229,15 @@ def test_run_rejects_bad_overrides(capsys, tmp_path, flag, value):
 def test_run_non_commuting_meters_exit_code(capsys, tmp_path):
     path = _write(tmp_path, _noncommuting_joint_doc())
     code, _, err = _run(capsys, "run", path)
+    assert code == 3
+    assert "commute" in err
+
+
+def test_run_dilations_of_non_commuting_effects_exit_code(capsys, tmp_path):
+    povm = random_povm(np.random.default_rng(3), 2, 3)
+    doc = scenario_to_json(GROUND, povm, [], "joint")
+    doc["processes"] = [{"model": "dilation"}, {"model": "dilation"}]
+    code, _, err = _run(capsys, "run", _write(tmp_path, doc))
     assert code == 3
     assert "commute" in err
 

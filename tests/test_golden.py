@@ -1,11 +1,13 @@
 """Reports of the bundled scenarios compared against recorded ones.
 
 tests/data holds the standard output of `qmeasure run` on both bundled
-scenarios and of one 11-value sweep, and two scenarios of its own with their
-`run` output: a non-diagonal d=4 `oit` and a d=3 `joint` whose processes have
-apparatus dims 3 and 2. Keys, strings and booleans must match exactly;
-numbers must agree within NUMBER_TOL. Regenerate a file only when a report
-is meant to change, and say why in the commit.
+scenarios and of one 11-value sweep, and three scenarios of its own with their
+`run` output: a non-diagonal d=4 `oit`, a d=3 `joint` whose processes have
+apparatus dims 3 and 2, and a `joint` of two dilations of the eta = 0.8
+unsharp observable along x, whose meters commute only because the dilation
+completes its isometry covariantly. Keys, strings and booleans must match
+exactly; numbers must agree within NUMBER_TOL. Regenerate a file only when a
+report is meant to change, and say why in the commit.
 """
 
 import json
@@ -26,6 +28,7 @@ SCENARIO_DIRS = {
     "unsharp_eta08": REPO / "scenarios",
     "oit_nondiagonal_d4": DATA,
     "joint_unequal_apparatus_d3": DATA,
+    "joint_unsharp_x": DATA,
 }
 
 

@@ -6,7 +6,10 @@ import pytest
 from conftest import (
     pointer_meter,
     random_hermitian_with_outcomes,
+    random_labels,
+    random_povm,
     random_state,
+    random_unitary,
 )
 from qmeasure import (
     PAULI_X,
@@ -178,6 +181,43 @@ def test_swap_symmetry_transposes_the_table():
     table12 = joint_distribution(compose(psi, p1, p2)).probabilities
     table21 = joint_distribution(compose(psi, p2, p1)).probabilities
     assert np.abs(table12 - table21.T).max() < 1e-10
+
+
+def _rotated_diagonal_povms(rng, dim, k):
+    """A POVM of diagonal effects and the same POVM in a random basis W."""
+    weights = rng.dirichlet(np.ones(k), size=dim).T  # weights[x, i] sums to 1 over x
+    labels = tuple(random_labels(rng, k))
+    diagonal = Povm(labels, tuple(np.diag(w).astype(complex) for w in weights), dim)
+    w = random_unitary(rng, dim)
+    rotated = Povm(labels, tuple(w @ e @ w.conj().T for e in diagonal.effects), dim)
+    return diagonal, rotated, w
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_dilations_of_commuting_effects_are_local_in_any_basis(seed):
+    # conjugating the observable and psi by W conjugates each dilation by W x I,
+    # so the pair stays local and the table is the diagonal pair's
+    rng = np.random.default_rng(seed)
+    dim, k = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+    diagonal, rotated, w = _rotated_diagonal_povms(rng, dim, k)
+    psi = random_state(rng, dim)
+    base = compose(psi, dilation_model(diagonal), dilation_model(diagonal))
+    js = compose(w @ psi, dilation_model(rotated), dilation_model(rotated))
+    assert js.commutator_bound <= 1e-12
+    table = joint_distribution(js).probabilities
+    assert np.abs(table - joint_distribution(base).probabilities).max() <= 1e-12
+    # closed form for commuting effects: sum_x <psi|Pi_x^2|psi>
+    expected = sum(np.vdot(psi, e @ e @ psi).real for e in diagonal.effects)
+    assert abs(agreement_probability(js) - expected) <= 1e-12
+
+
+def test_dilations_of_non_commuting_effects_stay_non_local():
+    rng = np.random.default_rng(11)
+    povm = random_povm(rng, 3, 3)
+    js = compose(random_state(rng, 3), dilation_model(povm), dilation_model(povm))
+    assert js.max_commutator_norm > COMMUTATION_TOL
+    with pytest.raises(NonCommutingMetersError):
+        joint_distribution(js)
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -104,6 +104,12 @@ def test_psd_sqrt_clamps_rounding_noise_but_rejects_negatives():
     for noise in (-5e-11, -5e-10):
         root = psd_sqrt(np.diag([1.0, noise]).astype(complex))
         assert max_abs(root - np.diag([1.0, 0.0])) < 1e-5
+    rng = np.random.default_rng(7)
+    for dim in range(2, 7):
+        # eigh leaves ~1e-16 on the kernel of a rank-1 projector; its root is exact
+        v = random_state(rng, dim)
+        projector = np.outer(v, v.conj())
+        assert max_abs(psd_sqrt(projector) - projector) < 1e-14
     with pytest.raises(ValidationError, match=r"eigenvalue -1e-06 is below -1e-09"):
         psd_sqrt(np.diag([1.0, -1e-6]).astype(complex))
     with pytest.raises(NotHermitianError):

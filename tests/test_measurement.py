@@ -8,6 +8,7 @@ from conftest import (
     random_process,
     random_state,
     random_unitary,
+    recompleted,
 )
 from qmeasure import (
     PAULI_Z,
@@ -32,6 +33,7 @@ from qmeasure import (
     unsharp_qubit_povm,
     von_neumann_model,
 )
+from qmeasure.linalg import OP_TOL
 
 SIGMA_Z_PVM = pvm_from_observable(PAULI_Z)
 
@@ -167,8 +169,9 @@ def test_dilation_round_trip_random_povms(seed):
 def test_dilation_completion_choice_does_not_matter(seed):
     rng = np.random.default_rng(seed)
     povm = random_povm(rng, 3, 3)
-    base = induced_povm(dilation_model(povm))
-    alt = induced_povm(dilation_model(povm, completion_rng=np.random.default_rng(seed + 100)))
+    process = dilation_model(povm)
+    base = induced_povm(process)
+    alt = induced_povm(recompleted(np.random.default_rng(seed + 100), process))
     worst = max(max_abs(a - b) for a, b in zip(base.effects, alt.effects))
     assert worst < 1e-9
 
@@ -180,10 +183,10 @@ def test_model_processes_are_built_unchecked_and_pass_the_checks(monkeypatch, se
     povm = random_povm(rng, 2, 3)
     checked = []
     monkeypatch.setattr(measurement, "is_unitary", lambda u: checked.append(u) or True)
-    processes = [von_neumann_model(pvm), dilation_model(povm),
-                 dilation_model(povm, completion_rng=rng)]
+    processes = [von_neumann_model(pvm), dilation_model(povm)]
     monkeypatch.undo()
     assert checked == []
+    processes.append(recompleted(rng, processes[1]))
     for process in processes:
         # the public constructors check what the models built unchecked
         MeasurementProcess(process.system_dim, process.apparatus_dim,
@@ -195,11 +198,15 @@ def test_model_processes_are_built_unchecked_and_pass_the_checks(monkeypatch, se
         assert not process.apparatus_state.flags.writeable
 
 
-def test_completion_raises_when_the_candidates_run_out():
-    u = np.zeros((2, 2), dtype=complex)
-    u[:, 0] = [1.0, 0.0]
-    with pytest.raises(ValidationError, match="could not complete the interaction"):
-        measurement._complete_columns(u, [1], [np.array([1.0, 0.0], dtype=complex)])
+def test_dilation_interaction_is_unitary_within_op_tol():
+    worst = 0.0
+    for seed in range(60):
+        rng = np.random.default_rng(500 + seed)
+        dim = int(rng.integers(1, 6))
+        k = int(rng.integers(1, 7))
+        u = dilation_model(random_povm(rng, dim, k)).interaction
+        worst = max(worst, max_abs(u.conj().T @ u - np.eye(dim * k)))
+    assert worst <= OP_TOL
 
 
 def test_dilation_respects_dimension_cap():

@@ -63,6 +63,18 @@ def test_pvm_shape_check():
         Pvm((0.0, 1.0), _diag_projectors([1, 0], [0, 1]), 3)
 
 
+def test_observables_over_the_dimension_cap_are_rejected_at_construction():
+    # every entry of the second effect is within OP_TOL of 0.5 I, yet its Born
+    # weights on the uniform state would sum past PROB_TOL; PROB_TOL bounds
+    # only observables within the cap
+    n = 300
+    effects = (0.5 * np.eye(n), 0.5 * np.eye(n) + 0.9e-9 * np.ones((n, n)))
+    with pytest.raises(DimensionError, match="compound dimension 300 exceeds the cap 256"):
+        Povm((0.0, 1.0), effects, n)
+    with pytest.raises(DimensionError, match="compound dimension 300 exceeds the cap 256"):
+        Pvm((0.0,), (np.eye(n),), n)
+
+
 def test_povm_accepts_noisy_effects():
     povm = unsharp_qubit_povm(0.3)
     assert povm.outcomes == (-1.0, 1.0)
