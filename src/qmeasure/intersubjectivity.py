@@ -38,6 +38,7 @@ from .observables import LABEL_TOL, Pvm, _checked_probabilities
 
 COMMUTATION_TOL = 1e-8  # default locality decision tolerance
 OIT_TOL = 1e-9          # default intersubjectivity decision tolerance
+SAMPLE_CHUNK = 2**16    # draws held at once by sample_outcomes
 JOINT_IMAG_TOL = 1e-10  # largest imaginary residue tolerated in a joint probability
 
 
@@ -311,19 +312,29 @@ def sample_outcomes(
 
     Sampling is inverse-CDF over the lexicographically ordered (x, y) cells
     using numpy's seeded default generator, so a fixed seed reproduces the
-    exact sequence. Cells with zero analytic probability are never drawn.
+    exact sequence. A draw u lands in the first cell whose CDF exceeds u
+    (the last cell if none does). Draws are counted, not looked up one at a
+    time: each chunk of SAMPLE_CHUNK draws is sorted, and one searchsorted
+    of the inner CDF edges into it counts the draws below each edge. The
+    table is clamped to be non-negative, so the CDF never decreases and cell
+    j holds exactly (draws below edge j) - (draws below edge j-1): the counts
+    equal a per-draw lookup's. The generator yields the same stream in
+    chunks as in one call, so the counts do not depend on the chunk size,
+    and memory is bounded by the chunk, not by n. Cells with zero analytic
+    probability are never drawn.
     """
     n = int(n)
     if n < 1:
         raise ValidationError(f"sample count must be >= 1, got {n}")
     dist = joint_distribution(scenario, commutation_tol)
-    flat = dist.probabilities.ravel()
-    cdf = np.cumsum(flat)
+    edges = np.cumsum(dist.probabilities.ravel())[:-1]
     rng = np.random.default_rng(seed)
-    draws = rng.random(n)
-    cells = np.searchsorted(cdf, draws, side="right")
-    cells = np.clip(cells, 0, flat.size - 1)
-    counts = np.bincount(cells, minlength=flat.size).reshape(dist.probabilities.shape)
+    below = np.zeros(edges.size, dtype=np.int64)
+    for start in range(0, n, SAMPLE_CHUNK):
+        chunk = rng.random(min(SAMPLE_CHUNK, n - start))
+        chunk.sort()
+        below += np.searchsorted(chunk, edges, side="left")
+    counts = np.diff(np.concatenate(([0], below, [n]))).reshape(dist.probabilities.shape)
     empirical = JointDistribution(dist.outcomes1, dist.outcomes2, counts / n)
     return SampleResult(
         counts=_frozen(counts),

@@ -97,7 +97,7 @@ DECISION_TOLERANCE = {
 }
 
 DEFAULT_N_SAMPLES = 10000
-MAX_N_SAMPLES = 10**7  # a sample run holds a few arrays of this length in memory
+MAX_N_SAMPLES = 10**8  # bounds run time (about 1.5 s at the cap); sampling memory is one chunk
 DEFAULT_SEED = 0
 
 

@@ -3,8 +3,12 @@
 Complex numbers are written as [re, im] pairs so files stay diffable and
 language neutral. Matrices carry explicit row/column counts and a dense
 row-major entry list; decoding is strict and raises ValidationError on any
-shape or type mismatch rather than guessing. Measuring processes are
-encoded only inside scenario files (see scenario.py).
+shape or type mismatch rather than guessing. Both directions work on whole
+arrays: encoding stacks the real and imaginary parts and emits one nested
+list, and decoding checks the type of every pair in one pass, then converts
+the whole entry list with a single numpy call. The first bad pair is
+reported by its index, as it would be by a pair-at-a-time decoder. Measuring
+processes are encoded only inside scenario files (see scenario.py).
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ def _require(cond: bool, message: str):
 
 def _is_number(x) -> bool:
     """A real number that converts to a float: no bool, no oversized integer."""
+    if type(x) is float:
+        return True
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         return False
     try:
@@ -36,11 +42,6 @@ def _is_number(x) -> bool:
 def _is_count(x, minimum: int = 1) -> bool:
     """An integer of at least minimum that passes _is_number."""
     return isinstance(x, numbers.Integral) and _is_number(x) and x >= minimum
-
-
-def _pair(z) -> list:
-    z = complex(z)
-    return [float(z.real), float(z.imag)]
 
 
 def _from_pair(entry, where: str) -> complex:
@@ -56,6 +57,19 @@ def _from_pair(entry, where: str) -> complex:
     return complex(re, im)
 
 
+def _complex_entries(entries: list, where: str) -> np.ndarray:
+    """entries, a list of [re, im] pairs, as a complex vector; finiteness is the caller's check."""
+    for i, e in enumerate(entries):
+        if not (isinstance(e, (list, tuple)) and len(e) == 2
+                and _is_number(e[0]) and _is_number(e[1])):
+            _from_pair(e, f"{where}[{i}]")
+    return np.array(entries, dtype=float).view(complex).ravel()
+
+
+def _pairs(a: np.ndarray) -> list:
+    return np.stack([a.real, a.imag], -1).reshape(-1, 2).tolist()
+
+
 def matrix_to_json(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=complex)
     _require(a.ndim == 2, f"expected a matrix, got ndim {a.ndim}")
@@ -63,7 +77,7 @@ def matrix_to_json(a: np.ndarray) -> dict:
     return {
         "rows": int(rows),
         "cols": int(cols),
-        "entries": [_pair(z) for z in a.ravel(order="C")],
+        "entries": _pairs(a),
     }
 
 
@@ -81,26 +95,22 @@ def matrix_from_json(data, where: str = "matrix") -> np.ndarray:
         f"{where}: expected {rows * cols} entries for a {rows}x{cols} matrix, "
         f"got {len(entries)}",
     )
-    flat = [_from_pair(e, f"{where}.entries[{i}]") for i, e in enumerate(entries)]
-    out = np.array(flat, dtype=complex).reshape(rows, cols)
-    _require(bool(np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))),
-             f"{where}: entries must be finite")
+    out = _complex_entries(entries, f"{where}.entries").reshape(rows, cols)
+    _require(bool(np.isfinite(out).all()), f"{where}: entries must be finite")
     return out
 
 
 def state_to_json(psi: np.ndarray) -> list:
     psi = np.asarray(psi, dtype=complex)
     _require(psi.ndim == 1, f"expected a state vector, got ndim {psi.ndim}")
-    return [_pair(z) for z in psi]
+    return _pairs(psi)
 
 
 def state_from_json(data, where: str = "state") -> np.ndarray:
     _require(isinstance(data, list) and len(data) >= 1,
              f"{where}: expected a non-empty list of [re, im] pairs")
-    flat = [_from_pair(e, f"{where}[{i}]") for i, e in enumerate(data)]
-    out = np.array(flat, dtype=complex)
-    _require(bool(np.all(np.isfinite(out.real)) and np.all(np.isfinite(out.imag))),
-             f"{where}: amplitudes must be finite")
+    out = _complex_entries(data, where)
+    _require(bool(np.isfinite(out).all()), f"{where}: amplitudes must be finite")
     return out
 
 

@@ -424,6 +424,27 @@ def test_n_samples_at_the_cap_is_valid(capsys, tmp_path):
     assert code == 0 and out.startswith("valid:")
 
 
+@pytest.mark.parametrize(
+    "field,bad,message",
+    [
+        ("matrix", [0.0, "1.0"], "observable.hermitian_matrix.entries[1]: entries of a "
+                                 "[re, im] pair must be numbers, got [0.0, '1.0']"),
+        ("state", True, "system.state[1]: expected a [re, im] pair, got True"),
+    ],
+)
+def test_bad_complex_entry_exits_2(capsys, tmp_path, field, bad, message):
+    doc = scenario_to_json(PLUS, PAULI_Z, [von_neumann_model(SIGMA_Z_PVM)], "induce")
+    if field == "matrix":
+        doc["observable"]["hermitian_matrix"]["entries"][1] = bad
+    else:
+        doc["system"]["state"][1] = bad
+    path = _write(tmp_path, doc)
+    for command in ("validate", "run"):
+        code, _, err = _run(capsys, command, path)
+        assert code == 2, command
+        assert err == f"error: {message}\n"
+
+
 def test_console_script_end_to_end():
     proc = subprocess.run(
         [sys.executable, "-m", "qmeasure", "run", str(OIT_SCENARIO)],

@@ -1,4 +1,5 @@
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,66 @@ def test_sampling_converges_to_the_joint_table():
 def test_sample_count_gate():
     with pytest.raises(ValidationError):
         sample_outcomes(_accurate_z_scenario(PLUS), 0, seed=1)
+
+
+def _pointer_pair(labels, psi):
+    pvm = pvm_from_observable(np.diag(labels))
+    return compose(np.asarray(psi, dtype=complex), von_neumann_model(pvm), von_neumann_model(pvm))
+
+
+# d=3: three diagonal cells. d=4 with psi = (0, 0.6, 0.8i, 0): zero cells at the
+# start, the middle and the end of the flattened table. Unsharp: no zero cells.
+SAMPLER_TABLES = {
+    "d3": lambda: _pointer_pair([-1.0, 0.0, 1.0], np.array([1.0, 2.0j, -1.5]) / np.sqrt(7.25)),
+    "d4": lambda: _pointer_pair([0.0, 1.0, 2.0, 3.0], [0.0, 0.6, 0.8j, 0.0]),
+    "unsharp": lambda: _unsharp_scenario(0.8, GROUND),
+}
+
+
+@pytest.mark.parametrize(
+    "table,seed,n,expected",
+    [
+        # recorded with the per-draw searchsorted/clip/bincount sampler
+        ("d3", 0, 1, [[0, 0, 0], [0, 1, 0], [0, 0, 0]]),
+        ("d3", 5, 65_536, [[8997, 0, 0], [0, 36263, 0], [0, 0, 20276]]),
+        ("d3", 7, 65_537, [[8944, 0, 0], [0, 36158, 0], [0, 0, 20435]]),
+        ("d3", 11, 200_003, [[27361, 0, 0], [0, 110387, 0], [0, 0, 62255]]),
+        ("d4", 0, 1, [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]),
+        ("d4", 5, 65_536, [[0, 0, 0, 0], [0, 23481, 0, 0], [0, 0, 42055, 0], [0, 0, 0, 0]]),
+        ("d4", 7, 65_537, [[0, 0, 0, 0], [0, 23635, 0, 0], [0, 0, 41902, 0], [0, 0, 0, 0]]),
+        ("d4", 11, 200_003, [[0, 0, 0, 0], [0, 71877, 0, 0], [0, 0, 128126, 0], [0, 0, 0, 0]]),
+        ("unsharp", 0, 1, [[0, 0], [0, 1]]),
+        ("unsharp", 5, 65_536, [[701, 5875], [5818, 53142]]),
+        ("unsharp", 7, 65_537, [[642, 5846], [5923, 53126]]),
+        ("unsharp", 11, 200_003, [[1994, 17730], [18005, 162274]]),
+    ],
+)
+def test_sample_counts_match_the_recorded_counts(table, seed, n, expected):
+    js = SAMPLER_TABLES[table]()
+    result = sample_outcomes(js, n, seed)
+    assert result.counts.tolist() == expected
+    assert not result.counts[result.analytic.probabilities == 0.0].any()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000])
+def test_sample_counts_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    js = SAMPLER_TABLES["unsharp"]()
+    expected = sample_outcomes(js, 2_500, seed=13).counts
+    monkeypatch.setattr(intersubjectivity, "SAMPLE_CHUNK", chunk)
+    assert np.array_equal(sample_outcomes(js, 2_500, seed=13).counts, expected)
+
+
+def test_sampling_memory_is_bounded_by_the_chunk():
+    js = SAMPLER_TABLES["d3"]()
+    tracemalloc.start()
+    try:
+        result = sample_outcomes(js, 10**6, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.counts.sum() == 10**6
+    # one chunk of draws is 0.5 MB; all 10^6 draws at once would be 8 MB
+    assert peak < 4 * 2**20
 
 
 def test_joint_distribution_invariant_gates():

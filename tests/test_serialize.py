@@ -69,6 +69,66 @@ def test_state_round_trip_and_strictness():
         state_from_json("not a state")
 
 
+# A bad value at index 1 of a matrix's entries or a state's amplitudes, with
+# the message it raises; the messages were recorded with the pair-at-a-time decoder.
+_NOT_A_PAIR = "{where}[1]: expected a [re, im] pair, got {bad!r}"
+_NOT_NUMBERS = "{where}[1]: entries of a [re, im] pair must be numbers, got {bad!r}"
+BAD_ENTRIES = [
+    (True, _NOT_A_PAIR),
+    ("1.0", _NOT_A_PAIR),
+    (None, _NOT_A_PAIR),
+    ([[1, 2]], _NOT_A_PAIR),
+    ([1.0, 0.0, 0.0], _NOT_A_PAIR),
+    ({}, _NOT_A_PAIR),
+    ([True, 0.0], _NOT_NUMBERS),
+    ([0.0, "1.0"], _NOT_NUMBERS),
+    ([0.0, None], _NOT_NUMBERS),
+    ([10**400, 0.0], _NOT_NUMBERS),
+    ([float("nan"), 0.0], "{finite}"),
+    ([0.0, float("inf")], "{finite}"),
+    ([float("-inf"), 0.0], "{finite}"),
+]
+
+
+@pytest.mark.parametrize("bad,template", BAD_ENTRIES)
+def test_bad_matrix_entry_message(bad, template):
+    doc = matrix_to_json(np.eye(2))
+    doc["entries"][1] = bad
+    where = "observable.hermitian_matrix"
+    expected = template.format(where=f"{where}.entries", bad=bad,
+                               finite=f"{where}: entries must be finite")
+    with pytest.raises(ValidationError) as info:
+        matrix_from_json(doc, where)
+    assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("bad,template", BAD_ENTRIES)
+def test_bad_state_amplitude_message(bad, template):
+    expected = template.format(where="system.state", bad=bad,
+                               finite="system.state: amplitudes must be finite")
+    with pytest.raises(ValidationError) as info:
+        state_from_json([[1.0, 0.0], bad], "system.state")
+    assert str(info.value) == expected
+
+
+def test_decoders_accept_numpy_scalars_ints_and_tuples():
+    entries = [(1, 2), [np.float64(0.5), np.int64(3)], [2**60, -0.0], (np.float32(0.1), 1)]
+    expected = [1 + 2j, 0.5 + 3j, complex(2**60, -0.0), complex(np.float32(0.1), 1)]
+    state = state_from_json(entries)
+    matrix = matrix_from_json({"rows": 2, "cols": 2, "entries": entries})
+    assert state.tolist() == expected and matrix.ravel().tolist() == expected
+    assert np.signbit(state[2].imag) and np.signbit(matrix[1, 0].imag)
+
+
+def test_encoders_write_the_complex_parts_of_each_entry():
+    a = np.array([[complex(1.0, -0.0), complex(-0.0, 2.5)],
+                  [complex(-1e-310, -0.0), complex(3.0, 0.0)]])
+    assert json.dumps(matrix_to_json(a)["entries"]) == (
+        "[[1.0, -0.0], [-0.0, 2.5], [-1e-310, -0.0], [3.0, 0.0]]"
+    )
+    assert json.dumps(state_to_json(a[1])) == "[[-1e-310, -0.0], [3.0, 0.0]]"
+
+
 def test_pvm_round_trip():
     pvm = random_pvm(np.random.default_rng(1), 3, 2)
     back = pvm_from_json(json.loads(json.dumps(pvm_to_json(pvm))))
