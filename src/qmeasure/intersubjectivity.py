@@ -35,6 +35,7 @@ from .errors import (
 from .linalg import _check_dim, _frozen, as_state, max_abs
 from .measurement import REPRO_TOL, MeasurementProcess, _compare, _pinch, evolve_meter
 from .observables import LABEL_TOL, Pvm, _checked_probabilities
+from .serialize import _is_count
 
 COMMUTATION_TOL = 1e-8  # default locality decision tolerance
 OIT_TOL = 1e-9          # default intersubjectivity decision tolerance
@@ -132,15 +133,23 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess) -> 
     """Compose two processes sharing the system into one scenario on H x K1 x K2.
 
     Process1's interaction acts on H and K1, process2's on H and K2. Each
-    meter is evolved by its own interaction and kept on its own factor. A
+    meter is evolved by its own interaction and kept on its own factor; when
+    process2 is process1 it is evolved once and both sides share it. A
     compound dimension over linalg.MAX_DIM raises DimensionError before
     either meter is evolved.
 
     commutator_bound decides locality later, at any tolerance. With each
     side's blocks (see _blocks) stacked as the rows of X = U S Q and
     Y = V T R (SVDs), sum_kl ||[X_k, Y_l]||_F^2 = sum_ij s_i^2 t_j^2
-    ||[Q_i, R_j]||_F^2, each [Q_i, R_j] formed directly. Its square root plus
-    4 (d + 1) eps (above the exact loop's rounding) bounds max_commutator_norm.
+    ||[Q_i, R_j]||_F^2. Only the components above numpy's rank tolerance
+    (see _block_span) are kept, and each kept [Q_i, R_j] is formed directly.
+    Every ||[Q_i, R_j]||_F is at most 2, so the dropped components, of
+    squared mass S_drop and T_drop, add at most
+    4 (S_drop (T_kept + T_drop) + S_kept T_drop) to the sum; that term is
+    added, so the bound holds whatever was dropped. A pointer model's blocks
+    span d of the d^2 directions, so its tensor has d^4 entries, not d^6.
+    The square root plus 4 (d + 1) eps (above the exact loop's rounding)
+    bounds max_commutator_norm.
     """
     psi = as_state(psi)
     d_sys = psi.shape[0]
@@ -151,13 +160,18 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess) -> 
         )
     _check_dim(process1.total_dim * process2.apparatus_dim)
     evolved1 = evolve_meter(process1)
-    evolved2 = evolve_meter(process2)
-    s, q = _block_span(evolved1, d_sys)
-    t, r = _block_span(evolved2, d_sys)
+    s, q, s_drop = _block_span(evolved1, d_sys)
+    if process2 is process1:
+        evolved2, t, r, t_drop = evolved1, s, q, s_drop
+    else:
+        evolved2 = evolve_meter(process2)
+        t, r, t_drop = _block_span(evolved2, d_sys)
     qr = np.tensordot(q, r, axes=(2, 1))  # [i, a, j, c] = (q[i] r[j])[a, c]
     rq = np.tensordot(r, q, axes=(2, 1))  # [j, a, i, c] = (r[j] q[i])[a, c]
     comm = qr - rq.transpose(2, 1, 0, 3)  # [i, a, j, c] = [q[i], r[j]][a, c]
-    squared = s**2 @ (comm.real**2 + comm.imag**2).sum(axis=(1, 3)) @ t**2
+    s2, t2 = s**2, t**2
+    squared = s2 @ (comm.real**2 + comm.imag**2).sum(axis=(1, 3)) @ t2
+    squared += 4 * (s_drop * (t2.sum() + t_drop) + s2.sum() * t_drop)
     return JointScenario(
         psi=_frozen(psi.copy()),
         process1=process1,
@@ -169,10 +183,17 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess) -> 
 
 
 def _block_span(evolved: Pvm, d_sys: int):
-    """Singular values s and d_sys x d_sys right singular vectors Q of all blocks stacked."""
+    """The span of all blocks stacked: singular values s, right singular vectors Q, dropped mass.
+
+    Only the components above numpy's rank tolerance, s_max * max(rows, d_sys^2)
+    * eps, are kept, each with its d_sys x d_sys right singular vector; the
+    third value is the dropped squared mass, sum s_i^2 over the rest.
+    """
     stacked = np.concatenate([_blocks(p, d_sys) for p in evolved.projectors])
-    _, s, q = np.linalg.svd(stacked.reshape(-1, d_sys * d_sys), full_matrices=False)
-    return s, q.reshape(-1, d_sys, d_sys)
+    stacked = stacked.reshape(-1, d_sys * d_sys)
+    _, s, q = np.linalg.svd(stacked, full_matrices=False)
+    keep = s > s[0] * max(stacked.shape) * np.finfo(float).eps
+    return s[keep], q[keep].reshape(-1, d_sys, d_sys), float(np.sum(s[~keep] ** 2))
 
 
 def _blocks(projector: np.ndarray, d_sys: int) -> np.ndarray:
@@ -256,7 +277,8 @@ def verify_oit(
     """Check that joint accurate measurements of one observable always agree.
 
     Both processes must reproduce the observable's statistics (their induced
-    POVMs must equal its PVM within reproducibility_tol); otherwise
+    POVMs must equal its PVM within reproducibility_tol; a process shared by
+    both sides is checked once); otherwise
     PreconditionError is raised and agreement_probability is the meaningful
     quantity instead. The meters must commute within commutation_tol, or
     NonCommutingMetersError is raised. The report compares the joint table
@@ -264,10 +286,10 @@ def verify_oit(
     P(x, x) = ||E(x) psi||^2, and is intersubjective when both deviations
     are at most tol. Labels are matched within the constant LABEL_TOL.
     """
-    for name, process, evolved in (
-        ("process1", scenario.process1, scenario.evolved1),
-        ("process2", scenario.process2, scenario.evolved2),
-    ):
+    sides = [("process1", scenario.process1, scenario.evolved1)]
+    if scenario.process2 is not scenario.process1:
+        sides.append(("process2", scenario.process2, scenario.evolved2))
+    for name, process, evolved in sides:
         report = _compare(_pinch(evolved, process.apparatus_state), observable,
                           reproducibility_tol)
         if not report.reproducible:
@@ -323,9 +345,9 @@ def sample_outcomes(
     and memory is bounded by the chunk, not by n. Cells with zero analytic
     probability are never drawn.
     """
+    if not _is_count(n):
+        raise ValidationError(f"sample count must be an integer >= 1, got {n!r}")
     n = int(n)
-    if n < 1:
-        raise ValidationError(f"sample count must be >= 1, got {n}")
     dist = joint_distribution(scenario, commutation_tol)
     edges = np.cumsum(dist.probabilities.ravel())[:-1]
     rng = np.random.default_rng(seed)

@@ -89,14 +89,18 @@ def is_hermitian(a) -> bool:
     return max_abs(a - a.conj().T) <= OP_TOL
 
 
+# Finite entries near the float maximum overflow in the products below. The
+# inf or nan residue fails the <= OP_TOL test, so numpy's warning is silenced.
 def is_unitary(a) -> bool:
     a = _square(a)
-    return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= OP_TOL
+    with np.errstate(over="ignore", invalid="ignore"):
+        return max_abs(a.conj().T @ a - np.eye(a.shape[0])) <= OP_TOL
 
 
 def is_projector(a) -> bool:
     a = _square(a)
-    return is_hermitian(a) and max_abs(a @ a - a) <= OP_TOL
+    with np.errstate(over="ignore", invalid="ignore"):
+        return is_hermitian(a) and max_abs(a @ a - a) <= OP_TOL
 
 
 def psd_sqrt(a) -> np.ndarray:

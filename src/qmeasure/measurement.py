@@ -87,12 +87,20 @@ class ReproducibilityReport:
 
 
 def evolve_meter(process: MeasurementProcess) -> Pvm:
-    """Heisenberg-evolved meter: E(x) = U^dag (I x E_M(x)) U on system x apparatus."""
-    u = process.interaction
-    eye_sys = np.eye(process.system_dim, dtype=complex)
+    """Heisenberg-evolved meter: E(x) = U^dag (I x E_M(x)) U on system x apparatus.
+
+    With the columns of W_x an orthonormal basis of E_M(x)'s range (its
+    eigenvectors of eigenvalue above 1/2), I x E_M(x) = (I x W_x)(I x W_x^dag),
+    so E(x) = G^dag G with G = (I x W_x^dag) U, one (d rank_x) x D slice
+    of U's rows per outcome; no D x D operator on the apparatus side is built.
+    """
+    d, k = process.system_dim, process.apparatus_dim
+    rows = process.interaction.reshape(d, k, -1)  # [i, a, :] = row (i, a) of U
     projectors = []
     for p in process.meter.projectors:
-        evolved = u.conj().T @ tensor(eye_sys, p) @ u
+        w, vecs = np.linalg.eigh(p)
+        g = np.einsum("ar,iaz->irz", vecs[:, w > 0.5].conj(), rows).reshape(-1, d * k)
+        evolved = g.conj().T @ g
         projectors.append((evolved + evolved.conj().T) / 2)
     return _derived(Pvm, process.meter.outcomes, projectors, process.total_dim)
 

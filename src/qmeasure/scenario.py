@@ -188,7 +188,13 @@ def _build_observable(data, dim: int, cluster_tol: float) -> ObservableSpec:
     return ObservableSpec(kind=kind, povm=povm, pvm=_maybe_pvm(povm))
 
 
-def _build_process(entry, index: int, observable: ObservableSpec, system_dim: int):
+def _build_process(entry, index: int, observable: ObservableSpec, system_dim: int,
+                   derived: dict):
+    """One checked process and its model name.
+
+    derived maps a derived model's name to the process already built for it
+    from this observable, which is returned again instead of a new one.
+    """
     where = f"processes[{index}]"
     _require(isinstance(entry, dict), f"{where}: expected an object")
     _require("model" in entry, f"{where}: missing field 'model'")
@@ -199,10 +205,14 @@ def _build_process(entry, index: int, observable: ObservableSpec, system_dim: in
             observable.pvm is not None,
             f"{where}: the von_neumann model needs a projective observable",
         )
-        return von_neumann_model(observable.pvm), model
+        if model not in derived:
+            derived[model] = von_neumann_model(observable.pvm)
+        return derived[model], model
     if model == "dilation":
         _check_keys(entry, ("model",), ("model",), where)
-        return dilation_model(observable.povm), model
+        if model not in derived:
+            derived[model] = dilation_model(observable.povm)
+        return derived[model], model
     if model == "custom":
         fields = ("model", "apparatus_dim", "xi", "unitary", "meter")
         _check_keys(entry, fields, fields, where)
@@ -250,6 +260,10 @@ def _build_tolerances(data) -> dict:
 
 def load_scenario(data) -> Scenario:
     """Build and invariant-check every object a scenario file declares.
+
+    A von_neumann or dilation model is built once per scenario, and both
+    entries of such a pair hold that one process; custom entries are built
+    and checked one by one.
 
     Each process's H x K and, for two-process experiments, the compound
     H x K1 x K2 must fit linalg.MAX_DIM, the cap compose applies; a model
@@ -300,7 +314,9 @@ def load_scenario(data) -> Scenario:
         f"processes: the {experiment} experiment needs exactly {needed} "
         f"process(es), got {len(entries)}",
     )
-    built = [_build_process(entry, i, observable, dim) for i, entry in enumerate(entries)]
+    derived = {}
+    built = [_build_process(entry, i, observable, dim, derived)
+             for i, entry in enumerate(entries)]
     processes = tuple(p for p, _ in built)
     models = tuple(m for _, m in built)
     if needed == 2:
@@ -471,8 +487,9 @@ def sweep_agreement(scenario: Scenario, etas):
         observable = _build_observable(
             {"unsharp": {"eta": float(eta)}}, scenario.system_dim, scenario.tolerances["cluster"]
         )
+        derived = {}
         p1, p2 = (
-            _build_process({"model": model}, i, observable, scenario.system_dim)[0]
+            _build_process({"model": model}, i, observable, scenario.system_dim, derived)[0]
             for i, model in enumerate(scenario.models)
         )
         joint = compose(scenario.psi, p1, p2)

@@ -81,6 +81,12 @@ def random_process(rng, system_dim, apparatus_dim):
     )
 
 
+def controlled_process(rng, projectors, d, k):
+    """U = sum_j P_j x V_j: every such pair's evolved meters commute."""
+    u = sum(np.kron(p, random_unitary(rng, k)) for p in projectors)
+    return MeasurementProcess(d, k, random_state(rng, k), u, pointer_meter(k))
+
+
 def recompleted(rng, process):
     """The process with its interaction completed differently.
 

@@ -120,6 +120,26 @@ def test_run_rejects_non_unitary_custom_interaction(capsys, tmp_path):
     assert "unitary" in err
 
 
+@pytest.mark.parametrize("field,message", [
+    (("unitary", "entries"), "error: interaction operator must be unitary\n"),
+    (("meter", "projectors", 0, "entries"),
+     "error: each PVM element must be an orthogonal projector\n"),
+])
+def test_entry_near_the_float_maximum_exits_2_without_a_warning(tmp_path, field, message):
+    # finite, so it passes the number checks, but its square overflows in the operator checks
+    doc = scenario_to_json(GROUND, SIGMA_Z_PVM, [von_neumann_model(SIGMA_Z_PVM)], "induce")
+    node = doc["processes"][0]
+    for key in field:
+        node = node[key]
+    node[0] = [1e300, 0.0]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmeasure", "validate", str(_write(tmp_path, doc))],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == message
+
+
 def test_run_missing_file_and_malformed_json(capsys, tmp_path):
     code, _, _ = _run(capsys, "run", tmp_path / "absent.json")
     assert code == 2

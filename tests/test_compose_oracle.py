@@ -10,27 +10,27 @@ commutator_bound must lie above that norm and decide locality as it does.
 import functools
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (
-    pointer_meter,
+    controlled_process,
     random_hermitian_with_outcomes,
     random_process,
     random_pvm,
     random_state,
-    random_unitary,
 )
 from qmeasure import (
     PAULI_X,
     PAULI_Z,
     JointScenario,
-    MeasurementProcess,
     NonCommutingMetersError,
     compose,
     dilation_model,
     evolve_meter,
+    intersubjectivity,
     joint_distribution,
     pvm_from_observable,
     scenario_to_json,
@@ -38,7 +38,7 @@ from qmeasure import (
     von_neumann_model,
 )
 from qmeasure.cli import main
-from qmeasure.intersubjectivity import COMMUTATION_TOL, _commutator_norm
+from qmeasure.intersubjectivity import COMMUTATION_TOL, _block_span, _commutator_norm
 
 SIGMA_Z_PVM = pvm_from_observable(PAULI_Z)
 SIGMA_X_PVM = pvm_from_observable(PAULI_X)
@@ -57,12 +57,6 @@ def dense(op, d, k_own, k_other, own_first):
         full = full.transpose(0, 2, 1, 3, 5, 4)
     size = d * k_own * k_other
     return full.reshape(size, size)
-
-
-def controlled_process(rng, projectors, d, k):
-    """U = sum_j P_j x V_j: every such pair's evolved meters commute."""
-    u = sum(np.kron(p, random_unitary(rng, k)) for p in projectors)
-    return MeasurementProcess(d, k, random_state(rng, k), u, pointer_meter(k))
 
 
 def dense_reference(psi, p1, p2):
@@ -129,6 +123,74 @@ def test_commutator_bound_of_unsharp_dilations(eta):
     worst, _ = dense_reference(GROUND, p1, p2)
     assert_bound_decides_like_the_oracle(js, worst)
     assert js.commutator_bound <= COMMUTATION_TOL
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_truncated_bound_of_pointer_models(d):
+    # a pointer model's blocks span only its n eigenprojectors, n <= d of the
+    # d^2 directions, so compose drops the rest of each span and adds their term
+    rng = np.random.default_rng(600 + d)
+    for n in sorted({1, max(1, d // 2), d}):  # degenerate PVMs first
+        pvm = random_pvm(rng, d, n)
+        p, p_copy = von_neumann_model(pvm), von_neumann_model(pvm)
+        psi = random_state(rng, d)
+        kept, _, dropped = _block_span(evolve_meter(p), d)
+        assert len(kept) == n
+        assert dropped < 1e-20  # rounding residue only
+        for other in (p, p_copy):  # shared process, then a distinct equal one
+            js = compose(psi, p, other)
+            worst, table = dense_reference(psi, p, other)
+            assert_bound_decides_like_the_oracle(js, worst)
+            assert js.commutator_bound <= 1e3 * d * np.finfo(float).eps
+            got = joint_distribution(js).probabilities
+            assert np.max(np.abs(got - table)) <= AGREE_TOL
+
+
+def test_truncated_bound_of_incompatible_pointer_models():
+    p1, p2 = von_neumann_model(SIGMA_Z_PVM), von_neumann_model(SIGMA_X_PVM)
+    js = compose(PLUS, p1, p2)
+    worst, _ = dense_reference(PLUS, p1, p2)
+    assert worst == pytest.approx(0.5, abs=AGREE_TOL)
+    assert js.commutator_bound >= 0.5
+    assert_bound_decides_like_the_oracle(js, worst)
+
+
+@pytest.mark.parametrize("kept", [0, 1, 2])
+def test_bound_holds_whatever_the_span_drops(monkeypatch, kept):
+    # the threshold only decides how much mass goes into the certified term
+    span = intersubjectivity._block_span
+
+    def coarser(evolved, d_sys):
+        s, q, dropped = span(evolved, d_sys)
+        return s[:kept], q[:kept], dropped + float(np.sum(s[kept:] ** 2))
+
+    monkeypatch.setattr(intersubjectivity, "_block_span", coarser)
+    rng = np.random.default_rng(700 + kept)
+    for d, d1, d2 in itertools.product((2, 3), repeat=3):
+        psi = random_state(rng, d)
+        projectors = random_pvm(rng, d, d).projectors
+        for p1, p2 in ((random_process(rng, d, d1), random_process(rng, d, d2)),
+                       (controlled_process(rng, projectors, d, d1),
+                        controlled_process(rng, projectors, d, d2))):
+            worst, _ = dense_reference(psi, p1, p2)
+            assert compose(psi, p1, p2).commutator_bound >= worst, (d, d1, d2)
+
+
+def test_compose_of_pointer_models_stays_below_the_full_span_tensor():
+    # the full spans (36 components a side at d = 6) made a d^6 commutator tensor of
+    # 0.75 MB per array, three at once; the truncated one has d^4 entries
+    rng = np.random.default_rng(66)
+    d = 6
+    pvm = pvm_from_observable(random_hermitian_with_outcomes(rng, d, d))
+    p1, p2, psi = von_neumann_model(pvm), von_neumann_model(pvm), random_state(rng, d)
+    compose(psi, p1, p2)  # numpy's first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        compose(psi, p1, p2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 @pytest.fixture

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    controlled_process,
     pointer_meter,
     random_hermitian_with_outcomes,
     random_labels,
     random_povm,
+    random_pvm,
     random_state,
     random_unitary,
 )
@@ -32,11 +34,13 @@ from qmeasure import (
     induced_povm,
     intersubjectivity,
     joint_distribution,
+    load_scenario,
     load_scenario_file,
     measurement,
     pvm_from_observable,
     run_experiment,
     sample_outcomes,
+    scenario_to_json,
     table_agreement,
     unsharp_qubit_povm,
     verify_oit,
@@ -48,6 +52,7 @@ SIGMA_Z_PVM = pvm_from_observable(PAULI_Z)
 SIGMA_X_PVM = pvm_from_observable(PAULI_X)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 GROUND = np.array([1, 0], dtype=complex)
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 
 
 def _accurate_z_scenario(psi):
@@ -103,21 +108,40 @@ def test_oit_run_checks_only_the_observable_as_a_pvm(monkeypatch):
 
 
 def test_oit_run_evolves_each_meter_once(monkeypatch):
-    evolved = []
-    original = measurement.evolve_meter
+    evolved, pinched = [], []
+    original, pinch = measurement.evolve_meter, intersubjectivity._pinch
 
     def counting(process):
         evolved.append(process)
         return original(process)
 
+    def counting_pinch(meter, xi):
+        pinched.append(meter)
+        return pinch(meter, xi)
+
     # compose and induced_povm look the function up in their own modules
     for module in (intersubjectivity, measurement):
         monkeypatch.setattr(module, "evolve_meter", counting)
-    scenario = load_scenario_file(
-        pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "oit_sigma_z.json"
-    )
-    assert run_experiment(scenario)["results"]["intersubjective"] is True
-    assert evolved == list(scenario.processes)
+    monkeypatch.setattr(intersubjectivity, "_pinch", counting_pinch)
+    root = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+    oit = load_scenario_file(root / "oit_sigma_z.json")
+    joint = load_scenario_file(root / "unsharp_eta08.json")
+    custom = load_scenario(scenario_to_json(PLUS, SIGMA_Z_PVM, oit.processes, "oit"))
+    # a von_neumann or dilation pair is one process shared by both observers;
+    # custom entries are built one by one
+    assert oit.processes[0] is oit.processes[1]
+    assert joint.processes[0] is joint.processes[1]
+    assert custom.processes[0] is not custom.processes[1]
+    for scenario, distinct in ((oit, 1), (joint, 1), (custom, 2)):
+        evolved.clear()
+        pinched.clear()
+        report = run_experiment(scenario)
+        assert report["diagnostics"]["commuting"] is True
+        assert len(evolved) == len({id(p) for p in evolved}) == distinct
+        assert {id(p) for p in evolved} == {id(p) for p in scenario.processes}
+        # verify_oit checks reproducibility once per distinct process
+        assert len(pinched) == (distinct if scenario.experiment == "oit" else 0)
+    assert report["results"]["intersubjective"] is True
 
 
 def test_compose_incompatible_observables_flagged_not_local():
@@ -175,13 +199,27 @@ def test_joint_distribution_marginals_match_induced_povms():
         assert dist.marginal2() == pytest.approx(born2.probabilities, abs=1e-9)
 
 
+def _swapped_pairs():
+    """(psi, p1, p2): a pointer/dilation pair, a recorded custom pair, random controlled pairs."""
+    yield (np.array([0.6, 0.8j], dtype=complex), von_neumann_model(SIGMA_Z_PVM),
+           dilation_model(unsharp_qubit_povm(0.7)))
+    recorded = load_scenario_file(DATA / "joint_unequal_apparatus_d3.json")
+    yield (recorded.psi, *recorded.processes)
+    rng = np.random.default_rng(91)
+    for d in range(1, 5):
+        for _ in range(3):
+            projectors = random_pvm(rng, d, int(rng.integers(1, d + 1))).projectors
+            k1, k2 = rng.integers(1, 5, size=2)
+            yield (random_state(rng, d), controlled_process(rng, projectors, d, int(k1)),
+                   controlled_process(rng, projectors, d, int(k2)))
+
+
 def test_swap_symmetry_transposes_the_table():
-    p1 = von_neumann_model(SIGMA_Z_PVM)
-    p2 = dilation_model(unsharp_qubit_povm(0.7))
-    psi = np.array([0.6, 0.8j], dtype=complex)
-    table12 = joint_distribution(compose(psi, p1, p2)).probabilities
-    table21 = joint_distribution(compose(psi, p2, p1)).probabilities
-    assert np.abs(table12 - table21.T).max() < 1e-10
+    for psi, p1, p2 in _swapped_pairs():
+        dist12 = joint_distribution(compose(psi, p1, p2))
+        dist21 = joint_distribution(compose(psi, p2, p1))
+        assert (dist12.outcomes1, dist12.outcomes2) == (dist21.outcomes2, dist21.outcomes1)
+        assert np.abs(dist12.probabilities - dist21.probabilities.T).max() <= 1e-12
 
 
 def _rotated_diagonal_povms(rng, dim, k):
@@ -336,6 +374,18 @@ def test_sampling_converges_to_the_joint_table():
 def test_sample_count_gate():
     with pytest.raises(ValidationError):
         sample_outcomes(_accurate_z_scenario(PLUS), 0, seed=1)
+
+
+@pytest.mark.parametrize("n", [2.9, 3.0, True, "3", np.float64(3.0)])
+def test_sample_count_must_be_an_integer(n):
+    # the loader's rule: a count is an integer, never truncated from a float or a bool
+    with pytest.raises(ValidationError, match="sample count must be an integer >= 1"):
+        sample_outcomes(_accurate_z_scenario(PLUS), n, seed=1)
+
+
+def test_sample_count_accepts_numpy_integers():
+    result = sample_outcomes(_accurate_z_scenario(PLUS), np.int64(3), seed=1)
+    assert result.counts.sum() == 3
 
 
 def _pointer_pair(labels, psi):
