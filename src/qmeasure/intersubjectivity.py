@@ -15,8 +15,10 @@ from the joint table for Monte Carlo checks. The verdict and the sampler
 both return the joint table they used.
 
 The three tolerances a scenario sets (commutation, reproducibility, oit)
-are parameters here; outcome labels are matched within the constant
-LABEL_TOL, the separation every observable's labels already keep.
+are parameters here. The other rules are the ones observables keeps: two
+labels agree when observables._label_pairs pairs them (one to one, within
+LABEL_TOL), and a joint table is a probability within PROB_TOL; a table
+that is not means the meters do not commute on this state.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ from .errors import (
 )
 from .linalg import _check_dim, _frozen, as_state, max_abs
 from .measurement import REPRO_TOL, MeasurementProcess, _compare, _pinch, evolve_meter
-from .observables import LABEL_TOL, Pvm, _checked_probabilities
+from .observables import PROB_TOL, Pvm, _checked_probabilities, _label_pairs
 from .serialize import _is_count
 
 COMMUTATION_TOL = 1e-8  # default locality decision tolerance
 OIT_TOL = 1e-9          # default intersubjectivity decision tolerance
 SAMPLE_CHUNK = 2**16    # draws held at once by sample_outcomes
-JOINT_IMAG_TOL = 1e-10  # largest imaginary residue tolerated in a joint probability
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +216,10 @@ def joint_distribution(
 
     Raises NonCommutingMetersError when max_commutator_norm exceeds
     commutation_tol; the product of non-commuting projectors is not a
-    probability.
+    probability. It is raised too when the table is not a probability
+    within PROB_TOL, an imaginary residue or an entry below -PROB_TOL: since
+    Im P(x, y) = <Psi|[E1(x), E2(y)]|Psi> / 2i and commuting projectors give
+    P >= 0, either means the meters do not commute on this state.
     """
     norm = _commutator_norm(scenario, commutation_tol)
     if not norm <= commutation_tol:
@@ -223,19 +227,24 @@ def joint_distribution(
             f"evolved meters do not commute (max commutator norm "
             f"{norm:.3e} > {commutation_tol})"
         )
-    d = scenario.psi.shape[0]
     p1, p2 = scenario.process1, scenario.process2
-    d1, d2 = p1.apparatus_dim, p2.apparatus_dim
     # the product state psi x xi1 x xi2 as a (d, d1, d2) tensor
     state = np.einsum("i,a,b->iab", scenario.psi, p1.apparatus_state, p2.apparatus_state)
-    e1 = np.array(scenario.evolved1.projectors).reshape(-1, d, d1, d, d1)
-    e2 = np.array(scenario.evolved2.projectors).reshape(-1, d, d2, d, d2)
-    left = np.einsum("xiajc,jcb->xiab", e1, state)   # E1(x) Psi
-    right = np.einsum("yibje,jae->yiab", e2, state)  # E2(y) Psi
-    table = np.einsum("xiab,yiab->xy", left.conj(), right)
+    d, d1, d2 = state.shape
+    e1 = np.array(scenario.evolved1.projectors)
+    e2 = np.array(scenario.evolved2.projectors)
+    left = e1 @ state.reshape(d * d1, d2)  # [x, (i, a), b] = (E1(x) Psi)[i, a, b]
+    right = e2 @ state.transpose(0, 2, 1).reshape(d * d2, d1)  # [y, (i, b), a]
+    right = right.reshape(-1, d, d2, d1).transpose(0, 1, 3, 2)  # [y, i, a, b]
+    table = left.conj().reshape(len(e1), -1) @ right.reshape(len(e2), -1).T
     residue = max_abs(table.imag)
-    if residue > JOINT_IMAG_TOL:
-        raise ValidationError(f"joint probability has imaginary residue {residue!r}")
+    lowest = float(table.real.min())
+    if residue > PROB_TOL or lowest < -PROB_TOL:
+        raise NonCommutingMetersError(
+            f"evolved meters do not commute on this state: the joint table has "
+            f"imaginary residue {residue:.3e} and lowest entry {lowest:.3e}, "
+            f"beyond {PROB_TOL}"
+        )
     return JointDistribution(scenario.evolved1.outcomes, scenario.evolved2.outcomes, table.real)
 
 
@@ -245,19 +254,10 @@ def _commutator_norm(scenario: JointScenario, commutation_tol: float) -> float:
     return bound if bound <= commutation_tol else scenario.max_commutator_norm
 
 
-def _diagonal_cells(dist: JointDistribution):
-    """Index pairs (i, j) whose outcome labels agree within LABEL_TOL."""
-    cells = []
-    for i, x in enumerate(dist.outcomes1):
-        for j, y in enumerate(dist.outcomes2):
-            if abs(x - y) <= LABEL_TOL:
-                cells.append((i, j))
-    return cells
-
-
 def table_agreement(dist: JointDistribution) -> float:
-    """Total mass on cells of a joint table whose two labels agree within LABEL_TOL."""
-    return float(sum(dist.probabilities[i, j] for i, j in _diagonal_cells(dist)))
+    """Total mass on the cells of a joint table whose labels observables._label_pairs pairs."""
+    pairs = _label_pairs(dist.outcomes1, dist.outcomes2)
+    return float(sum(dist.probabilities[i, j] for i, j in pairs))
 
 
 def agreement_probability(
@@ -284,7 +284,10 @@ def verify_oit(
     NonCommutingMetersError is raised. The report compares the joint table
     against the ideal, zero off-diagonal mass and diagonal
     P(x, x) = ||E(x) psi||^2, and is intersubjective when both deviations
-    are at most tol. Labels are matched within the constant LABEL_TOL.
+    are at most tol. Labels are paired by observables._label_pairs, as in
+    table_agreement and the reproducibility check: the diagonal cells are
+    the pairs of the table's two label sequences, and each is keyed by the
+    observable label its row pairs with.
     """
     sides = [("process1", scenario.process1, scenario.evolved1)]
     if scenario.process2 is not scenario.process1:
@@ -299,20 +302,16 @@ def verify_oit(
                 f"use agreement_probability for noisy observables"
             )
     dist = joint_distribution(scenario, commutation_tol)
-    diag_cells = _diagonal_cells(dist)
-    diagonal_mass = sum(dist.probabilities[i, j] for i, j in diag_cells)
-    off_diagonal_mass = float(dist.probabilities.sum() - diagonal_mass)
-    expected = {}
-    for x, proj in zip(observable.outcomes, observable.projectors):
-        expected[x] = float(np.linalg.norm(proj @ scenario.psi) ** 2)
+    expected = {x: float(np.linalg.norm(proj @ scenario.psi) ** 2)
+                for x, proj in zip(observable.outcomes, observable.projectors)}
+    row_label = dict(_label_pairs(dist.outcomes1, observable.outcomes))
     diagonal = {}
-    for i, j in diag_cells:
-        matches = [x for x in observable.outcomes if abs(x - dist.outcomes1[i]) <= LABEL_TOL]
-        key = matches[0] if matches else dist.outcomes1[i]
+    for i, j in _label_pairs(dist.outcomes1, dist.outcomes2):
+        key = observable.outcomes[row_label[i]] if i in row_label else dist.outcomes1[i]
         diagonal[key] = float(dist.probabilities[i, j])
-    worst = 0.0
-    for x in set(expected) | set(diagonal):
-        worst = max(worst, abs(diagonal.get(x, 0.0) - expected.get(x, 0.0)))
+    off_diagonal_mass = float(dist.probabilities.sum() - sum(diagonal.values()))
+    worst = max(abs(diagonal.get(x, 0.0) - expected.get(x, 0.0))
+                for x in set(expected) | set(diagonal))
     return OitReport(
         off_diagonal_mass=off_diagonal_mass,
         diagonal=diagonal,

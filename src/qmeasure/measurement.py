@@ -26,7 +26,7 @@ from .linalg import (
     psd_sqrt,
     tensor,
 )
-from .observables import LABEL_TOL, Povm, Pvm, _derived
+from .observables import Povm, Pvm, _derived, _label_pairs
 
 REPRO_TOL = 1e-9  # default reproducibility decision tolerance
 
@@ -122,44 +122,25 @@ def induced_povm(process: MeasurementProcess) -> Povm:
     return _pinch(evolve_meter(process), process.apparatus_state)
 
 
-def _match_labels(left, right):
-    """Pair up labels from two sorted sequences that agree within LABEL_TOL.
-
-    Returns (pairs, left_only, right_only) as index lists.
-    """
-    pairs = []
-    used_left = set()
-    used_right = set()
-    j = 0
-    for i, x in enumerate(left):
-        while j < len(right) and right[j] < x - LABEL_TOL:
-            j += 1
-        if j < len(right) and abs(right[j] - x) <= LABEL_TOL:
-            pairs.append((i, j))
-            used_left.add(i)
-            used_right.add(j)
-            j += 1
-    left_only = [i for i in range(len(left)) if i not in used_left]
-    right_only = [j for j in range(len(right)) if j not in used_right]
-    return pairs, left_only, right_only
-
-
 def _compare(induced: Povm, target: Pvm, tol: float = REPRO_TOL) -> ReproducibilityReport:
-    """check_reproducibility on an induced POVM that is already built."""
+    """check_reproducibility on an induced POVM that is already built.
+
+    Outcomes are paired by observables._label_pairs; an outcome left
+    unpaired on either side is compared against the zero operator.
+    """
     if induced.dim != target.dim:
         raise DimensionError(
             f"process system dim {induced.dim} does not match PVM dim {target.dim}"
         )
-    pairs, induced_only, target_only = _match_labels(induced.outcomes, target.outcomes)
-    per_outcome = {}
-    for i, j in pairs:
-        per_outcome[target.outcomes[j]] = max_abs(
-            induced.effects[i] - target.projectors[j]
-        )
-    for i in induced_only:
-        per_outcome[induced.outcomes[i]] = max_abs(induced.effects[i])
-    for j in target_only:
-        per_outcome[target.outcomes[j]] = max_abs(target.projectors[j])
+    pairs = _label_pairs(induced.outcomes, target.outcomes)
+    per_outcome = {target.outcomes[j]: max_abs(induced.effects[i] - target.projectors[j])
+                   for i, j in pairs}
+    sides = ((induced.outcomes, induced.effects), (target.outcomes, target.projectors))
+    for side, (labels, ops) in enumerate(sides):
+        paired = {pair[side] for pair in pairs}
+        for k, (x, op) in enumerate(zip(labels, ops)):
+            if k not in paired:
+                per_outcome[x] = max_abs(op)
     worst = max(per_outcome.values())
     return ReproducibilityReport(
         reproducible=worst <= tol,
@@ -174,11 +155,11 @@ def check_reproducibility(
 ) -> ReproducibilityReport:
     """Compare the induced POVM against the target PVM, outcome by outcome.
 
-    Outcome labels are matched within the constant LABEL_TOL, the separation
-    every observable's labels already keep; an outcome present on only one
-    side is compared against the zero operator. The process reproduces the
-    target's statistics iff the largest per-outcome operator deviation is at
-    most tol, the scenario's reproducibility tolerance.
+    Outcome labels are paired one to one within the constant LABEL_TOL, the
+    separation every observable's labels already keep; an outcome present on
+    only one side is compared against the zero operator. The process
+    reproduces the target's statistics iff the largest per-outcome operator
+    deviation is at most tol, the scenario's reproducibility tolerance.
     """
     return _compare(induced_povm(process), target, tol)
 

@@ -4,9 +4,12 @@ A Pvm is an accurate observable: outcome labels with orthogonal projectors
 that resolve the identity. A Povm is the generalized (possibly noisy)
 observable: labels with positive effects resolving the identity. Both are
 immutable; outcome labels are sorted increasing at construction and must be
-separated by more than LABEL_TOL. The public constructors check every
+separated by more than LABEL_TOL, and labels of two observables agree
+when _label_pairs pairs them. The public constructors check every
 invariant, the linalg.MAX_DIM cap included; observables the library
-derives from checked ones are built through _derived and trusted.
+derives from checked ones are built through _derived and trusted. Every
+probability the library derives is checked against the one bound PROB_TOL:
+its imaginary residue, its floor and its sum.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .linalg import (
 CLUSTER_TOL = 1e-8    # eigenvalue degeneracy merging
 LABEL_TOL = 1e-8      # outcome labels closer than this are considered duplicates
 PROB_TOL = MAX_DIM * OP_TOL  # OP_TOL per entry moves a Born weight by up to dim * OP_TOL
-BORN_IMAG_TOL = 1e-12  # largest imaginary residue tolerated in a Born probability
 
 
 def _sorted_labeled_ops(outcomes, operators, dim: int, kind: str):
@@ -60,6 +62,23 @@ def _sorted_labeled_ops(outcomes, operators, dim: int, kind: str):
                 f"{kind} outcome labels {a!r} and {b!r} are closer than {LABEL_TOL}"
             )
     return dim, tuple(labels), tuple(_frozen(p.copy()) for p in ops)
+
+
+def _label_pairs(left, right):
+    """Index pairs (i, j) of two sorted label sequences whose labels agree within LABEL_TOL.
+
+    A one-to-one merge-join: each label is paired at most once, with the
+    first unpaired label on the other side that lies within LABEL_TOL.
+    """
+    pairs = []
+    j = 0
+    for i, x in enumerate(left):
+        while j < len(right) and right[j] < x - LABEL_TOL:
+            j += 1
+        if j < len(right) and abs(right[j] - x) <= LABEL_TOL:
+            pairs.append((i, j))
+            j += 1
+    return pairs
 
 
 def _projective_defect(ops):
@@ -180,9 +199,9 @@ class OutcomeDistribution:
 
 
 def expectation(op, psi) -> float:
-    """<psi|op|psi> for Hermitian op; rejects imaginary residue above BORN_IMAG_TOL."""
+    """<psi|op|psi> for Hermitian op; rejects imaginary residue above PROB_TOL."""
     value = complex(np.vdot(psi, op @ psi))
-    if abs(value.imag) > BORN_IMAG_TOL:
+    if abs(value.imag) > PROB_TOL:
         raise ValidationError(f"expectation has imaginary residue {value.imag!r}")
     return value.real
 

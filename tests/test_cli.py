@@ -10,6 +10,7 @@ from conftest import random_povm
 from qmeasure import (
     PAULI_X,
     PAULI_Z,
+    Pvm,
     dilation_model,
     pvm_from_observable,
     pvm_to_json,
@@ -385,6 +386,18 @@ def test_sweep_unknown_param_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def _loose_joint_doc():
+    """sigma_z/sigma_x pointers on a complex state, the commutation gate opened to 1."""
+    psi = np.array([np.cos(0.3), np.exp(0.7j) * np.sin(0.3)])
+    return scenario_to_json(
+        psi,
+        SIGMA_Z_PVM,
+        [von_neumann_model(SIGMA_Z_PVM), von_neumann_model(SIGMA_X_PVM)],
+        "joint",
+        tolerances={"commutation": 1.0},
+    )
+
+
 def test_validate_and_run_accept_the_same_inputs(capsys, tmp_path):
     # shared loader: whatever validates must not be rejected by run as invalid
     cases = [OIT_SCENARIO, UNSHARP_SCENARIO,
@@ -394,6 +407,39 @@ def test_validate_and_run_accept_the_same_inputs(capsys, tmp_path):
         r_code, _, _ = _run(capsys, "run", path)
         assert v_code == 0
         assert r_code in (0, 3)
+    # the opened gate passes meters whose table has an imaginary residue of
+    # 0.09: not a probability, so the meters do not commute on this state
+    path = _write(tmp_path, _loose_joint_doc(), "loose.json")
+    assert _run(capsys, "validate", path)[0] == 0
+    code, _, err = _run(capsys, "run", path)
+    assert code == 3
+    assert "commute" in err
+
+
+def test_file_tolerance_relaxes_the_gate_as_the_tol_flag_does(capsys, tmp_path):
+    flag = _run(capsys, "run", _write(tmp_path, _noncommuting_joint_doc()), "--tol", "1.0")
+    doc = _noncommuting_joint_doc()
+    doc["params"] = {"tolerances": {"commutation": 1.0}}
+    from_file = _run(capsys, "run", _write(tmp_path, doc, "relaxed.json"))
+    assert flag[0] == from_file[0] == 0
+    assert flag[1] == from_file[1]
+
+
+def test_run_reports_oit_on_a_reproducing_pvm_with_split_labels(capsys, tmp_path):
+    # the second pointer's meter splits outcome 0 into -0.9e-8 and 0.9e-8 (the
+    # second one empty); labels pair one to one within LABEL_TOL as in reproduce
+    p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
+    observable = Pvm((0.0, 1.0), (p0, p1), 2)
+    odd = Pvm((-0.9e-8, 0.9e-8, 1.0), (p0, np.zeros((2, 2)), p1), 2)
+    doc = scenario_to_json(PLUS, observable,
+                           [von_neumann_model(observable), von_neumann_model(odd)], "oit")
+    code, out, _ = _run(capsys, "run", _write(tmp_path, doc))
+    results = json.loads(out)["results"]
+    assert code == 0
+    assert results["intersubjective"] is True
+    assert results["off_diagonal_mass"] == 0.0
+    assert results["max_diagonal_deviation"] == 0.0
+    assert results["diagonal"] == pytest.approx({"0.0": 0.5, "1.0": 0.5}, abs=1e-12)
 
 
 def _oit_doc(d):

@@ -461,3 +461,37 @@ def test_joint_distribution_clamps_rounding_noise():
     table = np.array([[0.5 + 2.5e-13, -5e-13], [0.0, 0.5 + 2.5e-13]])
     dist = JointDistribution((0.0, 1.0), (0.0, 1.0), table)
     assert dist.probabilities[0, 1] == 0.0
+
+
+def _odd_pair():
+    """sigma_z's PVM and a reproducing PVM that splits outcome 0 into -0.9e-8 and 0.9e-8."""
+    p0, p1 = np.diag([1, 0]).astype(complex), np.diag([0, 1]).astype(complex)
+    observable = Pvm((0.0, 1.0), (p0, p1), 2)
+    odd = Pvm((-0.9e-8, 0.9e-8, 1.0), (p0, np.zeros((2, 2)), p1), 2)
+    return observable, odd
+
+
+@pytest.mark.parametrize("odd_first", [False, True])
+def test_oit_pairs_labels_one_to_one_as_reproducibility_does(odd_first):
+    observable, odd = _odd_pair()
+    assert measurement.check_reproducibility(von_neumann_model(odd), observable).reproducible
+    processes = [von_neumann_model(observable), von_neumann_model(odd)]
+    if odd_first:
+        processes.reverse()
+    report = verify_oit(compose(PLUS, *processes), observable)
+    assert report.intersubjective
+    assert report.off_diagonal_mass == 0.0
+    assert report.max_diagonal_deviation == 0.0
+    assert report.diagonal == pytest.approx({0.0: 0.5, 1.0: 0.5}, abs=1e-12)
+    assert table_agreement(report.joint) == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("psi", [
+    np.array([np.cos(0.3), np.exp(0.7j) * np.sin(0.3)]),  # an imaginary residue of 0.09
+    np.array([np.cos(1.0), -np.sin(1.0)]),                # a real entry of -0.08
+])
+def test_a_table_that_is_not_a_probability_means_the_meters_do_not_commute(psi):
+    # Im P(x, y) = <Psi|[E1(x), E2(y)]|Psi> / 2i, and commuting projectors give P >= 0
+    js = compose(psi, von_neumann_model(SIGMA_Z_PVM), von_neumann_model(SIGMA_X_PVM))
+    with pytest.raises(NonCommutingMetersError, match="do not commute"):
+        joint_distribution(js, commutation_tol=1.0)

@@ -197,3 +197,12 @@ def test_observable_arrays_are_frozen():
     povm = unsharp_qubit_povm(0.5)
     with pytest.raises(ValueError):
         povm.effects[0][0, 0] = 9.0
+
+
+def test_born_povm_accepts_an_effect_hermitian_within_op_tol():
+    # Povm accepts the effect, since it is Hermitian within OP_TOL; its Born
+    # weight has an imaginary residue of 2.5e-10, within PROB_TOL
+    effect = np.array([[0.5, 5e-10], [0, 0.5]], dtype=complex)
+    povm = Povm((0.0, 1.0), (effect, np.eye(2) - effect), 2)
+    dist = born_povm(povm, np.array([1, 1j]) / np.sqrt(2))
+    assert dist.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)

@@ -20,6 +20,7 @@ from qmeasure import (
     state_from_json,
     state_to_json,
 )
+from qmeasure.scenario import DEFAULT_TOLERANCES
 
 
 def test_matrix_round_trip_complex_entries():
@@ -215,3 +216,12 @@ def test_oversized_process_is_rejected_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_scenario_tolerances_survive_the_round_trip():
+    rng = np.random.default_rng(8)
+    tolerances = {"commutation": 1.0, "oit": 1e-6, "reproducibility": 2e-9}
+    doc = scenario_to_json(random_state(rng, 2), random_pvm(rng, 2, 2),
+                           [random_process(rng, 2, 2)], "induce", tolerances=tolerances)
+    loaded = load_scenario(json.loads(json.dumps(doc)))
+    assert loaded.tolerances == {**DEFAULT_TOLERANCES, **tolerances}
