@@ -4,12 +4,14 @@ Exit codes: 0 success; 2 the scenario (or a flag) failed validation; 3 the
 scenario is well formed but the experiment's hypotheses fail (non-commuting
 meters, or a reproducibility precondition); 1 unexpected internal error.
 Reports go to standard output (or --out); diagnostics go to standard error.
+A reader that closes standard output early (`| head -1`) is not a failure: exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -103,7 +105,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # stdout to devnull, or the flush at exit fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _PRECONDITION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

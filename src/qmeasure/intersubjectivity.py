@@ -168,7 +168,8 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess) -> 
         evolved2 = evolve_meter(process2)
         t, r, t_drop = _block_span(evolved2, d_sys)
     qr = np.tensordot(q, r, axes=(2, 1))  # [i, a, j, c] = (q[i] r[j])[a, c]
-    rq = np.tensordot(r, q, axes=(2, 1))  # [j, a, i, c] = (r[j] q[i])[a, c]
+    # [j, a, i, c] = (r[j] q[i])[a, c], which is qr itself when r is q
+    rq = qr if process2 is process1 else np.tensordot(r, q, axes=(2, 1))
     comm = qr - rq.transpose(2, 1, 0, 3)  # [i, a, j, c] = [q[i], r[j]][a, c]
     s2, t2 = s**2, t**2
     squared = s2 @ (comm.real**2 + comm.imag**2).sum(axis=(1, 3)) @ t2
@@ -232,7 +233,7 @@ def joint_distribution(
     state = np.einsum("i,a,b->iab", scenario.psi, p1.apparatus_state, p2.apparatus_state)
     d, d1, d2 = state.shape
     e1 = np.array(scenario.evolved1.projectors)
-    e2 = np.array(scenario.evolved2.projectors)
+    e2 = e1 if scenario.evolved2 is scenario.evolved1 else np.array(scenario.evolved2.projectors)
     left = e1 @ state.reshape(d * d1, d2)  # [x, (i, a), b] = (E1(x) Psi)[i, a, b]
     right = e2 @ state.transpose(0, 2, 1).reshape(d * d2, d1)  # [y, (i, b), a]
     right = right.reshape(-1, d, d2, d1).transpose(0, 1, 3, 2)  # [y, i, a, b]

@@ -111,17 +111,26 @@ def psd_sqrt(a) -> np.ndarray:
     valid POVM has a root; anything below -OP_TOL is an error. Eigenvalues
     up to eigh's own rounding, dim * eps * max(1, |w_max|), are set to 0
     too, so the root of a projector is the projector: sqrt would lift a
-    rounding residue of 1e-16 to 1e-8.
+    rounding residue of 1e-16 to 1e-8. The root takes one stacked eigh.
     """
     a = _square(a)
     if not is_hermitian(a):
         raise NotHermitianError("operator square root needs a Hermitian matrix")
-    w, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    if w[0] < -OP_TOL:
+    return _psd_roots(a[None])[0]
+
+
+def _psd_roots(stack: np.ndarray) -> np.ndarray:
+    """psd_sqrt of each matrix of an unchecked (m, d, d) stack, in one stacked eigh.
+
+    Each matrix has its own noise floor; the lowest eigenvalue below -OP_TOL raises.
+    """
+    w, vecs = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2)
+    lowest = float(w[:, 0].min())
+    if lowest < -OP_TOL:
         raise ValidationError(
-            f"matrix is not positive semidefinite (eigenvalue {float(w[0])!r} "
-            f"is below -{OP_TOL})"
+            f"matrix is not positive semidefinite (eigenvalue {lowest!r} is below -{OP_TOL})"
         )
-    noise = len(w) * np.finfo(float).eps * max(1.0, abs(float(w[-1])))
-    root = vecs @ np.diag(np.sqrt(np.where(w <= noise, 0.0, w))) @ vecs.conj().T
-    return (root + root.conj().T) / 2
+    noise = w.shape[1] * np.finfo(float).eps * np.maximum(1.0, np.abs(w[:, -1:]))
+    diag = np.sqrt(np.where(w <= noise, 0.0, w))[:, :, None] * np.eye(w.shape[1])
+    root = vecs @ diag @ vecs.conj().swapaxes(1, 2)
+    return (root + root.conj().swapaxes(1, 2)) / 2

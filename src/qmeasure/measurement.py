@@ -19,12 +19,11 @@ from .errors import DimensionError, ValidationError
 from .linalg import (
     _check_dim,
     _frozen,
+    _psd_roots,
     as_operator,
     as_state,
     is_unitary,
     max_abs,
-    psd_sqrt,
-    tensor,
 )
 from .observables import Povm, Pvm, _derived, _label_pairs
 
@@ -90,15 +89,16 @@ def evolve_meter(process: MeasurementProcess) -> Pvm:
     """Heisenberg-evolved meter: E(x) = U^dag (I x E_M(x)) U on system x apparatus.
 
     With the columns of W_x an orthonormal basis of E_M(x)'s range (its
-    eigenvectors of eigenvalue above 1/2), I x E_M(x) = (I x W_x)(I x W_x^dag),
-    so E(x) = G^dag G with G = (I x W_x^dag) U, one (d rank_x) x D slice
-    of U's rows per outcome; no D x D operator on the apparatus side is built.
+    eigenvectors of eigenvalue above 1/2, from one stacked eigh of the meter),
+    I x E_M(x) = (I x W_x)(I x W_x^dag), so E(x) = G^dag G with
+    G = (I x W_x^dag) U, one (d rank_x) x D slice of U's rows per outcome;
+    no D x D operator on the apparatus side is built. The Pvm is derived and trusted.
     """
     d, k = process.system_dim, process.apparatus_dim
     rows = process.interaction.reshape(d, k, -1)  # [i, a, :] = row (i, a) of U
+    values, vectors = np.linalg.eigh(np.array(process.meter.projectors))
     projectors = []
-    for p in process.meter.projectors:
-        w, vecs = np.linalg.eigh(p)
+    for w, vecs in zip(values, vectors):
         g = np.einsum("ar,iaz->irz", vecs[:, w > 0.5].conj(), rows).reshape(-1, d * k)
         evolved = g.conj().T @ g
         projectors.append((evolved + evolved.conj().T) / 2)
@@ -172,17 +172,12 @@ def _model_process(system_dim: int, outcomes, interaction) -> MeasurementProcess
     level per outcome, starts in level 0 and is read by the pointer meter.
     """
     n = len(outcomes)
-    xi = np.zeros(n, dtype=complex)
-    xi[0] = 1.0
-    projectors = []
-    for j in range(n):
-        p = np.zeros((n, n), dtype=complex)
-        p[j, j] = 1.0
-        projectors.append(p)
+    basis = np.eye(n, dtype=complex)
+    projectors = np.einsum("ja,jb->jab", basis, basis)  # [j] = |j><j|
     process = object.__new__(MeasurementProcess)
     object.__setattr__(process, "system_dim", system_dim)
     object.__setattr__(process, "apparatus_dim", n)
-    object.__setattr__(process, "apparatus_state", _frozen(xi))
+    object.__setattr__(process, "apparatus_state", _frozen(basis[0]))
     object.__setattr__(process, "interaction", _frozen(interaction))
     object.__setattr__(process, "meter", _derived(Pvm, outcomes, projectors, n))
     return process
@@ -194,17 +189,16 @@ def von_neumann_model(target: Pvm) -> MeasurementProcess:
     The apparatus is one pointer level per outcome, started in level 0; the
     interaction shifts the pointer by j on the eigenspace of the j-th
     outcome (a unitary, since the eigenspace projectors are orthogonal and
-    complete). The induced POVM equals the target PVM exactly.
+    complete). U = sum_j P_j x S^j is one einsum over the stacked projectors
+    and shifts. The process is derived and trusted; it induces the target exactly.
     """
     n = len(target.outcomes)
     total = target.dim * n
     _check_dim(total)
-    eye_app = np.eye(n, dtype=complex)
-    u = np.zeros((total, total), dtype=complex)
-    for j, proj in enumerate(target.projectors):
-        shift_j = np.roll(eye_app, j, axis=0)
-        u += tensor(proj, shift_j)
-    return _model_process(target.dim, target.outcomes, u)
+    levels = np.arange(n)
+    shifts = np.eye(n, dtype=complex)[(levels - levels[:, None]) % n]  # [j] = roll(I, j)
+    u = np.einsum("jik,jab->iakb", np.array(target.projectors), shifts, order="C")
+    return _model_process(target.dim, target.outcomes, u.reshape(total, total))
 
 
 def dilation_model(povm: Povm) -> MeasurementProcess:
@@ -220,18 +214,20 @@ def dilation_model(povm: Povm) -> MeasurementProcess:
     which is unitary because A >= 0 and A^2 + B^dag B = I. The completion
     is covariant: the POVM W Pi W^dag dilates to (W x I) U (W^dag x I), so
     dilations of commuting effects have commuting meters in every basis.
-    The induced POVM equals the input POVM whatever the completion.
+    The induced POVM equals the input POVM whatever the completion. The
+    checked effects' roots take one stacked eigh; the process is derived and trusted.
     """
     n = len(povm.outcomes)
     d_sys = povm.dim
     total = d_sys * n
     _check_dim(total)
-    roots = np.array([psd_sqrt(e) for e in povm.effects])
+    roots = _psd_roots(np.array(povm.effects))
     a = roots[0]
     b = roots[1:].reshape(-1, d_sys)
     b_dag = b.conj().T
-    corner = np.eye(total - d_sys) - b @ np.linalg.solve(np.eye(d_sys) + a, b_dag)
-    u = np.block([[a, -b_dag], [b, corner]])
+    u = np.empty((total, total), dtype=complex)
+    u[:d_sys, :d_sys], u[:d_sys, d_sys:], u[d_sys:, :d_sys] = a, -b_dag, b
+    u[d_sys:, d_sys:] = np.eye(total - d_sys) - b @ np.linalg.solve(np.eye(d_sys) + a, b_dag)
     # apparatus-major (j, i) rows and columns to the system-major (i, j) of H x K
     u = u.reshape(n, d_sys, n, d_sys).transpose(1, 0, 3, 2).reshape(total, total)
     return _model_process(d_sys, povm.outcomes, u)

@@ -260,11 +260,12 @@ def is_projective(povm: Povm) -> bool:
 def unsharp_qubit_povm(eta: float) -> Povm:
     """Two-outcome smeared sigma-z observable, Pi(+/-1) = (I +/- eta*sigma_z)/2.
 
-    eta = 1 is the sharp projective limit; eta = 0 is pure noise.
+    eta = 1 is the sharp projective limit; eta = 0 is pure noise. Only eta is
+    checked: the closed-form Povm is derived and trusted for every eta in [0, 1].
     """
     eta = float(eta)
     if not 0.0 <= eta <= 1.0:
         raise ParameterError(f"sharpness eta must lie in [0, 1], got {eta!r}")
     eye = np.eye(2, dtype=complex)
     effects = ((eye - eta * PAULI_Z) / 2, (eye + eta * PAULI_Z) / 2)
-    return Povm((-1.0, 1.0), effects, 2)
+    return _derived(Povm, (-1.0, 1.0), effects, 2)

@@ -1,4 +1,6 @@
+import fcntl
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -518,3 +520,42 @@ def test_console_script_end_to_end():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["intersubjective"] is True
+
+
+def _close_after_first_line(*argv):
+    """Run the CLI into a pipe whose reader takes one line and closes it, as `| head -1` does.
+
+    The pipe holds one page and the output is longer than a page plus its
+    first line, so the CLI is still writing when the reader closes.
+    """
+    read_fd, write_fd = os.pipe()
+    fcntl.fcntl(read_fd, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen([sys.executable, "-m", "qmeasure", *map(str, argv)],
+                            stdout=write_fd, stderr=subprocess.PIPE)
+    os.close(write_fd)
+    line = b""
+    while not line.endswith(b"\n"):
+        byte = os.read(read_fd, 1)
+        if not byte:
+            break
+        line += byte
+    os.close(read_fd)
+    _, err = proc.communicate(timeout=60)
+    return proc.returncode, line.decode(), err.decode()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_closed_stdout_exits_0_quietly(tmp_path, command):
+    if command == "run":
+        pvm = pvm_from_observable(np.diag(np.arange(8.0)).astype(complex))
+        doc = scenario_to_json(np.ones(8) / np.sqrt(8), pvm, [von_neumann_model(pvm)], "induce")
+        argv = ("run", _write(tmp_path, doc))
+    else:
+        etas = ",".join(repr(x) for x in np.linspace(0.0, 1.0, 500).tolist())
+        argv = ("sweep", UNSHARP_SCENARIO, "--param", "eta", "--values", etas)
+    full = subprocess.run([sys.executable, "-m", "qmeasure", *map(str, argv)],
+                          capture_output=True, text=True)
+    assert full.returncode == 0 and len(full.stdout) > 3 * 4096
+    code, line, err = _close_after_first_line(*argv)
+    assert (code, err) == (0, "")
+    assert line == full.stdout.splitlines(keepends=True)[0]

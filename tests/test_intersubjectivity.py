@@ -41,6 +41,7 @@ from qmeasure import (
     run_experiment,
     sample_outcomes,
     scenario_to_json,
+    sweep_agreement,
     table_agreement,
     unsharp_qubit_povm,
     verify_oit,
@@ -329,6 +330,16 @@ def test_agreement_strictly_increases_with_sharpness():
     assert all(b > a for a, b in zip(values, values[1:]))
     assert values[0] == pytest.approx(0.5, abs=1e-12)
     assert values[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dense_sweep_follows_the_closed_form_curve():
+    # 101 etas, endpoints included, at the benchmark's curve tolerance
+    scenario = load_scenario_file(DATA.parent.parent / "scenarios" / "unsharp_eta08.json")
+    etas = np.linspace(0.0, 1.0, 101).tolist()
+    rows = sweep_agreement(scenario, etas)
+    assert [eta for eta, _ in rows] == etas
+    for eta, agreement in rows:
+        assert abs(agreement - ((1 + eta) ** 2 + (1 - eta) ** 2) / 4) <= 1e-12
 
 
 def test_agreement_propagates_non_commuting_error():

@@ -23,6 +23,7 @@ from qmeasure import (
     pvm_from_observable,
     tensor,
 )
+from qmeasure.linalg import _psd_roots
 
 
 def test_as_operator_rejects_vectors_and_nonfinite():
@@ -114,6 +115,26 @@ def test_psd_sqrt_clamps_rounding_noise_but_rejects_negatives():
         psd_sqrt(np.diag([1.0, -1e-6]).astype(complex))
     with pytest.raises(NotHermitianError):
         psd_sqrt(np.array([[0, 1], [0, 0]], dtype=complex))
+
+
+def test_psd_roots_takes_each_root_with_psd_sqrt_rules_and_error():
+    rng = np.random.default_rng(3)
+    v = random_state(rng, 3)
+    stack = np.array([np.outer(v, v.conj()), np.diag([2.0, 1e-12, -5e-10]),
+                      np.eye(3) * 4.0]).astype(complex)
+    roots = _psd_roots(stack)
+    for a, root in zip(stack, roots):
+        assert np.array_equal(root, psd_sqrt(a))
+    # each matrix's noise floor is its own: 1e-12 is above the projector's
+    assert roots[1][1, 1] == pytest.approx(1e-6)
+    bad = stack.copy()
+    bad[1] = np.diag([1.0, -1e-6, 0.0])
+    with pytest.raises(ValidationError) as stacked:
+        _psd_roots(bad)
+    with pytest.raises(ValidationError) as single:
+        psd_sqrt(bad[1])
+    assert str(stacked.value) == str(single.value)
+    assert "eigenvalue -1e-06 is below -1e-09" in str(stacked.value)
 
 
 # spectral decomposition of a Hermitian operator into its PVM

@@ -6,6 +6,7 @@ from conftest import (
     random_hermitian_with_outcomes,
     random_povm,
     random_process,
+    random_pvm,
     random_state,
     random_unitary,
     recompleted,
@@ -241,3 +242,131 @@ def test_von_neumann_respects_dimension_cap():
     with pytest.raises(DimensionError, match="compound dimension 289 exceeds the cap 256"):
         von_neumann_model(pvm_from_observable(np.diag(np.arange(17.0))))
     assert von_neumann_model(pvm_from_observable(np.diag(np.arange(16.0)))).total_dim == 256
+
+
+# The stacked builders against the per-operator loops they replaced: the
+# arithmetic is the same, so the results must agree bit for bit, signed
+# zeros included (scenario_to_json writes them out).
+
+def _assert_same_bits(a, b):
+    assert a.shape == b.shape and np.array_equal(a, b)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
+def _loop_root(e):
+    w, vecs = np.linalg.eigh((e + e.conj().T) / 2)
+    noise = len(w) * np.finfo(float).eps * max(1.0, abs(float(w[-1])))
+    root = vecs @ np.diag(np.sqrt(np.where(w <= noise, 0.0, w))) @ vecs.conj().T
+    return (root + root.conj().T) / 2
+
+
+def _loop_dilation_interaction(povm):
+    n, d = len(povm.outcomes), povm.dim
+    roots = np.array([_loop_root(e) for e in povm.effects])
+    a, b = roots[0], roots[1:].reshape(-1, d)
+    corner = np.eye((n - 1) * d) - b @ np.linalg.solve(np.eye(d) + a, b.conj().T)
+    u = np.block([[a, -b.conj().T], [b, corner]])
+    return u.reshape(n, d, n, d).transpose(1, 0, 3, 2).reshape(n * d, n * d)
+
+
+def _loop_von_neumann_interaction(pvm):
+    n = len(pvm.outcomes)
+    eye = np.eye(n, dtype=complex)
+    u = np.zeros((pvm.dim * n, pvm.dim * n), dtype=complex)
+    for j, proj in enumerate(pvm.projectors):
+        u += np.kron(proj, np.roll(eye, j, axis=0))
+    return u
+
+
+def _loop_evolved(process):
+    d, k = process.system_dim, process.apparatus_dim
+    rows = process.interaction.reshape(d, k, -1)
+    projectors = []
+    for p in process.meter.projectors:
+        w, vecs = np.linalg.eigh(p)
+        g = np.einsum("ar,iaz->irz", vecs[:, w > 0.5].conj(), rows).reshape(-1, d * k)
+        evolved = g.conj().T @ g
+        projectors.append((evolved + evolved.conj().T) / 2)
+    return projectors
+
+
+def _rank_deficient_povm(rng, dim, n):
+    """Effects T^-1/2 G_x T^-1/2 of Grams of random rank, most of them below dim."""
+    ranks = rng.integers(1, dim + 1, size=n)
+    ranks[-1] = max(ranks[-1], dim - ranks[:-1].sum())  # T = sum_x G_x has full rank
+    grams = []
+    for r in ranks:
+        b = rng.normal(size=(r, dim)) + 1j * rng.normal(size=(r, dim))
+        grams.append(b.conj().T @ b)
+    w, v = np.linalg.eigh(sum(grams))
+    inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+    effects = [(e + e.conj().T) / 2 for e in (inv_sqrt @ g @ inv_sqrt for g in grams)]
+    return Povm(tuple(float(x) for x in range(n)), tuple(effects), dim)
+
+
+def _pvm(rng, dim, n):
+    if n == 1:
+        return Pvm((0.0,), (np.eye(dim, dtype=complex),), dim)
+    return random_pvm(rng, dim, n)
+
+
+def _assert_evolved_like_the_loop(process):
+    for fast, slow in zip(evolve_meter(process).projectors, _loop_evolved(process)):
+        _assert_same_bits(fast, slow)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_dilation_model_matches_the_per_effect_loop(seed):
+    rng = np.random.default_rng(seed)
+    for dim in range(1, 5):
+        for n in range(1, 5):
+            povms = [_rank_deficient_povm(rng, dim, n)]
+            if n <= dim:
+                povms.append(as_povm(_pvm(rng, dim, n)))
+            for povm in povms:
+                process = dilation_model(povm)
+                _assert_same_bits(process.interaction, _loop_dilation_interaction(povm))
+                _assert_evolved_like_the_loop(process)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_von_neumann_model_matches_the_kron_loop(seed):
+    rng = np.random.default_rng(seed)
+    for dim in range(1, 7):
+        for k in range(1, min(dim, 4) + 1):
+            # dim - k eigenvalues repeat, so most projectors have rank > 1
+            pvm = pvm_from_observable(random_hermitian_with_outcomes(rng, dim, k))
+            process = von_neumann_model(pvm)
+            _assert_same_bits(process.interaction, _loop_von_neumann_interaction(pvm))
+            _assert_evolved_like_the_loop(process)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_evolve_meter_matches_the_per_projector_loop(seed):
+    rng = np.random.default_rng(seed)
+    for d in range(1, 4):
+        for k in range(1, 5):
+            meter = _pvm(rng, k, int(rng.integers(1, k + 1)))  # degenerate when fewer than k
+            process = MeasurementProcess(d, k, random_state(rng, k),
+                                         random_unitary(rng, d * k), meter)
+            _assert_evolved_like_the_loop(process)
+
+
+def test_builders_take_one_eigh_per_call(monkeypatch):
+    rng = np.random.default_rng(11)
+    povm = random_povm(rng, 3, 4)
+    process = random_process(rng, 2, 4)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    dilation_model(povm)
+    assert calls == [(4, 3, 3)]
+    calls.clear()
+    evolve_meter(process)
+    assert calls == [(4, 4, 4)]

@@ -181,6 +181,28 @@ def test_unsharp_povm_range_gate(eta):
         unsharp_qubit_povm(eta)
 
 
+def test_unsharp_povm_is_derived_unchecked_and_passes_the_checks(monkeypatch):
+    checks = []
+    original = Povm.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        original(self)
+
+    etas = (0.0, 5e-324, 0.37, 1 - 1e-16, 1.0)
+    monkeypatch.setattr(Povm, "__post_init__", counting)
+    povms = [unsharp_qubit_povm(eta) for eta in etas]
+    assert checks == []
+    monkeypatch.undo()
+    for eta, povm in zip(etas, povms):
+        # the public constructor checks what unsharp_qubit_povm built unchecked
+        checked = Povm(povm.outcomes, povm.effects, povm.dim)
+        assert checked.outcomes == povm.outcomes == (-1.0, 1.0)
+        assert all(np.array_equal(a, b) for a, b in zip(checked.effects, povm.effects))
+        assert np.array_equal(povm.effects[1], np.diag([(1 + eta) / 2, (1 - eta) / 2]))
+        assert not any(e.flags.writeable for e in povm.effects)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_random_observable_born_sums_to_one(seed):
     rng = np.random.default_rng(seed)
