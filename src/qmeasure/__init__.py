@@ -27,8 +27,6 @@ from .intersubjectivity import (
     verify_oit,
 )
 from .linalg import (
-    PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     as_operator,
     as_state,
@@ -36,8 +34,6 @@ from .linalg import (
     is_projector,
     is_unitary,
     max_abs,
-    psd_sqrt,
-    tensor,
 )
 from .measurement import (
     MeasurementProcess,
@@ -54,14 +50,12 @@ from .observables import (
     Pvm,
     as_povm,
     born_povm,
-    born_pvm,
     expectation,
     is_projective,
     pvm_from_observable,
     unsharp_qubit_povm,
 )
 from .scenario import (
-    ObservableSpec,
     Scenario,
     load_scenario,
     load_scenario_file,
@@ -89,11 +83,8 @@ __all__ = [
     "MeasurementProcess",
     "NonCommutingMetersError",
     "NotHermitianError",
-    "ObservableSpec",
     "OitReport",
     "OutcomeDistribution",
-    "PAULI_X",
-    "PAULI_Y",
     "PAULI_Z",
     "ParameterError",
     "Povm",
@@ -109,7 +100,6 @@ __all__ = [
     "as_povm",
     "as_state",
     "born_povm",
-    "born_pvm",
     "check_reproducibility",
     "compose",
     "dilation_model",
@@ -128,7 +118,6 @@ __all__ = [
     "max_abs",
     "povm_from_json",
     "povm_to_json",
-    "psd_sqrt",
     "pvm_from_json",
     "pvm_from_observable",
     "pvm_to_json",
@@ -139,7 +128,6 @@ __all__ = [
     "state_to_json",
     "sweep_agreement",
     "table_agreement",
-    "tensor",
     "unsharp_qubit_povm",
     "verify_oit",
     "von_neumann_model",

@@ -1,8 +1,8 @@
 """Dense complex linear algebra for finite-dimensional quantum models.
 
 Operators and states are plain numpy arrays (complex128); the functions
-here validate them, test their structural properties and take tensor
-products. All comparisons use the max entry modulus norm, against the
+here validate them, test their structural properties and take square
+roots. All comparisons use the max entry modulus norm, against the
 module constants NORM_TOL and OP_TOL; neither is an option.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionError, NotHermitianError, ValidationError
+from .errors import DimensionError, ValidationError
 
 NORM_TOL = 1e-10      # state normalization
 OP_TOL = 1e-9         # operator identity checks
@@ -28,8 +28,6 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-PAULI_X = _frozen(np.array([[0, 1], [1, 0]], dtype=complex))
-PAULI_Y = _frozen(np.array([[0, -1j], [1j, 0]], dtype=complex))
 PAULI_Z = _frozen(np.array([[1, 0], [0, -1]], dtype=complex))
 
 
@@ -61,22 +59,6 @@ def max_abs(a) -> float:
     return float(np.max(np.abs(a)))
 
 
-def tensor(*factors) -> np.ndarray:
-    """Kronecker product; the left factor is the slow index.
-
-    For matrices a (m x n) and b (p x q) the result has shape (m*p, n*q)
-    with row index r = r_a * p + r_b. Works on vectors too.
-    """
-    if not factors:
-        raise DimensionError("tensor() needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    if not np.all(np.isfinite(out)):
-        raise ValidationError("tensor factors must be finite")
-    return out
-
-
 def _square(a) -> np.ndarray:
     a = as_operator(a)
     if a.shape[0] != a.shape[1]:
@@ -103,26 +85,17 @@ def is_projector(a) -> bool:
         return is_hermitian(a) and max_abs(a @ a - a) <= OP_TOL
 
 
-def psd_sqrt(a) -> np.ndarray:
-    """Operator square root of a positive semidefinite Hermitian matrix.
+def _psd_roots(stack: np.ndarray) -> np.ndarray:
+    """Operator square root of each matrix of an (m, d, d) stack, in one stacked eigh.
 
+    The matrices are not checked; each is read through its Hermitian part.
     Eigenvalues in [-OP_TOL, 0) are treated as rounding noise and clamped
     to 0, the same floor Povm allows on its effects, so every effect of a
-    valid POVM has a root; anything below -OP_TOL is an error. Eigenvalues
-    up to eigh's own rounding, dim * eps * max(1, |w_max|), are set to 0
-    too, so the root of a projector is the projector: sqrt would lift a
-    rounding residue of 1e-16 to 1e-8. The root takes one stacked eigh.
-    """
-    a = _square(a)
-    if not is_hermitian(a):
-        raise NotHermitianError("operator square root needs a Hermitian matrix")
-    return _psd_roots(a[None])[0]
-
-
-def _psd_roots(stack: np.ndarray) -> np.ndarray:
-    """psd_sqrt of each matrix of an unchecked (m, d, d) stack, in one stacked eigh.
-
-    Each matrix has its own noise floor; the lowest eigenvalue below -OP_TOL raises.
+    valid POVM has a root; the lowest eigenvalue below -OP_TOL raises
+    ValidationError. Eigenvalues up to eigh's own rounding,
+    dim * eps * max(1, |w_max|), each matrix its own, are set to 0 too, so
+    the root of a projector is the projector: sqrt would lift a rounding
+    residue of 1e-16 to 1e-8.
     """
     w, vecs = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2)
     lowest = float(w[:, 0].min())

@@ -194,9 +194,6 @@ class OutcomeDistribution:
         object.__setattr__(self, "outcomes", labels)
         object.__setattr__(self, "probabilities", tuple(probs.tolist()))
 
-    def as_dict(self) -> dict:
-        return dict(zip(self.outcomes, self.probabilities))
-
 
 def expectation(op, psi) -> float:
     """<psi|op|psi> for Hermitian op; rejects imaginary residue above PROB_TOL."""
@@ -204,13 +201,6 @@ def expectation(op, psi) -> float:
     if abs(value.imag) > PROB_TOL:
         raise ValidationError(f"expectation has imaginary residue {value.imag!r}")
     return value.real
-
-
-def _born(outcomes, operators, dim: int, psi) -> OutcomeDistribution:
-    psi = as_state(psi)
-    if psi.shape[0] != dim:
-        raise DimensionError(f"state dim {psi.shape[0]} does not match observable dim {dim}")
-    return OutcomeDistribution(outcomes, tuple(expectation(op, psi) for op in operators))
 
 
 def pvm_from_observable(a, cluster_tol: float = CLUSTER_TOL) -> Pvm:
@@ -237,14 +227,14 @@ def pvm_from_observable(a, cluster_tol: float = CLUSTER_TOL) -> Pvm:
     return Pvm(tuple(values), tuple(projectors), a.shape[0])
 
 
-def born_pvm(pvm: Pvm, psi) -> OutcomeDistribution:
-    """P(x) = <psi|E(x)|psi> over the PVM's outcomes."""
-    return _born(pvm.outcomes, pvm.projectors, pvm.dim, psi)
-
-
 def born_povm(povm: Povm, psi) -> OutcomeDistribution:
     """P(x) = <psi|Pi(x)|psi> over the POVM's outcomes."""
-    return _born(povm.outcomes, povm.effects, povm.dim, psi)
+    psi = as_state(psi)
+    if psi.shape[0] != povm.dim:
+        raise DimensionError(
+            f"state dim {psi.shape[0]} does not match observable dim {povm.dim}"
+        )
+    return OutcomeDistribution(povm.outcomes, tuple(expectation(e, psi) for e in povm.effects))
 
 
 def as_povm(pvm: Pvm) -> Povm:

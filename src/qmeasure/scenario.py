@@ -7,6 +7,12 @@ experiment and returns a plain-dict report ready for json.dump. Validation
 and execution share this single loader, so a file accepted by `validate` is
 exactly a file `run` can execute.
 
+The scenario holds its observable once, as the file declared it: a Pvm for
+hermitian_matrix and pvm, a Povm for povm and unsharp. A PVM is derived
+from a declared Povm only where one is required, by the von_neumann model
+and by the reproduce and oit experiments; the loader rejects a noisy
+observable there.
+
 Schema sketch (see the README for a worked example):
 
     {
@@ -102,19 +108,13 @@ DEFAULT_SEED = 0
 
 
 @dataclass(frozen=True, eq=False)
-class ObservableSpec:
-    """An observable as declared in a scenario, in every usable form."""
-
-    kind: str
-    povm: Povm
-    pvm: Optional[Pvm]  # present when the observable is projective
-
-
-@dataclass(frozen=True, eq=False)
 class Scenario:
+    """A loaded scenario; observable is a Pvm when the experiment is reproduce or oit."""
+
     system_dim: int
     psi: np.ndarray
-    observable: ObservableSpec
+    observable: object  # the Pvm or Povm built from the file's observable field
+    kind: str  # that field's name: hermitian_matrix, pvm, povm or unsharp
     processes: tuple
     models: tuple
     experiment: str
@@ -145,13 +145,17 @@ def _gated_state(raw, where: str, dim: Optional[int] = None) -> np.ndarray:
     return vec / norm
 
 
-def _maybe_pvm(povm: Povm) -> Optional[Pvm]:
-    if is_projective(povm):
-        return _derived(Pvm, povm.outcomes, povm.effects, povm.dim)
+def _projective_pvm(observable) -> Optional[Pvm]:
+    """The PVM of a projective observable, or None for a noisy one."""
+    if isinstance(observable, Pvm):
+        return observable
+    if is_projective(observable):
+        return _derived(Pvm, observable.outcomes, observable.effects, observable.dim)
     return None
 
 
-def _build_observable(data, dim: int, cluster_tol: float) -> ObservableSpec:
+def _build_observable(data, dim: int, cluster_tol: float):
+    """The observable field's name and the Pvm or Povm it declares."""
     where = "observable"
     _require(isinstance(data, dict), f"{where}: expected an object")
     kinds = ("hermitian_matrix", "pvm", "povm", "unsharp")
@@ -166,53 +170,56 @@ def _build_observable(data, dim: int, cluster_tol: float) -> ObservableSpec:
         a = matrix_from_json(data[kind], f"{where}.hermitian_matrix")
         _require(a.shape == (dim, dim),
                  f"{where}: matrix shape {a.shape} does not match system dim {dim}")
-        pvm = pvm_from_observable(a, cluster_tol)
-        return ObservableSpec(kind=kind, povm=as_povm(pvm), pvm=pvm)
+        return kind, pvm_from_observable(a, cluster_tol)
     if kind == "pvm":
         pvm = pvm_from_json(data[kind], f"{where}.pvm")
         _require(pvm.dim == dim,
                  f"{where}: pvm dim {pvm.dim} does not match system dim {dim}")
-        return ObservableSpec(kind=kind, povm=as_povm(pvm), pvm=pvm)
+        return kind, pvm
     if kind == "povm":
         povm = povm_from_json(data[kind], f"{where}.povm")
         _require(povm.dim == dim,
                  f"{where}: povm dim {povm.dim} does not match system dim {dim}")
-        return ObservableSpec(kind=kind, povm=povm, pvm=_maybe_pvm(povm))
+        return kind, povm
     block = data["unsharp"]
     _require(isinstance(block, dict), f"{where}.unsharp: expected an object")
     _check_keys(block, ("eta",), ("eta",), f"{where}.unsharp")
     eta = block["eta"]
     _require(_is_number(eta), f"{where}.unsharp.eta: must be a number, got {eta!r}")
     _require(dim == 2, f"{where}: the unsharp observable needs a 2-dimensional system")
-    povm = unsharp_qubit_povm(float(eta))
-    return ObservableSpec(kind=kind, povm=povm, pvm=_maybe_pvm(povm))
+    return kind, unsharp_qubit_povm(float(eta))
 
 
-def _build_process(entry, index: int, observable: ObservableSpec, system_dim: int,
-                   derived: dict):
+def _derived_process(model: str, observable, where: str, derived: dict) -> MeasurementProcess:
+    """The von_neumann or dilation process of observable.
+
+    derived maps a model name to the process already built for this
+    observable, which is returned again instead of a new one.
+    """
+    if model not in derived:
+        if model == "dilation":
+            povm = as_povm(observable) if isinstance(observable, Pvm) else observable
+            derived[model] = dilation_model(povm)
+        else:
+            pvm = _projective_pvm(observable)
+            _require(pvm is not None,
+                     f"{where}: the von_neumann model needs a projective observable")
+            derived[model] = von_neumann_model(pvm)
+    return derived[model]
+
+
+def _build_process(entry, index: int, observable, system_dim: int, derived: dict):
     """One checked process and its model name.
 
-    derived maps a derived model's name to the process already built for it
-    from this observable, which is returned again instead of a new one.
+    derived holds the model processes already built, as in _derived_process.
     """
     where = f"processes[{index}]"
     _require(isinstance(entry, dict), f"{where}: expected an object")
     _require("model" in entry, f"{where}: missing field 'model'")
     model = entry["model"]
-    if model == "von_neumann":
+    if model in ("von_neumann", "dilation"):
         _check_keys(entry, ("model",), ("model",), where)
-        _require(
-            observable.pvm is not None,
-            f"{where}: the von_neumann model needs a projective observable",
-        )
-        if model not in derived:
-            derived[model] = von_neumann_model(observable.pvm)
-        return derived[model], model
-    if model == "dilation":
-        _check_keys(entry, ("model",), ("model",), where)
-        if model not in derived:
-            derived[model] = dilation_model(observable.povm)
-        return derived[model], model
+        return _derived_process(model, observable, where, derived), model
     if model == "custom":
         fields = ("model", "apparatus_dim", "xi", "unitary", "meter")
         _check_keys(entry, fields, fields, where)
@@ -261,9 +268,13 @@ def _build_tolerances(data) -> dict:
 def load_scenario(data) -> Scenario:
     """Build and invariant-check every object a scenario file declares.
 
-    A von_neumann or dilation model is built once per scenario, and both
+    The observable is kept as declared (see the module docstring). A
+    von_neumann or dilation model is built once per scenario, and both
     entries of such a pair hold that one process; custom entries are built
-    and checked one by one.
+    and checked one by one. A von_neumann process, and a reproduce or oit
+    experiment, need a projective observable and raise ValidationError on a
+    noisy one; for reproduce and oit the scenario holds the PVM derived from
+    a projective Povm.
 
     Each process's H x K and, for two-process experiments, the compound
     H x K1 x K2 must fit linalg.MAX_DIM, the cap compose applies; a model
@@ -304,7 +315,7 @@ def load_scenario(data) -> Scenario:
              f"got {n_samples!r}")
     seed = _checked_seed(params.get("seed", DEFAULT_SEED), "params.seed")
 
-    observable = _build_observable(data["observable"], dim, tolerances["cluster"])
+    kind, observable = _build_observable(data["observable"], dim, tolerances["cluster"])
 
     entries = data["processes"]
     _require(isinstance(entries, list), "processes: expected a list")
@@ -322,11 +333,20 @@ def load_scenario(data) -> Scenario:
     if needed == 2:
         # compose's own cap, checked here so that validate rejects what run would
         _check_dim(processes[0].total_dim * processes[1].apparatus_dim)
+    if experiment in ("reproduce", "oit"):
+        observable = _projective_pvm(observable)
+        _require(
+            observable is not None,
+            f"the {experiment} experiment needs a projective observable "
+            f"(hermitian_matrix, pvm, or an unsharp/povm observable whose effects "
+            f"are projectors); use induce or joint for noisy ones",
+        )
 
     return Scenario(
         system_dim=dim,
         psi=psi,
         observable=observable,
+        kind=kind,
         processes=processes,
         models=models,
         experiment=experiment,
@@ -386,7 +406,7 @@ def run_experiment(
     elif experiment == "reproduce":
         report = check_reproducibility(
             scenario.processes[0],
-            _target_pvm(scenario),
+            scenario.observable,
             tol=tolerances["reproducibility"],
         )
         results = {
@@ -415,7 +435,7 @@ def run_experiment(
         elif experiment == "oit":
             report = verify_oit(
                 joint,
-                _target_pvm(scenario),
+                scenario.observable,
                 tol=tolerances["oit"],
                 reproducibility_tol=tolerances["reproducibility"],
                 commutation_tol=tolerances["commutation"],
@@ -453,25 +473,16 @@ def run_experiment(
     return {"experiment": experiment, "results": results, "diagnostics": diagnostics}
 
 
-def _target_pvm(scenario: Scenario) -> Pvm:
-    if scenario.observable.pvm is None:
-        raise ValidationError(
-            f"the {scenario.experiment} experiment needs a projective observable "
-            f"(hermitian_matrix, pvm, or an unsharp/povm observable whose effects "
-            f"are projectors); use induce or joint for noisy ones"
-        )
-    return scenario.observable.pvm
-
-
 def sweep_agreement(scenario: Scenario, etas):
     """Agreement probability as a function of the unsharpness eta.
 
-    Rebuilds the observable and the processes at each eta, so only the
-    unsharp family with derived models (not custom interactions, which do
-    not depend on eta) can be swept.
+    Rebuilds the observable, unsharp_qubit_povm(eta), and its derived
+    processes at each eta, so only the unsharp family with derived models
+    (not custom interactions, which do not depend on eta) can be swept. Only
+    a von_neumann model asks whether the observable is projective.
     """
     _require(
-        scenario.observable.kind == "unsharp",
+        scenario.kind == "unsharp",
         "sweep: only the unsharp observable has an eta to sweep",
     )
     _require(
@@ -484,14 +495,10 @@ def sweep_agreement(scenario: Scenario, etas):
     )
     rows = []
     for eta in etas:
-        observable = _build_observable(
-            {"unsharp": {"eta": float(eta)}}, scenario.system_dim, scenario.tolerances["cluster"]
-        )
+        observable = unsharp_qubit_povm(eta)
         derived = {}
-        p1, p2 = (
-            _build_process({"model": model}, i, observable, scenario.system_dim, derived)[0]
-            for i, model in enumerate(scenario.models)
-        )
+        p1, p2 = (_derived_process(model, observable, f"processes[{i}]", derived)
+                  for i, model in enumerate(scenario.models))
         joint = compose(scenario.psi, p1, p2)
         rows.append((float(eta), agreement_probability(
             joint, scenario.tolerances["commutation"]

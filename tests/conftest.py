@@ -4,6 +4,9 @@ import numpy as np
 
 from qmeasure import MeasurementProcess, Povm, Pvm
 
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+
 # integer eigenvalue pool keeps clusters separated far beyond every tolerance
 _LABEL_POOL = np.arange(-5, 6)
 

@@ -24,7 +24,6 @@ from qmeasure import (
     Pvm,
     as_povm,
     born_povm,
-    born_pvm,
     check_reproducibility,
     compose,
     dilation_model,
@@ -36,7 +35,6 @@ from qmeasure import (
     agreement_probability,
     pvm_from_observable,
     sample_outcomes,
-    tensor,
     unsharp_qubit_povm,
     verify_oit,
     von_neumann_model,
@@ -129,7 +127,8 @@ def test_criterion_5_born_rule_consistency():
             d_app = int(rng.integers(2, 5))
             process = random_process(rng, d_sys, d_app)
             psi = random_state(rng, d_sys)
-            direct = born_pvm(evolve_meter(process), tensor(psi, process.apparatus_state))
+            xi = process.apparatus_state
+            direct = born_povm(as_povm(evolve_meter(process)), np.kron(psi, xi))
             indirect = born_povm(induced_povm(process), psi)
             assert direct.outcomes == indirect.outcomes
             worst = max(abs(a - b) for a, b in

@@ -8,9 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_povm
+from conftest import PAULI_X, random_povm
 from qmeasure import (
-    PAULI_X,
     PAULI_Z,
     Pvm,
     dilation_model,
@@ -416,6 +415,18 @@ def test_validate_and_run_accept_the_same_inputs(capsys, tmp_path):
     code, _, err = _run(capsys, "run", path)
     assert code == 3
     assert "commute" in err
+    # reproduce and oit need an accurate observable: the loader rejects a noisy one
+    noisy = [_bundled(UNSHARP_SCENARIO, experiment="oit"),
+             _bundled(UNSHARP_SCENARIO, experiment="reproduce", processes=[{"model": "dilation"}])]
+    for doc in noisy:
+        path = _write(tmp_path, doc, "noisy.json")
+        v_code, _, v_err = _run(capsys, "validate", path)
+        r_code, _, r_err = _run(capsys, "run", path)
+        assert v_code == r_code == 2
+        assert v_err == r_err == (
+            f"error: the {doc['experiment']} experiment needs a projective observable "
+            f"(hermitian_matrix, pvm, or an unsharp/povm observable whose effects are "
+            f"projectors); use induce or joint for noisy ones\n")
 
 
 def test_file_tolerance_relaxes_the_gate_as_the_tol_flag_does(capsys, tmp_path):

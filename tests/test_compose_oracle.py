@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    PAULI_X,
     controlled_process,
     random_hermitian_with_outcomes,
     random_process,
@@ -23,7 +24,6 @@ from conftest import (
     random_state,
 )
 from qmeasure import (
-    PAULI_X,
     PAULI_Z,
     JointScenario,
     NonCommutingMetersError,

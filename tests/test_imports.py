@@ -1,18 +1,23 @@
 """Every name a library module imports is used in that module, every
-module-level private name is used in some module, and the only tolerance
+module-level private name is used in some module, every public name is
+used by the library or named in the README, and the only tolerance
 parameters are the ones a scenario sets.
 
 No linter ships with the project, so these stdlib-ast checks stand in for
-one. The import check skips ``__init__.py``: its imports are the public
-re-exports.
+one. The import and public-name checks skip ``__init__.py``: its imports
+are the public re-exports.
 """
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "qmeasure"
+import qmeasure
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "qmeasure"
 SOURCES = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
 MODULES = [name for name in SOURCES if name != "__init__.py"]
 
@@ -75,6 +80,37 @@ def test_dead_private_name_is_reported():
         "b.py": "import a\nfrom a import _used\nprint(_used, a._helper)\n",
     }
     assert dead_private_names(sources) == [("a.py", "_Gone"), ("a.py", "_dead")]
+
+
+def dead_public_names(names, sources: dict, readme: str) -> list:
+    """Each of names that no module but __init__.py reads and readme does not name in backticks."""
+    used = set()
+    for module, source in sources.items():
+        if module == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    used.update(re.findall(r"`([^`\n]+)`", readme))
+    return sorted(name for name in names if name not in used)
+
+
+def test_every_public_name_is_used():
+    readme = (ROOT / "README.md").read_text()
+    assert dead_public_names(qmeasure.__all__, SOURCES, readme) == []
+
+
+def test_dead_public_name_is_reported():
+    sources = {
+        "__init__.py": "from .a import dead, kept, loaded, read\nprint(dead)\n",
+        "a.py": "def loaded():\n    pass\ndef dead():\n    \"\"\"dead() in a docstring.\"\"\"\n"
+                "# dead in a comment\nread = 1\nkept = 2\n",
+        "b.py": "import a\nfrom a import loaded\nloaded(a.read)\ndead = 3\n",
+    }
+    readme = "```\ndead\n```\nCall `kept`; `dead()` and `a.dead` are other spans.\n"
+    assert dead_public_names(["dead", "kept", "loaded", "read"], sources, readme) == ["dead"]
 
 
 # the parameters that carry a scenario's params.tolerances (or --tol); every

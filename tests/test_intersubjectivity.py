@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    PAULI_X,
     controlled_process,
     pointer_meter,
     random_hermitian_with_outcomes,
@@ -15,7 +16,6 @@ from conftest import (
     random_unitary,
 )
 from qmeasure import (
-    PAULI_X,
     PAULI_Z,
     DimensionError,
     JointDistribution,
@@ -336,6 +336,21 @@ def test_dense_sweep_follows_the_closed_form_curve():
     # 101 etas, endpoints included, at the benchmark's curve tolerance
     scenario = load_scenario_file(DATA.parent.parent / "scenarios" / "unsharp_eta08.json")
     etas = np.linspace(0.0, 1.0, 101).tolist()
+    rows = sweep_agreement(scenario, etas)
+    assert [eta for eta, _ in rows] == etas
+    for eta, agreement in rows:
+        assert abs(agreement - ((1 + eta) ** 2 + (1 - eta) ** 2) / 4) <= 1e-12
+
+
+def test_sweep_of_a_dilation_pair_never_asks_for_a_pvm(monkeypatch):
+    # a dilation realizes any POVM, so no sweep point needs a projectivity test
+    scenario = load_scenario_file(DATA.parent.parent / "scenarios" / "unsharp_eta08.json")
+
+    def refuse(povm):
+        raise AssertionError("is_projective called by a dilation sweep")
+
+    monkeypatch.setattr("qmeasure.scenario.is_projective", refuse)
+    etas = np.linspace(0.0, 1.0, 21).tolist()
     rows = sweep_agreement(scenario, etas)
     assert [eta for eta, _ in rows] == etas
     for eta, agreement in rows:

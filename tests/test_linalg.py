@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import random_hermitian, random_state, random_unitary
+from conftest import PAULI_X, PAULI_Y, random_hermitian, random_state
 from qmeasure import (
-    PAULI_X,
-    PAULI_Y,
     PAULI_Z,
     DimensionError,
     NotHermitianError,
@@ -19,9 +15,7 @@ from qmeasure import (
     is_projector,
     is_unitary,
     max_abs,
-    psd_sqrt,
     pvm_from_observable,
-    tensor,
 )
 from qmeasure.linalg import _psd_roots
 
@@ -41,47 +35,6 @@ def test_as_state_norm_gate():
         as_state(np.eye(2))
 
 
-def test_tensor_convention_left_slow():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    b = np.array([[0, 5], [6, 7]], dtype=complex)
-    t = tensor(a, b)
-    assert t.shape == (4, 4)
-    # row r = r_a * 2 + r_b: block (r_a, c_a) equals a[r_a, c_a] * b
-    assert np.allclose(t[:2, 2:], a[0, 1] * b)
-    assert np.allclose(t[2:, :2], a[1, 0] * b)
-
-
-def test_tensor_vectors():
-    u = np.array([1, 0], dtype=complex)
-    v = np.array([0, 1], dtype=complex)
-    assert np.array_equal(tensor(u, v), np.array([0, 1, 0, 0], dtype=complex))
-
-
-def test_tensor_needs_a_factor():
-    with pytest.raises(DimensionError):
-        tensor()
-
-
-_small = st.integers(-3, 3)
-
-
-def _matrix_strategy():
-    return st.integers(1, 3).flatmap(
-        lambda n: st.integers(1, 3).flatmap(
-            lambda m: st.lists(
-                st.lists(_small, min_size=m, max_size=m), min_size=n, max_size=n
-            ).map(np.array)
-        )
-    )
-
-
-@settings(max_examples=50, deadline=None)
-@given(_matrix_strategy(), _matrix_strategy(), _matrix_strategy())
-def test_tensor_associative(a, b, c):
-    # integer entries keep the comparison exact
-    assert np.array_equal(tensor(tensor(a, b), c), tensor(a, tensor(b, c)))
-
-
 def test_predicates_on_paulis():
     for sigma in (PAULI_X, PAULI_Y, PAULI_Z):
         assert is_hermitian(sigma)
@@ -96,25 +49,23 @@ def test_psd_sqrt_squares_back(seed):
     rng = np.random.default_rng(seed)
     b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     a = b.conj().T @ b
-    root = psd_sqrt(a)
+    root = _psd_roots(a[None])[0]
     assert is_hermitian(root)
     assert max_abs(root @ root - a) < 1e-9
 
 
 def test_psd_sqrt_clamps_rounding_noise_but_rejects_negatives():
     for noise in (-5e-11, -5e-10):
-        root = psd_sqrt(np.diag([1.0, noise]).astype(complex))
+        root = _psd_roots(np.diag([1.0, noise]).astype(complex)[None])[0]
         assert max_abs(root - np.diag([1.0, 0.0])) < 1e-5
     rng = np.random.default_rng(7)
     for dim in range(2, 7):
         # eigh leaves ~1e-16 on the kernel of a rank-1 projector; its root is exact
         v = random_state(rng, dim)
         projector = np.outer(v, v.conj())
-        assert max_abs(psd_sqrt(projector) - projector) < 1e-14
+        assert max_abs(_psd_roots(projector[None])[0] - projector) < 1e-14
     with pytest.raises(ValidationError, match=r"eigenvalue -1e-06 is below -1e-09"):
-        psd_sqrt(np.diag([1.0, -1e-6]).astype(complex))
-    with pytest.raises(NotHermitianError):
-        psd_sqrt(np.array([[0, 1], [0, 0]], dtype=complex))
+        _psd_roots(np.diag([1.0, -1e-6]).astype(complex)[None])
 
 
 def test_psd_roots_takes_each_root_with_psd_sqrt_rules_and_error():
@@ -124,7 +75,7 @@ def test_psd_roots_takes_each_root_with_psd_sqrt_rules_and_error():
                       np.eye(3) * 4.0]).astype(complex)
     roots = _psd_roots(stack)
     for a, root in zip(stack, roots):
-        assert np.array_equal(root, psd_sqrt(a))
+        assert np.array_equal(root, _psd_roots(a[None])[0])
     # each matrix's noise floor is its own: 1e-12 is above the projector's
     assert roots[1][1, 1] == pytest.approx(1e-6)
     bad = stack.copy()
@@ -132,7 +83,7 @@ def test_psd_roots_takes_each_root_with_psd_sqrt_rules_and_error():
     with pytest.raises(ValidationError) as stacked:
         _psd_roots(bad)
     with pytest.raises(ValidationError) as single:
-        psd_sqrt(bad[1])
+        _psd_roots(bad[1][None])
     assert str(stacked.value) == str(single.value)
     assert "eigenvalue -1e-06 is below -1e-09" in str(stacked.value)
 

@@ -20,7 +20,6 @@ from qmeasure import (
     ValidationError,
     as_povm,
     born_povm,
-    born_pvm,
     check_reproducibility,
     dilation_model,
     evolve_meter,
@@ -30,7 +29,6 @@ from qmeasure import (
     max_abs,
     measurement,
     pvm_from_observable,
-    tensor,
     unsharp_qubit_povm,
     von_neumann_model,
 )
@@ -99,7 +97,7 @@ def test_meter_distribution_matches_born_of_induced(seed):
     rng = np.random.default_rng(seed)
     process = random_process(rng, 3, 2)
     psi = random_state(rng, 3)
-    direct = born_pvm(evolve_meter(process), tensor(psi, process.apparatus_state))
+    direct = born_povm(as_povm(evolve_meter(process)), np.kron(psi, process.apparatus_state))
     via_povm = born_povm(induced_povm(process), psi)
     assert direct.outcomes == via_povm.outcomes
     assert direct.probabilities == pytest.approx(via_povm.probabilities, abs=1e-10)
