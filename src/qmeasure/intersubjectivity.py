@@ -5,20 +5,22 @@ H x K1 x K2. Each meter is evolved by its own process's interaction and
 kept on its own factor, H x K1 or H x K2; no operator on the whole compound
 space is ever built. The scenario is local when every pair of evolved meter
 projectors, each extended by the identity on the other apparatus, commutes:
-its commutator_bound, else the exact max_commutator_norm, is within tolerance.
+its commutator_bound, else the exact max_commutator_norm, is within the
+commutation tolerance, which compose takes and the scenario keeps.
 For local scenarios the joint outcome distribution
 P(x, y) = <Psi| E1(x) E2(y) |Psi> is well defined, and when both processes
 reproduce the statistics of the same accurate observable, both observers
 read the same outcome with probability one. For noisy observables the
 agreement probability drops below one; a seeded sampler draws outcome pairs
-from the joint table for Monte Carlo checks. The verdict and the sampler
+from the joint table for Monte Carlo checks. verify_oit and the sampler
 both return the joint table they used.
 
-The three tolerances a scenario sets (commutation, reproducibility, oit)
-are parameters here. The other rules are the ones observables keeps: two
-labels agree when observables._label_pairs pairs them (one to one, within
-LABEL_TOL), and a joint table is a probability within PROB_TOL; a table
-that is not means the meters do not commute on this state.
+Of the three tolerances a scenario sets, commutation is given to compose;
+reproducibility and oit are parameters of verify_oit. The other rules are
+the ones observables keeps: two labels agree when observables._label_pairs
+pairs them (one to one, within LABEL_TOL), and a joint table is a
+probability within PROB_TOL; a table that is not means the meters do not
+commute on this state.
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ class JointScenario:
     """A system state with two measuring processes composed on H x K1 x K2.
 
     evolved1 is process1's evolved meter on H x K1 and evolved2 is
-    process2's on H x K2, as evolve_meter returns them.
+    process2's on H x K2, as evolve_meter returns them. commuting is the one
+    locality verdict, made with the commutation_tol compose was given.
     """
 
     psi: np.ndarray
@@ -58,6 +61,7 @@ class JointScenario:
     evolved1: Pvm
     evolved2: Pvm
     commutator_bound: float
+    commutation_tol: float
 
     @property
     def total_dim(self) -> int:
@@ -76,6 +80,17 @@ class JointScenario:
                 ba = np.tensordot(b, a, axes=(2, 1))  # [q, i, p, j] = (b[q] a[p])[i, j]
                 worst = max(worst, max_abs(ab - ba.transpose(2, 1, 0, 3)))
         return worst
+
+    @property
+    def locality_value(self) -> float:
+        """commutator_bound if within commutation_tol, else the exact max_commutator_norm."""
+        bound = self.commutator_bound
+        return bound if bound <= self.commutation_tol else self.max_commutator_norm
+
+    @property
+    def commuting(self) -> bool:
+        """Locality: whether the evolved meters commute within commutation_tol."""
+        return bool(self.locality_value <= self.commutation_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +145,8 @@ class SampleResult:
     analytic: JointDistribution  # the table the counts were drawn from
 
 
-def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess) -> JointScenario:
+def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
+            commutation_tol: float = COMMUTATION_TOL) -> JointScenario:
     """Compose two processes sharing the system into one scenario on H x K1 x K2.
 
     Process1's interaction acts on H and K1, process2's on H and K2. Each
@@ -139,7 +155,9 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess) -> 
     compound dimension over linalg.MAX_DIM raises DimensionError before
     either meter is evolved.
 
-    commutator_bound decides locality later, at any tolerance. With each
+    The scenario keeps commutation_tol and decides JointScenario.commuting
+    with it, the verdict every consumer reads; commutator_bound decides it
+    whenever the bound is within the tolerance. With each
     side's blocks (see _blocks) stacked as the rows of X = U S Q and
     Y = V T R (SVDs), sum_kl ||[X_k, Y_l]||_F^2 = sum_ij s_i^2 t_j^2
     ||[Q_i, R_j]||_F^2. Only the components above numpy's rank tolerance
@@ -181,6 +199,7 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess) -> 
         evolved1=evolved1,
         evolved2=evolved2,
         commutator_bound=float(np.sqrt(squared)) + 4 * (d_sys + 1) * np.finfo(float).eps,
+        commutation_tol=commutation_tol,
     )
 
 
@@ -210,23 +229,20 @@ def _blocks(projector: np.ndarray, d_sys: int) -> np.ndarray:
     return blocks.reshape(k * k, d_sys, d_sys)
 
 
-def joint_distribution(
-    scenario: JointScenario, commutation_tol: float = COMMUTATION_TOL
-) -> JointDistribution:
+def joint_distribution(scenario: JointScenario) -> JointDistribution:
     """Joint table P(x, y) = <Psi| E1(x) E2(y) |Psi> for a local scenario.
 
-    Raises NonCommutingMetersError when max_commutator_norm exceeds
-    commutation_tol; the product of non-commuting projectors is not a
-    probability. It is raised too when the table is not a probability
-    within PROB_TOL, an imaginary residue or an entry below -PROB_TOL: since
-    Im P(x, y) = <Psi|[E1(x), E2(y)]|Psi> / 2i and commuting projectors give
-    P >= 0, either means the meters do not commute on this state.
+    Raises NonCommutingMetersError when the scenario is not commuting; the
+    product of non-commuting projectors is not a probability. It is raised
+    too when the table is not a probability within PROB_TOL, an imaginary
+    residue or an entry below -PROB_TOL: since Im P(x, y) =
+    <Psi|[E1(x), E2(y)]|Psi> / 2i and commuting projectors give P >= 0,
+    either means the meters do not commute on this state.
     """
-    norm = _commutator_norm(scenario, commutation_tol)
-    if not norm <= commutation_tol:
+    if not scenario.commuting:
         raise NonCommutingMetersError(
             f"evolved meters do not commute (max commutator norm "
-            f"{norm:.3e} > {commutation_tol})"
+            f"{scenario.locality_value:.3e} > {scenario.commutation_tol})"
         )
     p1, p2 = scenario.process1, scenario.process2
     # the product state psi x xi1 x xi2 as a (d, d1, d2) tensor
@@ -249,23 +265,15 @@ def joint_distribution(
     return JointDistribution(scenario.evolved1.outcomes, scenario.evolved2.outcomes, table.real)
 
 
-def _commutator_norm(scenario: JointScenario, commutation_tol: float) -> float:
-    """The bound when it settles locality within commutation_tol, else the exact norm."""
-    bound = scenario.commutator_bound
-    return bound if bound <= commutation_tol else scenario.max_commutator_norm
-
-
 def table_agreement(dist: JointDistribution) -> float:
     """Total mass on the cells of a joint table whose labels observables._label_pairs pairs."""
     pairs = _label_pairs(dist.outcomes1, dist.outcomes2)
     return float(sum(dist.probabilities[i, j] for i, j in pairs))
 
 
-def agreement_probability(
-    scenario: JointScenario, commutation_tol: float = COMMUTATION_TOL
-) -> float:
+def agreement_probability(scenario: JointScenario) -> float:
     """Probability that both observers read the same outcome label."""
-    return table_agreement(joint_distribution(scenario, commutation_tol))
+    return table_agreement(joint_distribution(scenario))
 
 
 def verify_oit(
@@ -273,17 +281,16 @@ def verify_oit(
     observable: Pvm,
     tol: float = OIT_TOL,
     reproducibility_tol: float = REPRO_TOL,
-    commutation_tol: float = COMMUTATION_TOL,
 ) -> OitReport:
     """Check that joint accurate measurements of one observable always agree.
 
     Both processes must reproduce the observable's statistics (their induced
     POVMs must equal its PVM within reproducibility_tol; a process shared by
-    both sides is checked once); otherwise
-    PreconditionError is raised and agreement_probability is the meaningful
-    quantity instead. The meters must commute within commutation_tol, or
-    NonCommutingMetersError is raised. The report compares the joint table
-    against the ideal, zero off-diagonal mass and diagonal
+    both sides is checked once); otherwise PreconditionError is raised and
+    agreement_probability is the meaningful quantity instead. The scenario
+    must be commuting, by the verdict made with the commutation_tol compose
+    was given, or NonCommutingMetersError is raised. The report compares
+    the joint table against the ideal, zero off-diagonal mass and diagonal
     P(x, x) = ||E(x) psi||^2, and is intersubjective when both deviations
     are at most tol. Labels are paired by observables._label_pairs, as in
     table_agreement and the reproducibility check: the diagonal cells are
@@ -302,7 +309,7 @@ def verify_oit(
                 f"(max operator deviation {report.max_operator_deviation:.3e}); "
                 f"use agreement_probability for noisy observables"
             )
-    dist = joint_distribution(scenario, commutation_tol)
+    dist = joint_distribution(scenario)
     expected = {x: float(np.linalg.norm(proj @ scenario.psi) ** 2)
                 for x, proj in zip(observable.outcomes, observable.projectors)}
     row_label = dict(_label_pairs(dist.outcomes1, observable.outcomes))
@@ -324,13 +331,8 @@ def verify_oit(
     )
 
 
-def sample_outcomes(
-    scenario: JointScenario,
-    n: int,
-    seed: int,
-    commutation_tol: float = COMMUTATION_TOL,
-) -> SampleResult:
-    """Draw n i.i.d. outcome pairs from the joint table.
+def sample_outcomes(scenario: JointScenario, n: int, seed: int) -> SampleResult:
+    """Draw n i.i.d. outcome pairs from joint_distribution's table.
 
     Sampling is inverse-CDF over the lexicographically ordered (x, y) cells
     using numpy's seeded default generator, so a fixed seed reproduces the
@@ -343,12 +345,13 @@ def sample_outcomes(
     equal a per-draw lookup's. The generator yields the same stream in
     chunks as in one call, so the counts do not depend on the chunk size,
     and memory is bounded by the chunk, not by n. Cells with zero analytic
-    probability are never drawn.
+    probability are never drawn. A scenario that is not commuting raises
+    NonCommutingMetersError, as in joint_distribution.
     """
     if not _is_count(n):
         raise ValidationError(f"sample count must be an integer >= 1, got {n!r}")
     n = int(n)
-    dist = joint_distribution(scenario, commutation_tol)
+    dist = joint_distribution(scenario)
     edges = np.cumsum(dist.probabilities.ravel())[:-1]
     rng = np.random.default_rng(seed)
     below = np.zeros(edges.size, dtype=np.int64)

@@ -31,6 +31,7 @@ Schema sketch (see the README for a worked example):
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -40,7 +41,6 @@ from .errors import ValidationError
 from .intersubjectivity import (
     COMMUTATION_TOL,
     OIT_TOL,
-    _commutator_norm,
     agreement_probability,
     compose,
     joint_distribution,
@@ -85,21 +85,22 @@ from .serialize import (
 SCHEMA_VERSION = "1"
 STATE_NORM_GATE = 1e-8  # looser than the library's norm invariant; gated then renormalized
 
-EXPERIMENTS = ("induce", "reproduce", "joint", "oit", "sample")
-_PROCESS_COUNT = {"induce": 1, "reproduce": 1, "joint": 2, "oit": 2, "sample": 2}
+# per experiment: its process count, the tolerance the CLI --tol flag replaces
+# (or None), and whether it needs a projective observable
+_Experiment = namedtuple("_Experiment", "processes decision needs_pvm")
+EXPERIMENTS = {
+    "induce": _Experiment(1, None, False),
+    "reproduce": _Experiment(1, "reproducibility", True),
+    "joint": _Experiment(2, "commutation", False),
+    "oit": _Experiment(2, "oit", True),
+    "sample": _Experiment(2, "commutation", False),
+}
 
 DEFAULT_TOLERANCES = {
     "cluster": CLUSTER_TOL,
     "reproducibility": REPRO_TOL,
     "commutation": COMMUTATION_TOL,
     "oit": OIT_TOL,
-}
-# which tolerance the CLI --tol flag overrides, per experiment
-DECISION_TOLERANCE = {
-    "reproduce": "reproducibility",
-    "joint": "commutation",
-    "sample": "commutation",
-    "oit": "oit",
 }
 
 DEFAULT_N_SAMPLES = 10000
@@ -145,13 +146,14 @@ def _gated_state(raw, where: str, dim: Optional[int] = None) -> np.ndarray:
     return vec / norm
 
 
-def _projective_pvm(observable) -> Optional[Pvm]:
-    """The PVM of a projective observable, or None for a noisy one."""
+def _projective_pvm(observable, derived: dict) -> Optional[Pvm]:
+    """The PVM of a projective observable, or None; derived["pvm"] keeps a Povm's answer."""
     if isinstance(observable, Pvm):
         return observable
-    if is_projective(observable):
-        return _derived(Pvm, observable.outcomes, observable.effects, observable.dim)
-    return None
+    if "pvm" not in derived:
+        derived["pvm"] = (_derived(Pvm, observable.outcomes, observable.effects, observable.dim)
+                          if is_projective(observable) else None)
+    return derived["pvm"]
 
 
 def _build_observable(data, dim: int, cluster_tol: float):
@@ -194,14 +196,15 @@ def _derived_process(model: str, observable, where: str, derived: dict) -> Measu
     """The von_neumann or dilation process of observable.
 
     derived maps a model name to the process already built for this
-    observable, which is returned again instead of a new one.
+    observable, which is returned again instead of a new one, and "pvm" to
+    the observable's PVM (see _projective_pvm).
     """
     if model not in derived:
         if model == "dilation":
             povm = as_povm(observable) if isinstance(observable, Pvm) else observable
             derived[model] = dilation_model(povm)
         else:
-            pvm = _projective_pvm(observable)
+            pvm = _projective_pvm(observable, derived)
             _require(pvm is not None,
                      f"{where}: the von_neumann model needs a projective observable")
             derived[model] = von_neumann_model(pvm)
@@ -301,7 +304,7 @@ def load_scenario(data) -> Scenario:
     psi = _gated_state(system["state"], "system.state", dim)
 
     experiment = data["experiment"]
-    _require(experiment in EXPERIMENTS,
+    _require(isinstance(experiment, str) and experiment in EXPERIMENTS,
              f"experiment: unknown experiment {experiment!r} (expected one of "
              f"{', '.join(EXPERIMENTS)})")
 
@@ -319,10 +322,10 @@ def load_scenario(data) -> Scenario:
 
     entries = data["processes"]
     _require(isinstance(entries, list), "processes: expected a list")
-    needed = _PROCESS_COUNT[experiment]
+    spec = EXPERIMENTS[experiment]
     _require(
-        len(entries) == needed,
-        f"processes: the {experiment} experiment needs exactly {needed} "
+        len(entries) == spec.processes,
+        f"processes: the {experiment} experiment needs exactly {spec.processes} "
         f"process(es), got {len(entries)}",
     )
     derived = {}
@@ -330,11 +333,11 @@ def load_scenario(data) -> Scenario:
              for i, entry in enumerate(entries)]
     processes = tuple(p for p, _ in built)
     models = tuple(m for _, m in built)
-    if needed == 2:
+    if spec.processes == 2:
         # compose's own cap, checked here so that validate rejects what run would
         _check_dim(processes[0].total_dim * processes[1].apparatus_dim)
-    if experiment in ("reproduce", "oit"):
-        observable = _projective_pvm(observable)
+    if spec.needs_pvm:
+        observable = _projective_pvm(observable, derived)
         _require(
             observable is not None,
             f"the {experiment} experiment needs a projective observable "
@@ -384,12 +387,12 @@ def run_experiment(
     """Execute the scenario's experiment and return a JSON-ready report.
 
     tol_override replaces the experiment's decision tolerance (see
-    DECISION_TOLERANCE); seed_override replaces the sampling seed. Both are
+    EXPERIMENTS); seed_override replaces the sampling seed. Both are
     the CLI flags' hooks, default to the scenario's own parameters, and are
     checked as the loader checks the values they replace.
     """
     tolerances = dict(scenario.tolerances)
-    decision = DECISION_TOLERANCE.get(scenario.experiment)
+    decision = EXPERIMENTS[scenario.experiment].decision
     if tol_override is not None and decision is not None:
         tolerances[decision] = _checked_tolerance(tol_override, "tol_override")
     diagnostics = {"tolerances": tolerances}
@@ -418,12 +421,12 @@ def run_experiment(
             },
         }
     else:
-        joint = compose(scenario.psi, scenario.processes[0], scenario.processes[1])
-        norm = _commutator_norm(joint, tolerances["commutation"])
-        diagnostics["max_commutator_norm"] = norm
-        diagnostics["commuting"] = bool(norm <= tolerances["commutation"])
+        joint = compose(scenario.psi, *scenario.processes, tolerances["commutation"])
+        # the scenario's one locality verdict, under the report's existing keys
+        diagnostics["max_commutator_norm"] = joint.locality_value
+        diagnostics["commuting"] = joint.commuting
         if experiment == "joint":
-            dist = joint_distribution(joint, tolerances["commutation"])
+            dist = joint_distribution(joint)
             results = {
                 "outcomes1": list(dist.outcomes1),
                 "outcomes2": list(dist.outcomes2),
@@ -433,13 +436,8 @@ def run_experiment(
                 "agreement_probability": table_agreement(dist),
             }
         elif experiment == "oit":
-            report = verify_oit(
-                joint,
-                scenario.observable,
-                tol=tolerances["oit"],
-                reproducibility_tol=tolerances["reproducibility"],
-                commutation_tol=tolerances["commutation"],
-            )
+            report = verify_oit(joint, scenario.observable, tol=tolerances["oit"],
+                                reproducibility_tol=tolerances["reproducibility"])
             dist = report.joint
             results = {
                 "intersubjective": bool(report.intersubjective),
@@ -456,9 +454,7 @@ def run_experiment(
         else:
             seed = (scenario.seed if seed_override is None
                     else _checked_seed(seed_override, "seed_override"))
-            sample = sample_outcomes(
-                joint, scenario.n_samples, seed, tolerances["commutation"]
-            )
+            sample = sample_outcomes(joint, scenario.n_samples, seed)
             results = {
                 "n_samples": int(scenario.n_samples),
                 "seed": int(seed),
@@ -499,10 +495,8 @@ def sweep_agreement(scenario: Scenario, etas):
         derived = {}
         p1, p2 = (_derived_process(model, observable, f"processes[{i}]", derived)
                   for i, model in enumerate(scenario.models))
-        joint = compose(scenario.psi, p1, p2)
-        rows.append((float(eta), agreement_probability(
-            joint, scenario.tolerances["commutation"]
-        )))
+        joint = compose(scenario.psi, p1, p2, scenario.tolerances["commutation"])
+        rows.append((float(eta), agreement_probability(joint)))
     return rows
 
 

@@ -7,6 +7,7 @@ recomputed with dense D x D products, D = d * d1 * d2. compose's
 commutator_bound must lie above that norm and decide locality as it does.
 """
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -38,7 +39,7 @@ from qmeasure import (
     von_neumann_model,
 )
 from qmeasure.cli import main
-from qmeasure.intersubjectivity import COMMUTATION_TOL, _block_span, _commutator_norm
+from qmeasure.intersubjectivity import COMMUTATION_TOL, _block_span
 
 SIGMA_Z_PVM = pvm_from_observable(PAULI_Z)
 SIGMA_X_PVM = pvm_from_observable(PAULI_X)
@@ -72,14 +73,14 @@ def dense_reference(psi, p1, p2):
 def assert_bound_decides_like_the_oracle(js, worst):
     """commutator_bound is at least the dense max entry, and locality is decided on it.
 
-    At every tolerance the decision equals the exact pair loop's, and it
-    equals the dense oracle's wherever rounding (AGREE_TOL) cannot tell the
-    two apart.
+    At every tolerance the verdict of js given that tolerance in place of
+    its own equals the exact pair loop's, and it equals the dense
+    oracle's wherever rounding (AGREE_TOL) cannot tell the two apart.
     """
     bound = js.commutator_bound
     assert bound >= worst
     for tol in (worst / 2, 2 * worst, bound / 2, 2 * bound, COMMUTATION_TOL):
-        local = _commutator_norm(js, tol) <= tol
+        local = dataclasses.replace(js, commutation_tol=tol).commuting
         assert local == (js.max_commutator_norm <= tol), (tol, worst, bound)
         if abs(worst - tol) > AGREE_TOL:
             assert local == (worst <= tol), (tol, worst, bound)

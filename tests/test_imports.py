@@ -113,8 +113,8 @@ def test_dead_public_name_is_reported():
     assert dead_public_names(["dead", "kept", "loaded", "read"], sources, readme) == ["dead"]
 
 
-# the parameters that carry a scenario's params.tolerances (or --tol); every
-# other tolerance is a module constant its function reads directly
+# the parameters and fields that carry a scenario's params.tolerances (or
+# --tol); every other tolerance is a module constant its function reads directly
 SCENARIO_TOLERANCES = {
     ("observables.py", "pvm_from_observable", "cluster_tol"),
     ("scenario.py", "_build_observable", "cluster_tol"),
@@ -122,25 +122,34 @@ SCENARIO_TOLERANCES = {
     ("measurement.py", "_compare", "tol"),
     ("intersubjectivity.py", "verify_oit", "tol"),
     ("intersubjectivity.py", "verify_oit", "reproducibility_tol"),
-    ("intersubjectivity.py", "verify_oit", "commutation_tol"),
-    ("intersubjectivity.py", "joint_distribution", "commutation_tol"),
-    ("intersubjectivity.py", "agreement_probability", "commutation_tol"),
-    ("intersubjectivity.py", "sample_outcomes", "commutation_tol"),
-    ("intersubjectivity.py", "_commutator_norm", "commutation_tol"),
+    ("intersubjectivity.py", "compose", "commutation_tol"),
+    ("intersubjectivity.py", "JointScenario", "commutation_tol"),
 }
 
 
+def _is_tolerance(name: str) -> bool:
+    return name in ("tol", "threshold") or name.endswith("_tol")
+
+
 def tolerance_parameters(sources: dict) -> set:
-    """(module, function, parameter) for each parameter named tol, *_tol or threshold."""
+    """(module, owner, name) for each parameter named tol, *_tol or threshold.
+
+    An annotated class field so named is reported too, with its class as the
+    owner: a dataclass field is an __init__ parameter.
+    """
     found = set()
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = node.args
                 for arg in args.posonlyargs + args.args + args.kwonlyargs:
-                    name = arg.arg
-                    if name in ("tol", "threshold") or name.endswith("_tol"):
-                        found.add((module, getattr(node, "name", "<lambda>"), name))
+                    if _is_tolerance(arg.arg):
+                        found.add((module, getattr(node, "name", "<lambda>"), arg.arg))
+            elif isinstance(node, ast.ClassDef):
+                for field in node.body:
+                    if (isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+                            and _is_tolerance(field.target.id)):
+                        found.add((module, node.name, field.target.id))
     return found
 
 
@@ -151,10 +160,12 @@ def test_only_scenario_tolerances_are_parameters():
 def test_tolerance_parameter_is_reported():
     source = ("def f(x, tol=1e-9, *, label_tol=0.0, threshold=1):\n    pass\n"
               "g = lambda y, clamp_tol=0: y\n"
-              "def h(total, stol, tolerance):\n    pass\n")
+              "def h(total, stol, tolerance):\n    pass\n"
+              "class C:\n    gate_tol: float\n    tolerance: float\n    FIXED_TOL = 1e-9\n")
     assert tolerance_parameters({"a.py": source}) == {
         ("a.py", "f", "tol"),
         ("a.py", "f", "label_tol"),
         ("a.py", "f", "threshold"),
         ("a.py", "<lambda>", "clamp_tol"),
+        ("a.py", "C", "gate_tol"),
     }

@@ -33,6 +33,7 @@ from qmeasure import (
     evolve_meter,
     induced_povm,
     intersubjectivity,
+    is_projective,
     joint_distribution,
     load_scenario,
     load_scenario_file,
@@ -357,6 +358,70 @@ def test_sweep_of_a_dilation_pair_never_asks_for_a_pvm(monkeypatch):
         assert abs(agreement - ((1 + eta) ** 2 + (1 - eta) ** 2) / 4) <= 1e-12
 
 
+@pytest.mark.parametrize("experiment", ["oit", "reproduce"])
+@pytest.mark.parametrize("model", ["von_neumann", "dilation"])
+@pytest.mark.parametrize("observable", ["povm", "unsharp"])
+def test_a_load_tests_projectivity_once(monkeypatch, observable, model, experiment):
+    # the von_neumann model and the experiment both need the PVM; it is derived once
+    doc = scenario_to_json(PLUS, as_povm(SIGMA_Z_PVM), [], experiment)
+    if observable == "unsharp":
+        doc["observable"] = {"unsharp": {"eta": 1.0}}
+    doc["processes"] = [{"model": model}] * (2 if experiment == "oit" else 1)
+    calls = []
+
+    def counted(povm):
+        calls.append(povm)
+        return is_projective(povm)
+
+    monkeypatch.setattr("qmeasure.scenario.is_projective", counted)
+    scenario = load_scenario(doc)
+    assert len(calls) == 1
+    assert isinstance(scenario.observable, Pvm)
+    assert run_experiment(scenario)["experiment"] == experiment
+
+
+def _tilted_pair():
+    # pointer models of sigma_z and of sigma_z turned by 0.1 rad; on GROUND the
+    # exact commutator norm is 0.099, the bound 0.56, and the table a probability
+    turn = np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])
+    tilted = pvm_from_observable((turn @ PAULI_Z @ turn.T).astype(complex))
+    return von_neumann_model(SIGMA_Z_PVM), von_neumann_model(tilted)
+
+
+LOCALITY_CONSUMERS = {
+    "joint_distribution": joint_distribution,
+    "agreement_probability": agreement_probability,
+    # the tilted process does not reproduce sigma_z within the default tolerance
+    "verify_oit": lambda js: verify_oit(js, SIGMA_Z_PVM, reproducibility_tol=1.0),
+    "sample_outcomes": lambda js: sample_outcomes(js, 100, seed=1),
+}
+
+
+@pytest.mark.parametrize("consumer", list(LOCALITY_CONSUMERS.values()),
+                         ids=list(LOCALITY_CONSUMERS))
+def test_every_consumer_reads_the_verdict_compose_made(consumer):
+    strict = compose(GROUND, *_tilted_pair(), commutation_tol=0.05)
+    loose = compose(GROUND, *_tilted_pair(), commutation_tol=0.2)
+    exact = strict.max_commutator_norm
+    assert 0.05 < exact < 0.2 < loose.commutator_bound
+    assert (strict.commuting, loose.commuting) == (False, True)
+    assert strict.locality_value == loose.locality_value == exact
+    with pytest.raises(NonCommutingMetersError, match=f"{exact:.3e} > 0.05"):
+        consumer(strict)
+    consumer(loose)
+
+
+def test_run_reports_the_verdict_the_consumers_read():
+    scenario = load_scenario(scenario_to_json(GROUND, SIGMA_Z_PVM, _tilted_pair(), "joint"))
+    exact = compose(GROUND, *scenario.processes).max_commutator_norm
+    report = run_experiment(scenario, tol_override=0.2)
+    assert report["diagnostics"]["commuting"] is True
+    assert report["diagnostics"]["max_commutator_norm"] == exact
+    assert report["diagnostics"]["tolerances"]["commutation"] == 0.2
+    with pytest.raises(NonCommutingMetersError, match=f"{exact:.3e} > 0.05"):
+        run_experiment(scenario, tol_override=0.05)
+
+
 def test_agreement_propagates_non_commuting_error():
     js = compose(PLUS, von_neumann_model(SIGMA_Z_PVM), von_neumann_model(SIGMA_X_PVM))
     with pytest.raises(NonCommutingMetersError):
@@ -518,6 +583,7 @@ def test_oit_pairs_labels_one_to_one_as_reproducibility_does(odd_first):
 ])
 def test_a_table_that_is_not_a_probability_means_the_meters_do_not_commute(psi):
     # Im P(x, y) = <Psi|[E1(x), E2(y)]|Psi> / 2i, and commuting projectors give P >= 0
-    js = compose(psi, von_neumann_model(SIGMA_Z_PVM), von_neumann_model(SIGMA_X_PVM))
+    js = compose(psi, von_neumann_model(SIGMA_Z_PVM), von_neumann_model(SIGMA_X_PVM),
+                 commutation_tol=1.0)
     with pytest.raises(NonCommutingMetersError, match="do not commute"):
-        joint_distribution(js, commutation_tol=1.0)
+        joint_distribution(js)
