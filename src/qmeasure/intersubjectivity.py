@@ -37,8 +37,17 @@ from .errors import (
     ValidationError,
 )
 from .linalg import _check_dim, _frozen, as_state, max_abs
-from .measurement import REPRO_TOL, MeasurementProcess, _compare, _pinch, evolve_meter
-from .observables import PROB_TOL, Pvm, _checked_probabilities, _label_pairs
+from .measurement import (
+    REPRO_TOL,
+    MeasurementProcess,
+    _compare,
+    _evolved_meters,
+    _model_process,
+    _pinch,
+    _pointer,
+    evolve_meter,
+)
+from .observables import PROB_TOL, Pvm, _checked_probabilities, _derived, _label_pairs
 from .serialize import _is_count
 
 COMMUTATION_TOL = 1e-8  # default locality decision tolerance
@@ -71,8 +80,8 @@ class JointScenario:
     def max_commutator_norm(self) -> float:
         """Largest entry of any commutator of evolved meter projectors on H x K1 x K2."""
         d_sys = self.psi.shape[0]
-        blocks1 = [_blocks(p, d_sys) for p in self.evolved1.projectors]
-        blocks2 = [_blocks(p, d_sys) for p in self.evolved2.projectors]
+        blocks1 = _blocks(np.array(self.evolved1.projectors), d_sys)
+        blocks2 = _blocks(np.array(self.evolved2.projectors), d_sys)
         worst = 0.0
         for a in blocks1:
             for b in blocks2:
@@ -179,54 +188,90 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
         )
     _check_dim(process1.total_dim * process2.apparatus_dim)
     evolved1 = evolve_meter(process1)
-    s, q, s_drop = _block_span(evolved1, d_sys)
+    e1 = np.array(evolved1.projectors)[None]
     if process2 is process1:
-        evolved2, t, r, t_drop = evolved1, s, q, s_drop
+        evolved2, e2 = evolved1, e1
     else:
         evolved2 = evolve_meter(process2)
-        t, r, t_drop = _block_span(evolved2, d_sys)
-    qr = np.tensordot(q, r, axes=(2, 1))  # [i, a, j, c] = (q[i] r[j])[a, c]
-    # [j, a, i, c] = (r[j] q[i])[a, c], which is qr itself when r is q
-    rq = qr if process2 is process1 else np.tensordot(r, q, axes=(2, 1))
-    comm = qr - rq.transpose(2, 1, 0, 3)  # [i, a, j, c] = [q[i], r[j]][a, c]
-    s2, t2 = s**2, t**2
-    squared = s2 @ (comm.real**2 + comm.imag**2).sum(axis=(1, 3)) @ t2
-    squared += 4 * (s_drop * (t2.sum() + t_drop) + s2.sum() * t_drop)
+        e2 = np.array(evolved2.projectors)[None]
     return JointScenario(
         psi=_frozen(psi.copy()),
         process1=process1,
         process2=process2,
         evolved1=evolved1,
         evolved2=evolved2,
-        commutator_bound=float(np.sqrt(squared)) + 4 * (d_sys + 1) * np.finfo(float).eps,
+        commutator_bound=float(_span_bounds(e1, e2, d_sys)[0]),
         commutation_tol=commutation_tol,
     )
 
 
-def _block_span(evolved: Pvm, d_sys: int):
-    """The span of all blocks stacked: singular values s, right singular vectors Q, dropped mass.
+def _span_bounds(e1: np.ndarray, e2: np.ndarray, d_sys: int) -> np.ndarray:
+    """compose's commutator_bound for each pair of two (m, n, D, D) evolved-meter stacks.
 
-    Only the components above numpy's rank tolerance, s_max * max(rows, d_sys^2)
-    * eps, are kept, each with its d_sys x d_sys right singular vector; the
-    third value is the dropped squared mass, sum s_i^2 over the rest.
+    One stacked svd per side (see _block_span); e2 is e1 when both sides
+    share their meters, and then its span and products are reused.
     """
-    stacked = np.concatenate([_blocks(p, d_sys) for p in evolved.projectors])
-    stacked = stacked.reshape(-1, d_sys * d_sys)
+    s, q, s_drop = _block_span(e1, d_sys)
+    if e2 is e1:
+        t, r, t_drop = s, q, s_drop
+    else:
+        t, r, t_drop = _block_span(e2, d_sys)
+    qr = _pair_products(q, r)  # [., i, a, j, c] = (q[i] r[j])[a, c]
+    # [., j, a, i, c] = (r[j] q[i])[a, c], which is qr itself when r is q
+    rq = qr if e2 is e1 else _pair_products(r, q)
+    comm = qr - rq.transpose(0, 3, 2, 1, 4)  # [., i, a, j, c] = [q[i], r[j]][a, c]
+    s2, t2 = s**2, t**2
+    squared = (s2[:, None] @ (comm.real**2 + comm.imag**2).sum(axis=(2, 4))
+               @ t2[:, :, None])[:, 0, 0]
+    squared += 4 * (s_drop * (t2.sum(axis=1) + t_drop) + s2.sum(axis=1) * t_drop)
+    return np.sqrt(squared) + 4 * (d_sys + 1) * np.finfo(float).eps
+
+
+def _pair_products(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[., i, a, j, c] = (x[i] y[j])[a, c] for (m, kx, d, d) and (m, ky, d, d) stacks.
+
+    One product per stack entry, as np.tensordot(x[.], y[.], axes=(2, 1)) forms it.
+    """
+    m, kx, d, _ = x.shape
+    ky = y.shape[1]
+    xy = x.reshape(m, kx * d, d) @ y.transpose(0, 2, 1, 3).reshape(m, d, ky * d)
+    return xy.reshape(m, kx, d, ky, d)
+
+
+def _block_span(evolved: np.ndarray, d_sys: int):
+    """The span of each meter's blocks stacked, for an (m, n, D, D) stack of evolved meters.
+
+    Per meter, the blocks of all n projectors (see _blocks) are the rows of
+    one (n k^2) x d_sys^2 matrix, and one stacked svd takes every matrix.
+    Returns the singular values s (m, r), their right singular vectors Q as
+    (m, r, d_sys, d_sys) and the dropped squared mass (m,). Only the
+    components above numpy's rank tolerance, s_max * max(rows, d_sys^2) * eps
+    of each matrix, are kept: r is the largest kept count in the stack, and
+    a matrix's singular values past its own count are set to 0, their
+    squared mass added to its dropped mass. So for m = 1 nothing is masked.
+    """
+    m, n, total, _ = evolved.shape
+    stacked = _blocks(evolved.reshape(m * n, total, total), d_sys).reshape(m, -1, d_sys * d_sys)
     _, s, q = np.linalg.svd(stacked, full_matrices=False)
-    keep = s > s[0] * max(stacked.shape) * np.finfo(float).eps
-    return s[keep], q[keep].reshape(-1, d_sys, d_sys), float(np.sum(s[~keep] ** 2))
+    keep = s > s[:, :1] * max(stacked.shape[1:]) * np.finfo(float).eps
+    top = keep.sum(axis=1).max()
+    masked = s[:, :top] * ~keep[:, :top]
+    dropped = (s[:, top:] ** 2).sum(axis=1) + (masked**2).sum(axis=1)
+    return s[:, :top] - masked, q[:, :top].reshape(m, top, d_sys, d_sys), dropped
 
 
-def _blocks(projector: np.ndarray, d_sys: int) -> np.ndarray:
+def _blocks(projectors: np.ndarray, d_sys: int) -> np.ndarray:
     """The d_sys x d_sys blocks E[a, c] of E = sum_ac E[a, c] x |a><c| on H x K.
 
-    Returned as a (k*k, d_sys, d_sys) stack. The commutator of E1 x I_K2 and
+    For an (N, D, D) stack of such operators, returned as an
+    (N, k*k, d_sys, d_sys) stack. The commutator of E1 x I_K2 and
     E2 x I_K1 on H x K1 x K2 is sum [E1[a, c], E2[b, e]] x |a><c| x |b><e|,
     so its largest entry is the largest entry of the block commutators.
     """
-    k = projector.shape[0] // d_sys
-    blocks = projector.reshape(d_sys, k, d_sys, k).transpose(1, 3, 0, 2)
-    return blocks.reshape(k * k, d_sys, d_sys)
+    count, total, _ = projectors.shape
+    k = total // d_sys
+    blocks = projectors.reshape(count, d_sys, k, d_sys, k).transpose(0, 2, 4, 1, 3)
+    return blocks.reshape(count, k * k, d_sys, d_sys)
 
 
 def joint_distribution(scenario: JointScenario) -> JointDistribution:
@@ -239,21 +284,43 @@ def joint_distribution(scenario: JointScenario) -> JointDistribution:
     <Psi|[E1(x), E2(y)]|Psi> / 2i and commuting projectors give P >= 0,
     either means the meters do not commute on this state.
     """
+    _require_commuting(scenario)
+    p1, p2 = scenario.process1, scenario.process2
+    # the product state psi x xi1 x xi2 as a (d, d1, d2) tensor
+    state = np.einsum("i,a,b->iab", scenario.psi, p1.apparatus_state, p2.apparatus_state)
+    e1 = np.array(scenario.evolved1.projectors)[None]
+    e2 = e1 if scenario.evolved2 is scenario.evolved1 else np.array(scenario.evolved2.projectors)[None]
+    table = _probability_table(_joint_tables(state, e1, e2)[0])
+    return JointDistribution(scenario.evolved1.outcomes, scenario.evolved2.outcomes, table)
+
+
+def _require_commuting(scenario: JointScenario) -> None:
     if not scenario.commuting:
         raise NonCommutingMetersError(
             f"evolved meters do not commute (max commutator norm "
             f"{scenario.locality_value:.3e} > {scenario.commutation_tol})"
         )
-    p1, p2 = scenario.process1, scenario.process2
-    # the product state psi x xi1 x xi2 as a (d, d1, d2) tensor
-    state = np.einsum("i,a,b->iab", scenario.psi, p1.apparatus_state, p2.apparatus_state)
+
+
+def _joint_tables(state: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
+    """<Psi| E1(x) E2(y) |Psi> for each pair of two (m, n, D, D) evolved-meter stacks.
+
+    state is the (d, d1, d2) product state psi x xi1 x xi2; the complex
+    tables come back as one (m, n1, n2) stack of three stacked products.
+    """
     d, d1, d2 = state.shape
-    e1 = np.array(scenario.evolved1.projectors)
-    e2 = e1 if scenario.evolved2 is scenario.evolved1 else np.array(scenario.evolved2.projectors)
-    left = e1 @ state.reshape(d * d1, d2)  # [x, (i, a), b] = (E1(x) Psi)[i, a, b]
-    right = e2 @ state.transpose(0, 2, 1).reshape(d * d2, d1)  # [y, (i, b), a]
-    right = right.reshape(-1, d, d2, d1).transpose(0, 1, 3, 2)  # [y, i, a, b]
-    table = left.conj().reshape(len(e1), -1) @ right.reshape(len(e2), -1).T
+    m, n1, n2 = len(e1), e1.shape[1], e2.shape[1]
+    left = e1 @ state.reshape(d * d1, d2)  # [., x, (i, a), b] = (E1(x) Psi)[i, a, b]
+    right = e2 @ state.transpose(0, 2, 1).reshape(d * d2, d1)  # [., y, (i, b), a]
+    right = right.reshape(m, n2, d, d2, d1).transpose(0, 1, 2, 4, 3)  # [., y, i, a, b]
+    return left.conj().reshape(m, n1, -1) @ right.reshape(m, n2, -1).swapaxes(1, 2)
+
+
+def _probability_table(table: np.ndarray) -> np.ndarray:
+    """The real part of a complex joint table that is a probability within PROB_TOL.
+
+    An imaginary residue or an entry below -PROB_TOL raises NonCommutingMetersError.
+    """
     residue = max_abs(table.imag)
     lowest = float(table.real.min())
     if residue > PROB_TOL or lowest < -PROB_TOL:
@@ -262,7 +329,41 @@ def joint_distribution(scenario: JointScenario) -> JointDistribution:
             f"imaginary residue {residue:.3e} and lowest entry {lowest:.3e}, "
             f"beyond {PROB_TOL}"
         )
-    return JointDistribution(scenario.evolved1.outcomes, scenario.evolved2.outcomes, table.real)
+    return table.real
+
+
+def _model_distributions(psi: np.ndarray, outcomes, interactions1: np.ndarray,
+                         interactions2: np.ndarray, commutation_tol: float) -> list:
+    """joint_distribution of a model pair at each point of two (m, D, D) interaction stacks.
+
+    Both sides are model processes on measurement._pointer's apparatus for
+    outcomes, and interactions2 is interactions1 when both sides share one
+    process. Each stage runs once on the whole stack: _evolved_meters (one
+    eigh of the pointer meter), _span_bounds and _joint_tables. The checks
+    then run point by point, in compose and joint_distribution's order, so
+    the first failing point raises their error: a bound above
+    commutation_tol leaves locality to the point's own JointScenario (its
+    exact max_commutator_norm), then the table must pass
+    _probability_table and JointDistribution.
+    """
+    d_sys = psi.shape[0]
+    xi, meter = _pointer(outcomes)
+    shared = interactions2 is interactions1
+    e1 = _evolved_meters(interactions1, meter, d_sys)
+    e2 = e1 if shared else _evolved_meters(interactions2, meter, d_sys)
+    bounds = _span_bounds(e1, e2, d_sys)
+    tables = _joint_tables(np.einsum("i,a,b->iab", psi, xi, xi), e1, e2)
+    dists = []
+    for k, table in enumerate(tables):
+        if not bounds[k] <= commutation_tol:
+            p1 = _model_process(d_sys, outcomes, interactions1[k])
+            p2 = p1 if shared else _model_process(d_sys, outcomes, interactions2[k])
+            evolved1 = _derived(Pvm, outcomes, e1[k], p1.total_dim)
+            evolved2 = evolved1 if shared else _derived(Pvm, outcomes, e2[k], p2.total_dim)
+            _require_commuting(JointScenario(psi, p1, p2, evolved1, evolved2,
+                                             float(bounds[k]), commutation_tol))
+        dists.append(JointDistribution(outcomes, outcomes, _probability_table(table)))
+    return dists
 
 
 def table_agreement(dist: JointDistribution) -> float:

@@ -85,24 +85,34 @@ class ReproducibilityReport:
     tolerance: float
 
 
+def _evolved_meters(interactions: np.ndarray, meter: Pvm, system_dim: int) -> np.ndarray:
+    """E(x) = U^dag (I x E_M(x)) U for each U of an (m, D, D) interaction stack.
+
+    Returned as an (m, n, D, D) stack, one meter projector per outcome. With
+    the columns of W_x an orthonormal basis of E_M(x)'s range (its
+    eigenvectors of eigenvalue above 1/2, from one stacked eigh of the meter,
+    taken once for the whole stack), I x E_M(x) = (I x W_x)(I x W_x^dag), so
+    E(x) = G^dag G with G = (I x W_x^dag) U, one (d rank_x) x D slice of U's
+    rows per outcome; no D x D operator on the apparatus side is built.
+    """
+    m, total, _ = interactions.shape
+    rows = interactions.reshape(m, system_dim, -1, total)  # [., i, a, :] = row (i, a) of U
+    values, vectors = np.linalg.eigh(np.array(meter.projectors))
+    evolved = np.empty((m, len(values), total, total), dtype=complex)
+    for x, (w, vecs) in enumerate(zip(values, vectors)):
+        g = np.einsum("ar,miaz->mirz", vecs[:, w > 0.5].conj(), rows).reshape(m, -1, total)
+        e = g.conj().swapaxes(1, 2) @ g
+        np.divide(e + e.conj().swapaxes(1, 2), 2, out=evolved[:, x])
+    return evolved
+
+
 def evolve_meter(process: MeasurementProcess) -> Pvm:
     """Heisenberg-evolved meter: E(x) = U^dag (I x E_M(x)) U on system x apparatus.
 
-    With the columns of W_x an orthonormal basis of E_M(x)'s range (its
-    eigenvectors of eigenvalue above 1/2, from one stacked eigh of the meter),
-    I x E_M(x) = (I x W_x)(I x W_x^dag), so E(x) = G^dag G with
-    G = (I x W_x^dag) U, one (d rank_x) x D slice of U's rows per outcome;
-    no D x D operator on the apparatus side is built. The Pvm is derived and trusted.
+    The one-process case of _evolved_meters; the Pvm is derived and trusted.
     """
-    d, k = process.system_dim, process.apparatus_dim
-    rows = process.interaction.reshape(d, k, -1)  # [i, a, :] = row (i, a) of U
-    values, vectors = np.linalg.eigh(np.array(process.meter.projectors))
-    projectors = []
-    for w, vecs in zip(values, vectors):
-        g = np.einsum("ar,iaz->irz", vecs[:, w > 0.5].conj(), rows).reshape(-1, d * k)
-        evolved = g.conj().T @ g
-        projectors.append((evolved + evolved.conj().T) / 2)
-    return _derived(Pvm, process.meter.outcomes, projectors, process.total_dim)
+    evolved = _evolved_meters(process.interaction[None], process.meter, process.system_dim)
+    return _derived(Pvm, process.meter.outcomes, evolved[0], process.total_dim)
 
 
 def _pinch(evolved: Pvm, xi) -> Povm:
@@ -164,23 +174,41 @@ def check_reproducibility(
     return _compare(induced_povm(process), target, tol)
 
 
+def _pointer(outcomes):
+    """The model apparatus: its start state, level 0, and its pointer meter, one level per outcome."""
+    n = len(outcomes)
+    basis = np.eye(n, dtype=complex)
+    projectors = np.einsum("ja,jb->jab", basis, basis)  # [j] = |j><j|
+    return _frozen(basis[0]), _derived(Pvm, outcomes, projectors, n)
+
+
 def _model_process(system_dim: int, outcomes, interaction) -> MeasurementProcess:
     """A model process built without running the MeasurementProcess checks.
 
     Only for the constructive models below, whose interaction on system x
-    apparatus is unitary by construction: the apparatus has one pointer
-    level per outcome, starts in level 0 and is read by the pointer meter.
+    apparatus is unitary by construction, on the _pointer apparatus.
     """
-    n = len(outcomes)
-    basis = np.eye(n, dtype=complex)
-    projectors = np.einsum("ja,jb->jab", basis, basis)  # [j] = |j><j|
+    xi, meter = _pointer(outcomes)
     process = object.__new__(MeasurementProcess)
     object.__setattr__(process, "system_dim", system_dim)
-    object.__setattr__(process, "apparatus_dim", n)
-    object.__setattr__(process, "apparatus_state", _frozen(basis[0]))
+    object.__setattr__(process, "apparatus_dim", len(outcomes))
+    object.__setattr__(process, "apparatus_state", xi)
     object.__setattr__(process, "interaction", _frozen(interaction))
-    object.__setattr__(process, "meter", _derived(Pvm, outcomes, projectors, n))
+    object.__setattr__(process, "meter", meter)
     return process
+
+
+def _pointer_unitaries(projectors: np.ndarray) -> np.ndarray:
+    """von_neumann_model's interaction for each PVM of an (m, n, d, d) projector stack.
+
+    U = sum_j P_j x S^j, with S the cyclic shift of the n pointer levels, is
+    one einsum over the stacked projectors and shifts; (m, d n, d n) stack.
+    """
+    m, n, d, _ = projectors.shape
+    levels = np.arange(n)
+    shifts = np.eye(n, dtype=complex)[(levels - levels[:, None]) % n]  # [j] = roll(I, j)
+    u = np.einsum("mjik,jab->miakb", projectors, shifts, order="C")
+    return u.reshape(m, d * n, d * n)
 
 
 def von_neumann_model(target: Pvm) -> MeasurementProcess:
@@ -189,16 +217,31 @@ def von_neumann_model(target: Pvm) -> MeasurementProcess:
     The apparatus is one pointer level per outcome, started in level 0; the
     interaction shifts the pointer by j on the eigenspace of the j-th
     outcome (a unitary, since the eigenspace projectors are orthogonal and
-    complete). U = sum_j P_j x S^j is one einsum over the stacked projectors
-    and shifts. The process is derived and trusted; it induces the target exactly.
+    complete). It is the one-PVM case of _pointer_unitaries. The process is
+    derived and trusted; it induces the target exactly.
     """
-    n = len(target.outcomes)
-    total = target.dim * n
-    _check_dim(total)
-    levels = np.arange(n)
-    shifts = np.eye(n, dtype=complex)[(levels - levels[:, None]) % n]  # [j] = roll(I, j)
-    u = np.einsum("jik,jab->iakb", np.array(target.projectors), shifts, order="C")
-    return _model_process(target.dim, target.outcomes, u.reshape(total, total))
+    _check_dim(target.dim * len(target.outcomes))
+    u = _pointer_unitaries(np.array(target.projectors)[None])[0]
+    return _model_process(target.dim, target.outcomes, u)
+
+
+def _dilation_unitaries(effects: np.ndarray) -> np.ndarray:
+    """dilation_model's interaction for each POVM of an (m, n, d, d) effect stack.
+
+    Every effect's root comes from one _psd_roots call; the completion is
+    one stacked solve and product. Returned as an (m, d n, d n) stack.
+    """
+    m, n, d, _ = effects.shape
+    total = d * n
+    roots = _psd_roots(effects.reshape(m * n, d, d)).reshape(m, n, d, d)
+    a = roots[:, 0]
+    b = roots[:, 1:].reshape(m, -1, d)
+    b_dag = b.conj().swapaxes(1, 2)
+    u = np.empty((m, total, total), dtype=complex)
+    u[:, :d, :d], u[:, :d, d:], u[:, d:, :d] = a, -b_dag, b
+    u[:, d:, d:] = np.eye(total - d) - b @ np.linalg.solve(np.eye(d) + a, b_dag)
+    # apparatus-major (j, i) rows and columns to the system-major (i, j) of H x K
+    return u.reshape(m, n, d, n, d).transpose(0, 2, 1, 4, 3).reshape(m, total, total)
 
 
 def dilation_model(povm: Povm) -> MeasurementProcess:
@@ -214,20 +257,9 @@ def dilation_model(povm: Povm) -> MeasurementProcess:
     which is unitary because A >= 0 and A^2 + B^dag B = I. The completion
     is covariant: the POVM W Pi W^dag dilates to (W x I) U (W^dag x I), so
     dilations of commuting effects have commuting meters in every basis.
-    The induced POVM equals the input POVM whatever the completion. The
-    checked effects' roots take one stacked eigh; the process is derived and trusted.
+    The induced POVM equals the input POVM whatever the completion. It is
+    the one-POVM case of _dilation_unitaries; the process is derived and trusted.
     """
-    n = len(povm.outcomes)
-    d_sys = povm.dim
-    total = d_sys * n
-    _check_dim(total)
-    roots = _psd_roots(np.array(povm.effects))
-    a = roots[0]
-    b = roots[1:].reshape(-1, d_sys)
-    b_dag = b.conj().T
-    u = np.empty((total, total), dtype=complex)
-    u[:d_sys, :d_sys], u[:d_sys, d_sys:], u[d_sys:, :d_sys] = a, -b_dag, b
-    u[d_sys:, d_sys:] = np.eye(total - d_sys) - b @ np.linalg.solve(np.eye(d_sys) + a, b_dag)
-    # apparatus-major (j, i) rows and columns to the system-major (i, j) of H x K
-    u = u.reshape(n, d_sys, n, d_sys).transpose(1, 0, 3, 2).reshape(total, total)
-    return _model_process(d_sys, povm.outcomes, u)
+    _check_dim(povm.dim * len(povm.outcomes))
+    u = _dilation_unitaries(np.array(povm.effects)[None])[0]
+    return _model_process(povm.dim, povm.outcomes, u)

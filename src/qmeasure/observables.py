@@ -171,7 +171,7 @@ def _checked_probabilities(probs: np.ndarray, kind: str) -> np.ndarray:
     lowest = float(probs.min())
     if lowest < -PROB_TOL:
         raise ValidationError(f"{kind}probability {lowest!r} is below the -{PROB_TOL} floor")
-    probs = np.clip(probs, 0.0, None)
+    probs = np.maximum(probs, 0.0)
     total = float(probs.sum())
     if abs(total - 1.0) > PROB_TOL:
         raise ValidationError(f"{kind}probabilities sum to {total!r}, not 1 within {PROB_TOL}")
@@ -247,15 +247,29 @@ def is_projective(povm: Povm) -> bool:
     return _projective_defect(povm.effects) is None
 
 
+def _checked_eta(eta) -> float:
+    """The sharpness eta as a float; outside [0, 1] it raises ParameterError."""
+    eta = float(eta)
+    if not 0.0 <= eta <= 1.0:
+        raise ParameterError(f"sharpness eta must lie in [0, 1], got {eta!r}")
+    return eta
+
+
+def _unsharp_effects(etas) -> np.ndarray:
+    """The effects (I - eta*sigma_z)/2, (I + eta*sigma_z)/2 for each eta, as an (m, 2, 2, 2) stack.
+
+    The etas are not checked; their outcomes are -1 and +1.
+    """
+    eye = np.eye(2, dtype=complex)
+    scaled = np.asarray(etas, dtype=float)[:, None, None] * PAULI_Z
+    return np.stack(((eye - scaled) / 2, (eye + scaled) / 2), axis=1)
+
+
 def unsharp_qubit_povm(eta: float) -> Povm:
     """Two-outcome smeared sigma-z observable, Pi(+/-1) = (I +/- eta*sigma_z)/2.
 
     eta = 1 is the sharp projective limit; eta = 0 is pure noise. Only eta is
     checked: the closed-form Povm is derived and trusted for every eta in [0, 1].
     """
-    eta = float(eta)
-    if not 0.0 <= eta <= 1.0:
-        raise ParameterError(f"sharpness eta must lie in [0, 1], got {eta!r}")
-    eye = np.eye(2, dtype=complex)
-    effects = ((eye - eta * PAULI_Z) / 2, (eye + eta * PAULI_Z) / 2)
+    effects = _unsharp_effects([_checked_eta(eta)])[0]
     return _derived(Povm, (-1.0, 1.0), effects, 2)

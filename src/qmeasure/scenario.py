@@ -37,11 +37,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParameterError, ValidationError
 from .intersubjectivity import (
     COMMUTATION_TOL,
     OIT_TOL,
-    agreement_probability,
+    _model_distributions,
     compose,
     joint_distribution,
     sample_outcomes,
@@ -52,6 +52,8 @@ from .linalg import _check_dim
 from .measurement import (
     REPRO_TOL,
     MeasurementProcess,
+    _dilation_unitaries,
+    _pointer_unitaries,
     check_reproducibility,
     dilation_model,
     induced_povm,
@@ -61,7 +63,9 @@ from .observables import (
     CLUSTER_TOL,
     Povm,
     Pvm,
+    _checked_eta,
     _derived,
+    _unsharp_effects,
     as_povm,
     born_povm,
     is_projective,
@@ -106,6 +110,7 @@ DEFAULT_TOLERANCES = {
 DEFAULT_N_SAMPLES = 10000
 MAX_N_SAMPLES = 10**8  # bounds run time (about 1.5 s at the cap); sampling memory is one chunk
 DEFAULT_SEED = 0
+SWEEP_CHUNK = 256  # sweep points evaluated in one stacked pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,11 +209,15 @@ def _derived_process(model: str, observable, where: str, derived: dict) -> Measu
             povm = as_povm(observable) if isinstance(observable, Pvm) else observable
             derived[model] = dilation_model(povm)
         else:
-            pvm = _projective_pvm(observable, derived)
-            _require(pvm is not None,
-                     f"{where}: the von_neumann model needs a projective observable")
-            derived[model] = von_neumann_model(pvm)
+            derived[model] = von_neumann_model(_von_neumann_target(observable, where, derived))
     return derived[model]
+
+
+def _von_neumann_target(observable, where: str, derived: dict) -> Pvm:
+    """The PVM a von_neumann model of observable realizes; a noisy one raises ValidationError."""
+    pvm = _projective_pvm(observable, derived)
+    _require(pvm is not None, f"{where}: the von_neumann model needs a projective observable")
+    return pvm
 
 
 def _build_process(entry, index: int, observable, system_dim: int, derived: dict):
@@ -472,10 +481,18 @@ def run_experiment(
 def sweep_agreement(scenario: Scenario, etas):
     """Agreement probability as a function of the unsharpness eta.
 
-    Rebuilds the observable, unsharp_qubit_povm(eta), and its derived
-    processes at each eta, so only the unsharp family with derived models
-    (not custom interactions, which do not depend on eta) can be swept. Only
-    a von_neumann model asks whether the observable is projective.
+    At each eta the observable is unsharp_qubit_povm(eta), realized by the
+    scenario's derived models, so only the unsharp family with derived
+    models (not custom interactions, which do not depend on eta) can be
+    swept. Only a von_neumann model asks whether the observable is projective.
+
+    The etas are checked one by one, and each run of SWEEP_CHUNK checked
+    etas is evaluated in one stacked pass (see _sweep_chunk), so memory is
+    bounded by the chunk, not by the number of etas. Errors come in the
+    order a point-by-point loop gives them: a point's locality or table
+    error before any later eta's, and the error of an eta that fails its
+    check (out of range, or noisy for a von_neumann model) only after
+    every eta before it has been evaluated.
     """
     _require(
         scenario.kind == "unsharp",
@@ -489,15 +506,46 @@ def sweep_agreement(scenario: Scenario, etas):
         len(scenario.processes) == 2,
         "sweep: agreement needs a two-process scenario",
     )
-    rows = []
+    rows, chunk, error = [], [], None
     for eta in etas:
-        observable = unsharp_qubit_povm(eta)
-        derived = {}
-        p1, p2 = (_derived_process(model, observable, f"processes[{i}]", derived)
-                  for i, model in enumerate(scenario.models))
-        joint = compose(scenario.psi, p1, p2, scenario.tolerances["commutation"])
-        rows.append((float(eta), agreement_probability(joint)))
+        try:
+            chunk.append(_swept_eta(eta, scenario.models))
+        except (ParameterError, ValidationError) as exc:  # raised after the etas before it
+            error = exc
+            break
+        if len(chunk) == SWEEP_CHUNK:
+            rows += _sweep_chunk(scenario, chunk)
+            chunk = []
+    if chunk:
+        rows += _sweep_chunk(scenario, chunk)
+    if error is not None:
+        raise error
     return rows
+
+
+def _swept_eta(eta, models) -> float:
+    """eta as a float, checked as unsharp_qubit_povm and _derived_process check it."""
+    eta = _checked_eta(eta)
+    if "von_neumann" in models:
+        where = f"processes[{models.index('von_neumann')}]"
+        _von_neumann_target(unsharp_qubit_povm(eta), where, {})
+    return eta
+
+
+def _sweep_chunk(scenario: Scenario, etas: list) -> list:
+    """The (eta, agreement) rows of checked etas, from one stacked pass.
+
+    The von_neumann model's PVM is the unsharp POVM itself, so one effect
+    stack feeds both models, and each model's interaction stack is built
+    once and shared by both sides, as the loader shares a derived process.
+    """
+    effects = _unsharp_effects(etas)
+    kernels = {"dilation": _dilation_unitaries, "von_neumann": _pointer_unitaries}
+    stacks = {model: kernels[model](effects) for model in set(scenario.models)}
+    dists = _model_distributions(scenario.psi, scenario.observable.outcomes,
+                                 *(stacks[model] for model in scenario.models),
+                                 scenario.tolerances["commutation"])
+    return [(eta, table_agreement(dist)) for eta, dist in zip(etas, dists)]
 
 
 def scenario_to_json(

@@ -135,9 +135,9 @@ def test_truncated_bound_of_pointer_models(d):
         pvm = random_pvm(rng, d, n)
         p, p_copy = von_neumann_model(pvm), von_neumann_model(pvm)
         psi = random_state(rng, d)
-        kept, _, dropped = _block_span(evolve_meter(p), d)
-        assert len(kept) == n
-        assert dropped < 1e-20  # rounding residue only
+        kept, _, dropped = _block_span(np.array(evolve_meter(p).projectors)[None], d)
+        assert kept.shape == (1, n)
+        assert dropped[0] < 1e-20  # rounding residue only
         for other in (p, p_copy):  # shared process, then a distinct equal one
             js = compose(psi, p, other)
             worst, table = dense_reference(psi, p, other)
@@ -163,7 +163,7 @@ def test_bound_holds_whatever_the_span_drops(monkeypatch, kept):
 
     def coarser(evolved, d_sys):
         s, q, dropped = span(evolved, d_sys)
-        return s[:kept], q[:kept], dropped + float(np.sum(s[kept:] ** 2))
+        return s[:, :kept], q[:, :kept], dropped + np.sum(s[:, kept:] ** 2, axis=1)
 
     monkeypatch.setattr(intersubjectivity, "_block_span", coarser)
     rng = np.random.default_rng(700 + kept)

@@ -124,6 +124,7 @@ SCENARIO_TOLERANCES = {
     ("intersubjectivity.py", "verify_oit", "reproducibility_tol"),
     ("intersubjectivity.py", "compose", "commutation_tol"),
     ("intersubjectivity.py", "JointScenario", "commutation_tol"),
+    ("intersubjectivity.py", "_model_distributions", "commutation_tol"),
 }
 
 

@@ -1,0 +1,193 @@
+"""The eta sweep: one stacked pass per chunk, equal to the point-by-point loop.
+
+sweep_agreement evaluates its etas in chunks of scenario.SWEEP_CHUNK, each
+in one stacked pass. The rows must equal, bit for bit, what composing each
+point on its own gives, whatever the chunk size, and its errors must come
+in the order that loop raises them.
+"""
+
+import dataclasses
+import json
+import pathlib
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qmeasure import (
+    NonCommutingMetersError,
+    ParameterError,
+    Pvm,
+    agreement_probability,
+    compose,
+    dilation_model,
+    intersubjectivity,
+    load_scenario,
+    scenario,
+    sweep_agreement,
+    unsharp_qubit_povm,
+    von_neumann_model,
+)
+from qmeasure.cli import main
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+UNSHARP_SCENARIO = REPO / "scenarios" / "unsharp_eta08.json"
+STATES = {"ground": [[1.0, 0.0], [0.0, 0.0]], "complex": [[0.6, 0.0], [0.0, 0.8]]}
+# the endpoints, the smallest subnormal, the largest double below 1, and 99 interior points
+GRID = [0.0, 1.0, 5e-324, 1 - 1e-16] + np.random.default_rng(5).uniform(0, 1, 99).tolist()
+SHARP_MODELS = [("von_neumann", "von_neumann"), ("dilation", "von_neumann"),
+                ("von_neumann", "dilation")]
+
+
+def _doc(models=("dilation", "dilation"), state="ground", eta=0.8):
+    doc = json.loads(UNSHARP_SCENARIO.read_text())
+    doc["system"]["state"] = STATES[state]
+    doc["observable"] = {"unsharp": {"eta": eta}}
+    doc["processes"] = [{"model": model} for model in models]
+    return doc
+
+
+def _process(model, eta):
+    povm = unsharp_qubit_povm(eta)
+    if model == "dilation":
+        return dilation_model(povm)
+    return von_neumann_model(Pvm(povm.outcomes, povm.effects, povm.dim))
+
+
+def point_by_point(sc, etas):
+    """Each point composed on its own, one process shared by equal models as the loader shares it."""
+    rows = []
+    for eta in etas:
+        p1 = _process(sc.models[0], eta)
+        p2 = p1 if sc.models[1] == sc.models[0] else _process(sc.models[1], eta)
+        joint = compose(sc.psi, p1, p2, sc.tolerances["commutation"])
+        rows.append((float(eta), agreement_probability(joint)))
+    return rows
+
+
+@pytest.mark.parametrize("state", sorted(STATES))
+def test_stacked_sweep_equals_the_point_by_point_loop(state):
+    sc = load_scenario(_doc(state=state))
+    assert sweep_agreement(sc, GRID) == point_by_point(sc, GRID)
+
+
+@pytest.mark.parametrize("models", SHARP_MODELS)
+@pytest.mark.parametrize("state", sorted(STATES))
+def test_sharp_sweeps_equal_the_point_by_point_loop(models, state):
+    sc = load_scenario(_doc(models, state, eta=1.0))
+    etas = [1.0, 1 - 1e-10, 1.0]  # 1 - 1e-10 is projective within OP_TOL
+    rows = sweep_agreement(sc, etas)
+    assert rows == point_by_point(sc, etas)
+    assert rows[0][1] == 1.0
+
+
+@pytest.mark.parametrize("chunk", [1, 7, scenario.SWEEP_CHUNK])
+def test_sweep_rows_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
+    sc = load_scenario(_doc(state="complex"))
+    expected = sweep_agreement(sc, GRID)
+    monkeypatch.setattr(scenario, "SWEEP_CHUNK", chunk)
+    assert sweep_agreement(sc, GRID) == expected
+
+
+def test_sweep_composes_no_point_on_its_own(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-point call in a stacked sweep")
+
+    sc = load_scenario(_doc())
+    for name in ("compose", "dilation_model", "von_neumann_model"):
+        monkeypatch.setattr(scenario, name, refuse)
+    monkeypatch.setattr(intersubjectivity, "evolve_meter", refuse)
+    assert len(sweep_agreement(sc, GRID)) == len(GRID)
+
+
+def _cli(capsys, path, values):
+    code = main(["sweep", str(path), "--param", "eta", "--values", values])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+ETA_ERROR = "error: sharpness eta must lie in [0, 1], got {}\n"
+NOISY_ERROR = "error: processes[0]: the von_neumann model needs a projective observable\n"
+
+
+@pytest.mark.parametrize(
+    "models, values, code, err",
+    [
+        (("dilation", "dilation"), "0.5,1.2", 2, ETA_ERROR.format("1.2")),
+        (("dilation", "dilation"), "1.2,0.5", 2, ETA_ERROR.format("1.2")),
+        (("dilation", "dilation"), "nan", 2, ETA_ERROR.format("nan")),
+        (("von_neumann", "von_neumann"), "1,0.5", 2, NOISY_ERROR),
+        (("von_neumann", "von_neumann"), "0.5,1", 2, NOISY_ERROR),
+        (("dilation", "von_neumann"), "1,0.5",
+         2, NOISY_ERROR.replace("processes[0]", "processes[1]")),
+    ],
+)
+def test_sweep_errors_are_the_recorded_ones(capsys, tmp_path, models, values, code, err):
+    # exit codes and messages recorded from the point-by-point implementation
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(_doc(models, eta=1.0)))
+    assert _cli(capsys, path, values) == (code, "", err)
+
+
+def test_sweep_of_a_sharp_pointer_pair_is_the_recorded_table(capsys, tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(_doc(("von_neumann", "von_neumann"), eta=1.0)))
+    expected = "eta,agreement\n1.0,1.0\n0.9999999999,0.9999999998\n"
+    assert _cli(capsys, path, "1,0.9999999999") == (0, expected, "")
+
+
+def _failing_point_error(sc, eta):
+    with pytest.raises(NonCommutingMetersError) as exc:
+        point_by_point(sc, [eta])
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, scenario.SWEEP_CHUNK])
+def test_a_failing_point_raises_before_a_later_invalid_eta(monkeypatch, chunk):
+    # a negative commutation tolerance makes every point non-local, so the
+    # exact norm decides each point, and the first point raises
+    monkeypatch.setattr(scenario, "SWEEP_CHUNK", chunk)
+    sc = load_scenario(_doc(state="complex"))
+    sc = dataclasses.replace(sc, tolerances={**sc.tolerances, "commutation": -1.0})
+    message = _failing_point_error(sc, 0.3)
+    assert "max commutator norm" in message
+    with pytest.raises(NonCommutingMetersError) as exc:
+        sweep_agreement(sc, [0.3, 0.5, 1.2])
+    assert str(exc.value) == message
+    with pytest.raises(ParameterError):
+        sweep_agreement(sc, [1.2, 0.3])
+
+
+@pytest.mark.parametrize("chunk", [1, 7, scenario.SWEEP_CHUNK])
+def test_a_table_error_raises_in_point_order(monkeypatch, chunk):
+    # every table gets an imaginary residue, so each point fails after locality
+    monkeypatch.setattr(scenario, "SWEEP_CHUNK", chunk)
+    tables = intersubjectivity._joint_tables
+    monkeypatch.setattr(intersubjectivity, "_joint_tables",
+                        lambda *args: tables(*args) + 1e-3j)
+    sc = load_scenario(_doc(state="complex"))
+    message = _failing_point_error(sc, 0.25)
+    assert "imaginary residue 1.000e-03" in message
+    with pytest.raises(NonCommutingMetersError) as exc:
+        sweep_agreement(sc, [0.25, 2.0])
+    assert str(exc.value) == message
+    with pytest.raises(ParameterError):
+        sweep_agreement(sc, [-0.5, 0.25])
+    # locality is decided before the table, at every point
+    sc = dataclasses.replace(sc, tolerances={**sc.tolerances, "commutation": -1.0})
+    with pytest.raises(NonCommutingMetersError, match="max commutator norm"):
+        sweep_agreement(sc, [0.25])
+
+
+def test_sweep_memory_is_bounded_by_the_chunk():
+    sc = load_scenario(_doc())
+    etas = np.linspace(0.0, 1.0, 8_000).tolist()
+    tracemalloc.start()
+    try:
+        rows = sweep_agreement(sc, etas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == len(etas)
+    # the rows take under 1 MB; all 8000 points in one pass would peak above 16 MB
+    assert peak < 3 * 2**20
