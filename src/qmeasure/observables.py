@@ -56,12 +56,17 @@ def _sorted_labeled_ops(outcomes, operators, dim: int, kind: str):
     order = sorted(range(len(labels)), key=lambda i: labels[i])
     labels = [labels[i] for i in order]
     ops = [ops[i] for i in order]
+    _check_separated(labels, kind)
+    return dim, tuple(labels), tuple(_frozen(p.copy()) for p in ops)
+
+
+def _check_separated(labels, kind: str) -> None:
+    """Raise ValidationError unless the sorted labels are more than LABEL_TOL apart."""
     for a, b in zip(labels, labels[1:]):
         if b - a <= LABEL_TOL:
             raise ValidationError(
                 f"{kind} outcome labels {a!r} and {b!r} are closer than {LABEL_TOL}"
             )
-    return dim, tuple(labels), tuple(_frozen(p.copy()) for p in ops)
 
 
 def _label_pairs(left, right):
@@ -209,12 +214,21 @@ def pvm_from_observable(a, cluster_tol: float = CLUSTER_TOL) -> Pvm:
     Consecutive eigenvalues closer than cluster_tol are merged into a single
     outcome; its label is the arithmetic mean of the cluster and its
     projector is the sum of the clustered rank-1 projectors.
+
+    The input is checked: finite, square, Hermitian within OP_TOL, and
+    within linalg.MAX_DIM before eigh runs. The PVM is derived and trusted
+    (_derived): eigh's orthonormal eigenvectors give orthogonal projectors
+    that resolve the identity, so Pvm's operator checks are not run. What
+    eigh does not settle is checked with Pvm's errors: finite projectors
+    and labels, more than LABEL_TOL apart, so a cluster_tol below
+    LABEL_TOL can raise.
     """
     a = _square(a)
     if cluster_tol < 0:
         raise ParameterError(f"cluster_tol must be >= 0, got {cluster_tol}")
     if not is_hermitian(a):
         raise NotHermitianError("spectral decomposition needs a Hermitian matrix")
+    _check_dim(a.shape[0])
     w, vecs = np.linalg.eigh((a + a.conj().T) / 2)
     breaks = [0] + [i for i in range(1, len(w)) if w[i] - w[i - 1] > cluster_tol] + [len(w)]
     values = []
@@ -224,7 +238,15 @@ def pvm_from_observable(a, cluster_tol: float = CLUSTER_TOL) -> Pvm:
         proj = block @ block.conj().T
         values.append(float(np.mean(w[lo:hi])))
         projectors.append((proj + proj.conj().T) / 2)
-    return Pvm(tuple(values), tuple(projectors), a.shape[0])
+    if not np.all(np.isfinite(vecs)):  # the Hermitian part of huge entries overflows
+        raise ValidationError("matrix entries must be finite")
+    if not np.all(np.isfinite(values)):
+        raise ValidationError("outcome labels must be finite")
+    # sorted as Pvm sorts: rounding can swap the means of clusters an ulp apart
+    order = sorted(range(len(values)), key=values.__getitem__)
+    labels = [values[i] for i in order]
+    _check_separated(labels, "PVM")
+    return _derived(Pvm, labels, [projectors[i] for i in order], a.shape[0])
 
 
 def born_povm(povm: Povm, psi) -> OutcomeDistribution:

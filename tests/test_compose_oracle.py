@@ -20,6 +20,7 @@ from conftest import (
     PAULI_X,
     controlled_process,
     random_hermitian_with_outcomes,
+    random_povm,
     random_process,
     random_pvm,
     random_state,
@@ -39,7 +40,7 @@ from qmeasure import (
     von_neumann_model,
 )
 from qmeasure.cli import main
-from qmeasure.intersubjectivity import COMMUTATION_TOL, _block_span
+from qmeasure.intersubjectivity import COMMUTATION_TOL, SPAN_QR_MIN_COLS, _block_span
 
 SIGMA_Z_PVM = pvm_from_observable(PAULI_Z)
 SIGMA_X_PVM = pvm_from_observable(PAULI_X)
@@ -192,6 +193,56 @@ def test_compose_of_pointer_models_stays_below_the_full_span_tensor():
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6
+
+
+def _span_family(rng, family, d, m):
+    """m processes of one shape from a family: pointer, dilation or random custom."""
+    if family == "pointer":  # n = d - 1 outcomes: some stacks are not tall
+        n = max(1, d - (d + m) % 2)
+        return [von_neumann_model(random_pvm(rng, d, n)) for _ in range(m)]
+    if family == "dilation":
+        return [dilation_model(random_povm(rng, d, 1 + (d + m) % 3)) for _ in range(m)]
+    # apparatus dim d - 2: from d = 5 on, more rows than columns but not twice as many
+    return [random_process(rng, d, max(1, d - 2)) for _ in range(m)]
+
+
+@pytest.mark.parametrize("m", [1, 7])
+@pytest.mark.parametrize("family", ["pointer", "dilation", "custom"])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_span_of_a_tall_stack_is_taken_from_its_qr_factor(monkeypatch, d, family, m):
+    # R of X = Q_X R has X's singular values and right vectors: the span and
+    # the bound equal the plain svd's, and only tall, wide enough stacks take the qr
+    rng = np.random.default_rng(800 + 10 * d + m)
+    sides = [_span_family(rng, family, d, m) for _ in range(2)]
+    e1, e2 = (np.array([evolve_meter(p).projectors for p in side]) for side in sides)
+    total = e1.shape[2]
+    stacked = intersubjectivity._blocks(e1.reshape(-1, total, total), d).reshape(m, -1, d * d)
+    rows, cols = stacked.shape[1:]
+    shapes, qr = [], np.linalg.qr
+
+    def spy(a, mode="reduced"):
+        shapes.append(a.shape)
+        return qr(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", spy)
+    s, _, dropped = _block_span(e1, d)
+    bounds = intersubjectivity._span_bounds(e1, e2, d)
+    monkeypatch.undo()
+    tall = rows >= 2 * cols and cols >= SPAN_QR_MIN_COLS
+    assert shapes == ([stacked.shape] * 3 if tall else [])  # one qr per _block_span
+    plain = np.linalg.svd(stacked, compute_uv=False)
+    keep = plain > plain[:, :1] * max(rows, cols) * np.finfo(float).eps
+    assert np.array_equal(np.count_nonzero(s, axis=1), keep.sum(axis=1))
+    top = s.shape[1]
+    assert np.all(np.abs(s - plain[:, :top] * keep[:, :top]) <= 1e-13 * plain[:, :1])
+    assert np.allclose(dropped, (plain**2 * ~keep).sum(axis=1), rtol=1e-13, atol=1e-26)
+    for k in range(m):
+        psi = random_state(rng, d)
+        js = compose(psi, sides[0][k], sides[1][k])
+        assert bounds[k] >= js.max_commutator_norm
+        assert bounds[k] == pytest.approx(js.commutator_bound, rel=1e-12, abs=1e-14)
+        if js.total_dim <= 64:
+            assert bounds[k] >= dense_reference(psi, sides[0][k], sides[1][k])[0]
 
 
 @pytest.fixture

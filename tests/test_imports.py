@@ -1,7 +1,8 @@
 """Every name a library module imports is used in that module, every
 module-level private name is used in some module, every public name is
-used by the library or named in the README, and the only tolerance
-parameters are the ones a scenario sets.
+used by the library or named in the README, the only tolerance
+parameters are the ones a scenario sets, and the checking constructors
+run only at the boundary.
 
 No linter ships with the project, so these stdlib-ast checks stand in for
 one. The import and public-name checks skip ``__init__.py``: its imports
@@ -169,4 +170,53 @@ def test_tolerance_parameter_is_reported():
         ("a.py", "f", "threshold"),
         ("a.py", "<lambda>", "clamp_tol"),
         ("a.py", "C", "gate_tol"),
+    }
+
+
+# the boundary: the decoders of declared observables and meters, and the
+# loader's custom processes; everything else the library builds is derived
+CHECKED_CONSTRUCTORS = ("Pvm", "Povm", "MeasurementProcess")
+BOUNDARY_CALLS = {
+    ("serialize.py", "pvm_from_json", "Pvm"),
+    ("serialize.py", "povm_from_json", "Povm"),
+    ("scenario.py", "_build_process", "MeasurementProcess"),
+}
+
+
+def checked_constructor_calls(sources: dict) -> set:
+    """(module, enclosing function, constructor) for each call of a checking constructor."""
+    found = set()
+
+    def visit(module, node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called in CHECKED_CONSTRUCTORS:
+                    found.add((module, owner, called))
+            visit(module, child, name)
+
+    for module, source in sources.items():
+        visit(module, ast.parse(source), "<module>")
+    return found
+
+
+def test_checked_constructors_run_only_at_the_boundary():
+    assert checked_constructor_calls(SOURCES) == BOUNDARY_CALLS
+
+
+def test_checked_constructor_call_is_reported():
+    source = ("from .observables import Pvm\nimport qmeasure\n"
+              "def build(x):\n    def inner():\n        return qmeasure.Povm(x)\n"
+              "    return Pvm(x), inner\n"
+              "class C:\n    def f(self):\n        return MeasurementProcess(1)\n"
+              "P = Pvm((), (), 1)\n\"\"\"Pvm( in a docstring.\"\"\"\n")
+    assert checked_constructor_calls({"a.py": source}) == {
+        ("a.py", "build", "Pvm"),
+        ("a.py", "inner", "Povm"),
+        ("a.py", "f", "MeasurementProcess"),
+        ("a.py", "<module>", "Pvm"),
     }

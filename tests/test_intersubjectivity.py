@@ -1,3 +1,4 @@
+import json
 import pathlib
 import tracemalloc
 
@@ -39,6 +40,7 @@ from qmeasure import (
     load_scenario_file,
     measurement,
     pvm_from_observable,
+    pvm_to_json,
     run_experiment,
     sample_outcomes,
     scenario_to_json,
@@ -94,6 +96,8 @@ def test_compose_embedded_meters_pass_the_pvm_checks():
 
 
 def test_oit_run_checks_only_the_observable_as_a_pvm(monkeypatch):
+    # a declared pvm is checked once, by the public constructor its decoder
+    # calls; a hermitian_matrix's spectral PVM is derived and trusted
     checks = []
     original = Pvm.__post_init__
 
@@ -102,10 +106,13 @@ def test_oit_run_checks_only_the_observable_as_a_pvm(monkeypatch):
         original(self)
 
     monkeypatch.setattr(Pvm, "__post_init__", counting)
-    scenario = load_scenario_file(
-        pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "oit_sigma_z.json"
-    )
-    assert run_experiment(scenario)["results"]["intersubjective"] is True
+    path = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "oit_sigma_z.json"
+    doc = json.loads(path.read_text())
+    assert "hermitian_matrix" in doc["observable"]
+    assert run_experiment(load_scenario(doc))["results"]["intersubjective"] is True
+    assert checks == []
+    doc["observable"] = {"pvm": pvm_to_json(SIGMA_Z_PVM)}
+    assert run_experiment(load_scenario(doc))["results"]["intersubjective"] is True
     assert len(checks) == 1
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import PAULI_X, random_povm, random_pvm, random_state
+from conftest import PAULI_X, random_povm, random_pvm, random_state, random_unitary
 from qmeasure import (
     PAULI_Z,
     DimensionError,
@@ -18,6 +18,7 @@ from qmeasure import (
     pvm_from_observable,
     unsharp_qubit_povm,
 )
+from qmeasure.observables import CLUSTER_TOL, LABEL_TOL
 
 
 def _diag_projectors(*patterns):
@@ -128,6 +129,84 @@ def test_pvm_from_observable_merges_degeneracy():
     pvm = pvm_from_observable(np.diag([3.0, 3.0, 7.0]).astype(complex))
     assert pvm.outcomes == (3.0, 7.0)
     assert float(np.trace(pvm.projectors[0]).real) == pytest.approx(2.0)
+
+
+def test_pvm_from_observable_rejects_the_dimension_before_eigh(monkeypatch):
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("eigh ran on a matrix over the cap")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    with pytest.raises(DimensionError, match="^compound dimension 300 exceeds the cap 256$"):
+        pvm_from_observable(np.eye(300))
+
+
+def test_pvm_from_observable_keeps_the_label_separation_rule():
+    # cluster_tol = 0 keeps two eigenvalues LABEL_TOL apart as two outcomes;
+    # the trusted path raises what the public constructor raises on them
+    a = np.diag([1.0, 1.0 + 5e-9]).astype(complex)
+    with pytest.raises(ValidationError) as derived:
+        pvm_from_observable(a, cluster_tol=0)
+    with pytest.raises(ValidationError) as checked:
+        Pvm((1.0, 1.0 + 5e-9), _diag_projectors([1, 0], [0, 1]), 2)
+    assert str(derived.value) == str(checked.value)
+    assert "closer than 1e-08" in str(derived.value)
+    assert pvm_from_observable(a).outcomes == (1.0000000025,)
+
+
+@pytest.mark.parametrize("entries,message", [
+    ([[1e308, 0], [0, -1e308]], "outcome labels must be finite"),
+    ([[0, 1e308], [1e308, 0]], "matrix entries must be finite"),
+])
+def test_pvm_from_observable_rejects_what_overflows_in_eigh(entries, message):
+    # finite entries whose Hermitian part overflows: the derived PVM is not
+    # finite, and the error is the one Pvm's checks gave
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            pvm_from_observable(np.array(entries, dtype=complex))
+
+
+def _spectral_inputs(rng):
+    """Seeded Hermitian matrices, d = 1..16 at scales 1e-6..1e6, half with degenerate clusters."""
+    for d in range(1, 17):
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            u = random_unitary(rng, d)
+            spectrum = rng.normal(size=d)
+            if d > 1 and rng.random() < 0.5:
+                spectrum = rng.choice(spectrum[: max(1, d // 3)], size=d)
+            a = (u * spectrum) @ u.conj().T * scale
+            yield (a + a.conj().T) / 2
+
+
+def test_spectral_pvm_is_derived_unchecked_and_passes_the_checks(monkeypatch):
+    checks = []
+    original = Pvm.__post_init__
+
+    def counting(self):
+        checks.append(self)
+        original(self)
+
+    rng = np.random.default_rng(2015)
+    cases = [(a, tol) for a in _spectral_inputs(rng) for tol in (0.0, CLUSTER_TOL, 1e3)]
+    monkeypatch.setattr(Pvm, "__post_init__", counting)
+    results = []
+    for a, tol in cases:
+        try:
+            results.append(pvm_from_observable(a, tol))
+        except ValidationError as exc:  # a split cluster, its labels LABEL_TOL apart
+            assert "closer than" in str(exc) and tol < LABEL_TOL
+            results.append(None)
+    assert checks == []
+    monkeypatch.undo()
+    derived = [pvm for pvm in results if pvm is not None]
+    assert len(derived) > len(cases) // 2
+    assert any(len(pvm) < pvm.dim for pvm in derived)  # clusters were merged
+    for pvm in derived:
+        # the public constructor checks what pvm_from_observable built unchecked
+        checked = Pvm(pvm.outcomes, pvm.projectors, pvm.dim)
+        assert checked.outcomes == pvm.outcomes
+        assert all(type(x) is float for x in pvm.outcomes)
+        assert all(np.array_equal(a, b) for a, b in zip(checked.projectors, pvm.projectors))
+        assert not any(p.flags.writeable for p in pvm.projectors)
 
 
 def test_born_qutrit_oracle():
