@@ -2,18 +2,20 @@
 
 Two measuring processes that share the system are composed on
 H x K1 x K2. Each meter is evolved by its own process's interaction and
-kept on its own factor, H x K1 or H x K2; no operator on the whole compound
+kept on its own factor, H x K1 or H x K2; nothing on the whole compound
 space is ever built. The scenario is local when every pair of evolved meter
 projectors, each extended by the identity on the other apparatus, commutes:
 its commutator_bound, else the exact max_commutator_norm, is within the
 commutation tolerance, which compose takes and the scenario keeps.
-For local scenarios the joint outcome distribution
-P(x, y) = <Psi| E1(x) E2(y) |Psi> is well defined, and when both processes
-reproduce the statistics of the same accurate observable, both observers
-read the same outcome with probability one. For noisy observables the
-agreement probability drops below one; a seeded sampler draws outcome pairs
-from the joint table for Monte Carlo checks. verify_oit and the sampler
-both return the joint table they used.
+Every other number lives on H: for Psi = psi x xi1 x xi2, contracting the
+apparatus factors gives <Psi| E1(x) E2(y) |Psi> = <psi| Pi1(x) Pi2(y) |psi>
+for any two processes, Pi1 and Pi2 the effects they induce (Ozawa,
+arXiv:1911.10893), one stacked pinch of each side's evolved meters. For
+local scenarios that joint table is a probability, and when both processes
+reproduce the same accurate observable, both observers read the same
+outcome with probability one. For noisy observables the agreement drops
+below one; a seeded sampler draws outcome pairs from the joint table.
+verify_oit and the sampler both return the table they used.
 
 Of the three tolerances a scenario sets, commutation is given to compose;
 reproducibility and oit are parameters of verify_oit. The other rules are
@@ -45,9 +47,8 @@ from .measurement import (
     _model_process,
     _pinch,
     _pointer,
-    evolve_meter,
 )
-from .observables import PROB_TOL, Pvm, _checked_probabilities, _derived, _label_pairs
+from .observables import PROB_TOL, Povm, Pvm, _checked_probabilities, _derived, _label_pairs
 from .serialize import _is_count
 
 COMMUTATION_TOL = 1e-8  # default locality decision tolerance
@@ -76,6 +77,13 @@ class JointScenario:
     @property
     def total_dim(self) -> int:
         return self.process1.total_dim * self.process2.apparatus_dim
+
+    @cached_property
+    def _effects(self) -> tuple:
+        """Both sides' (1, n, d, d) induced effects on H; compose sets them from its own stacks."""
+        e1 = np.array(self.evolved1.projectors)[None]
+        e2 = e1 if self.evolved2 is self.evolved1 else np.array(self.evolved2.projectors)[None]
+        return _side_effects(e1, e2, self.process1.apparatus_state, self.process2.apparatus_state)
 
     @cached_property
     def max_commutator_norm(self) -> float:
@@ -166,21 +174,10 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
     either meter is evolved.
 
     The scenario keeps commutation_tol and decides JointScenario.commuting
-    with it, the verdict every consumer reads; commutator_bound decides it
-    whenever the bound is within the tolerance. With each
-    side's blocks (see _blocks) stacked as the rows of X = U S Q and
-    Y = V T R (SVDs), sum_kl ||[X_k, Y_l]||_F^2 = sum_ij s_i^2 t_j^2
-    ||[Q_i, R_j]||_F^2. U and V are never used, so a tall stack has its
-    svd taken of its square triangular QR factor (see _block_span). Only
-    the components above numpy's rank tolerance are kept, and each kept
-    [Q_i, R_j] is formed directly.
-    Every ||[Q_i, R_j]||_F is at most 2, so the dropped components, of
-    squared mass S_drop and T_drop, add at most
-    4 (S_drop (T_kept + T_drop) + S_kept T_drop) to the sum; that term is
-    added, so the bound holds whatever was dropped. A pointer model's blocks
-    span d of the d^2 directions, so its tensor has d^4 entries, not d^6.
-    The square root plus 4 (d + 1) eps (above the exact loop's rounding)
-    bounds max_commutator_norm.
+    with it, the verdict every consumer reads; commutator_bound (see
+    _span_bounds) decides it whenever the bound is within the tolerance.
+    Each side's meters are pinched once, into the effects the scenario's
+    joint table reads (see _side_effects).
     """
     psi = as_state(psi)
     d_sys = psi.shape[0]
@@ -190,28 +187,39 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
             f"{process2.system_dim}, state has dim {d_sys}"
         )
     _check_dim(process1.total_dim * process2.apparatus_dim)
-    evolved1 = evolve_meter(process1)
-    e1 = np.array(evolved1.projectors)[None]
-    if process2 is process1:
-        evolved2, e2 = evolved1, e1
-    else:
-        evolved2 = evolve_meter(process2)
-        e2 = np.array(evolved2.projectors)[None]
-    return JointScenario(
+    e1 = _evolved_meters(process1.interaction[None], process1.meter, d_sys)
+    e2 = e1 if process2 is process1 else _evolved_meters(process2.interaction[None],
+                                                         process2.meter, d_sys)
+    evolved1 = _derived(Pvm, process1.meter.outcomes, e1[0], process1.total_dim)
+    scenario = JointScenario(
         psi=_frozen(psi.copy()),
         process1=process1,
         process2=process2,
         evolved1=evolved1,
-        evolved2=evolved2,
+        evolved2=(evolved1 if e2 is e1
+                  else _derived(Pvm, process2.meter.outcomes, e2[0], process2.total_dim)),
         commutator_bound=float(_span_bounds(e1, e2, d_sys)[0]),
         commutation_tol=commutation_tol,
     )
+    effects = _side_effects(e1, e2, process1.apparatus_state, process2.apparatus_state)
+    object.__setattr__(scenario, "_effects", effects)
+    return scenario
 
 
 def _span_bounds(e1: np.ndarray, e2: np.ndarray, d_sys: int) -> np.ndarray:
     """compose's commutator_bound for each pair of two (m, n, D, D) evolved-meter stacks.
 
-    One stacked svd per side (see _block_span); e2 is e1 when both sides
+    With each side's blocks (see _blocks) stacked as the rows of X = U S Q
+    and Y = V T R (SVDs), sum_kl ||[X_k, Y_l]||_F^2 = sum_ij s_i^2 t_j^2
+    ||[Q_i, R_j]||_F^2. U and V are never used, so one stacked svd per side
+    (see _block_span) keeps the components above numpy's rank tolerance, and
+    each kept [Q_i, R_j] is formed directly. Every ||[Q_i, R_j]||_F is at
+    most 2, so the dropped components, of squared mass S_drop and T_drop,
+    add at most 4 (S_drop (T_kept + T_drop) + S_kept T_drop) to the sum;
+    that term is added, so the bound holds whatever was dropped. A pointer
+    model's blocks span d of the d^2 directions, so its tensor has d^4
+    entries, not d^6. The square root plus 4 (d + 1) eps (above the exact
+    loop's rounding) bounds max_commutator_norm. e2 is e1 when both sides
     share their meters, and then its span and products are reused.
     """
     s, q, s_drop = _block_span(e1, d_sys)
@@ -292,20 +300,18 @@ def _blocks(projectors: np.ndarray, d_sys: int) -> np.ndarray:
 def joint_distribution(scenario: JointScenario) -> JointDistribution:
     """Joint table P(x, y) = <Psi| E1(x) E2(y) |Psi> for a local scenario.
 
-    Raises NonCommutingMetersError when the scenario is not commuting; the
-    product of non-commuting projectors is not a probability. It is raised
-    too when the table is not a probability within PROB_TOL, an imaginary
-    residue or an entry below -PROB_TOL: since Im P(x, y) =
-    <Psi|[E1(x), E2(y)]|Psi> / 2i and commuting projectors give P >= 0,
-    either means the meters do not commute on this state.
+    Computed on H as <psi| Pi1(x) Pi2(y) |psi>, one (n1, d) x (d, n2)
+    product of the induced effects. Raises NonCommutingMetersError when the
+    scenario is not commuting; the product of non-commuting projectors is
+    not a probability. It is raised too when the table is not a probability
+    within PROB_TOL, an imaginary residue or an entry below -PROB_TOL: since
+    Im P(x, y) = <Psi|[E1(x), E2(y)]|Psi> / 2i and commuting projectors give
+    P >= 0, either means the meters do not commute on this state.
     """
     _require_commuting(scenario)
-    p1, p2 = scenario.process1, scenario.process2
-    # the product state psi x xi1 x xi2 as a (d, d1, d2) tensor
-    state = np.einsum("i,a,b->iab", scenario.psi, p1.apparatus_state, p2.apparatus_state)
-    e1 = np.array(scenario.evolved1.projectors)[None]
-    e2 = e1 if scenario.evolved2 is scenario.evolved1 else np.array(scenario.evolved2.projectors)[None]
-    table = _probability_table(_joint_tables(state, e1, e2)[0])
+    f1, f2 = scenario._effects
+    psi = scenario.psi
+    table = _probability_table(((f1 @ psi).conj() @ (f2 @ psi).swapaxes(1, 2))[0])
     return JointDistribution(scenario.evolved1.outcomes, scenario.evolved2.outcomes, table)
 
 
@@ -317,18 +323,10 @@ def _require_commuting(scenario: JointScenario) -> None:
         )
 
 
-def _joint_tables(state: np.ndarray, e1: np.ndarray, e2: np.ndarray) -> np.ndarray:
-    """<Psi| E1(x) E2(y) |Psi> for each pair of two (m, n, D, D) evolved-meter stacks.
-
-    state is the (d, d1, d2) product state psi x xi1 x xi2; the complex
-    tables come back as one (m, n1, n2) stack of three stacked products.
-    """
-    d, d1, d2 = state.shape
-    m, n1, n2 = len(e1), e1.shape[1], e2.shape[1]
-    left = e1 @ state.reshape(d * d1, d2)  # [., x, (i, a), b] = (E1(x) Psi)[i, a, b]
-    right = e2 @ state.transpose(0, 2, 1).reshape(d * d2, d1)  # [., y, (i, b), a]
-    right = right.reshape(m, n2, d, d2, d1).transpose(0, 1, 2, 4, 3)  # [., y, i, a, b]
-    return left.conj().reshape(m, n1, -1) @ right.reshape(m, n2, -1).swapaxes(1, 2)
+def _side_effects(e1: np.ndarray, e2: np.ndarray, xi1: np.ndarray, xi2: np.ndarray) -> tuple:
+    """Both sides' (m, n, d, d) induced effects, one pinch when e2 is e1 (a shared process)."""
+    f1 = _pinch(e1, xi1)
+    return f1, f1 if e2 is e1 else _pinch(e2, xi2)
 
 
 def _probability_table(table: np.ndarray) -> np.ndarray:
@@ -354,11 +352,11 @@ def _model_distributions(psi: np.ndarray, outcomes, interactions1: np.ndarray,
     Both sides are model processes on measurement._pointer's apparatus for
     outcomes, and interactions2 is interactions1 when both sides share one
     process. Each stage runs once on the whole stack: _evolved_meters (one
-    eigh of the pointer meter), _span_bounds and _joint_tables. The checks
-    then run point by point, in compose and joint_distribution's order, so
-    the first failing point raises their error: a bound above
-    commutation_tol leaves locality to the point's own JointScenario (its
-    exact max_commutator_norm), then the table must pass
+    eigh of the pointer meter), _span_bounds, _side_effects and the tables
+    on H. The checks then run point by point, in compose and
+    joint_distribution's order, so the first failing point raises their
+    error: a bound above commutation_tol leaves locality to the point's own
+    compose (its exact max_commutator_norm), then the table must pass
     _probability_table and JointDistribution.
     """
     d_sys = psi.shape[0]
@@ -367,16 +365,14 @@ def _model_distributions(psi: np.ndarray, outcomes, interactions1: np.ndarray,
     e1 = _evolved_meters(interactions1, meter, d_sys)
     e2 = e1 if shared else _evolved_meters(interactions2, meter, d_sys)
     bounds = _span_bounds(e1, e2, d_sys)
-    tables = _joint_tables(np.einsum("i,a,b->iab", psi, xi, xi), e1, e2)
+    f1, f2 = _side_effects(e1, e2, xi, xi)
+    tables = (f1 @ psi).conj() @ (f2 @ psi).swapaxes(1, 2)  # as joint_distribution forms them
     dists = []
     for k, table in enumerate(tables):
         if not bounds[k] <= commutation_tol:
             p1 = _model_process(d_sys, outcomes, interactions1[k])
             p2 = p1 if shared else _model_process(d_sys, outcomes, interactions2[k])
-            evolved1 = _derived(Pvm, outcomes, e1[k], p1.total_dim)
-            evolved2 = evolved1 if shared else _derived(Pvm, outcomes, e2[k], p2.total_dim)
-            _require_commuting(JointScenario(psi, p1, p2, evolved1, evolved2,
-                                             float(bounds[k]), commutation_tol))
+            _require_commuting(compose(psi, p1, p2, commutation_tol))
         dists.append(JointDistribution(outcomes, outcomes, _probability_table(table)))
     return dists
 
@@ -413,12 +409,13 @@ def verify_oit(
     the pairs of the table's two label sequences, and each is keyed by the
     observable label its row pairs with.
     """
-    sides = [("process1", scenario.process1, scenario.evolved1)]
-    if scenario.process2 is not scenario.process1:
-        sides.append(("process2", scenario.process2, scenario.evolved2))
-    for name, process, evolved in sides:
-        report = _compare(_pinch(evolved, process.apparatus_state), observable,
-                          reproducibility_tol)
+    f1, f2 = scenario._effects
+    sides = [("process1", scenario.process1, f1)]
+    if f2 is not f1:
+        sides.append(("process2", scenario.process2, f2))
+    for name, process, effects in sides:
+        induced = _derived(Povm, process.meter.outcomes, effects[0], process.system_dim)
+        report = _compare(induced, observable, reproducibility_tol)
         if not report.reproducible:
             raise PreconditionError(
                 f"{name} does not reproduce the observable's statistics "

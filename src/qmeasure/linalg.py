@@ -66,13 +66,14 @@ def _square(a) -> np.ndarray:
     return a
 
 
+# Finite entries near the float maximum overflow in the residues below. The
+# inf or nan residue fails the <= OP_TOL test, so numpy's warning is silenced.
 def is_hermitian(a) -> bool:
     a = _square(a)
-    return max_abs(a - a.conj().T) <= OP_TOL
+    with np.errstate(over="ignore", invalid="ignore"):
+        return max_abs(a - a.conj().T) <= OP_TOL
 
 
-# Finite entries near the float maximum overflow in the products below. The
-# inf or nan residue fails the <= OP_TOL test, so numpy's warning is silenced.
 def is_unitary(a) -> bool:
     a = _square(a)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -115,21 +115,20 @@ def evolve_meter(process: MeasurementProcess) -> Pvm:
     return _derived(Pvm, process.meter.outcomes, evolved[0], process.total_dim)
 
 
-def _pinch(evolved: Pvm, xi) -> Povm:
-    """Pi(x) = <xi|E(x)|xi> for a meter evolved on system x apparatus."""
-    d_app = xi.shape[0]
-    d_sys = evolved.dim // d_app
-    effects = []
-    for p in evolved.projectors:
-        blocks = p.reshape(d_sys, d_app, d_sys, d_app)
-        effect = np.einsum("k,ikjl,l->ij", xi.conj(), blocks, xi)
-        effects.append((effect + effect.conj().T) / 2)
-    return _derived(Povm, evolved.outcomes, effects, d_sys)
+def _pinch(evolved: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Hermitian part of Pi(x) = <xi|E(x)|xi> for each meter of an (m, n, D, D) evolved stack."""
+    m, n, total, _ = evolved.shape
+    k = xi.shape[0]
+    kets = evolved.reshape(m, n, total // k, k, total // k, k) @ xi  # [., x, i, a, j]
+    effects = kets.swapaxes(3, 4) @ xi.conj()
+    return (effects + effects.conj().swapaxes(2, 3)) / 2
 
 
 def induced_povm(process: MeasurementProcess) -> Povm:
-    """System-side POVM generated by the process: Pi(x) = <xi|E_evolved(x)|xi>."""
-    return _pinch(evolve_meter(process), process.apparatus_state)
+    """System-side POVM the process induces, Pi(x) = <xi|E_evolved(x)|xi>; derived and trusted."""
+    evolved = _evolved_meters(process.interaction[None], process.meter, process.system_dim)
+    effects = _pinch(evolved, process.apparatus_state)[0]
+    return _derived(Povm, process.meter.outcomes, effects, process.system_dim)
 
 
 def _compare(induced: Povm, target: Pvm, tol: float = REPRO_TOL) -> ReproducibilityReport:

@@ -215,13 +215,13 @@ def pvm_from_observable(a, cluster_tol: float = CLUSTER_TOL) -> Pvm:
     outcome; its label is the arithmetic mean of the cluster and its
     projector is the sum of the clustered rank-1 projectors.
 
-    The input is checked: finite, square, Hermitian within OP_TOL, and
-    within linalg.MAX_DIM before eigh runs. The PVM is derived and trusted
-    (_derived): eigh's orthonormal eigenvectors give orthogonal projectors
-    that resolve the identity, so Pvm's operator checks are not run. What
-    eigh does not settle is checked with Pvm's errors: finite projectors
-    and labels, more than LABEL_TOL apart, so a cluster_tol below
-    LABEL_TOL can raise.
+    The input is checked: finite, square, Hermitian within OP_TOL, within
+    linalg.MAX_DIM, and with a Hermitian part that does not overflow,
+    before eigh runs. The PVM is derived and trusted (_derived): eigh's
+    orthonormal eigenvectors give orthogonal projectors that resolve the
+    identity, so Pvm's operator checks are not run. What eigh does not
+    settle is checked with Pvm's errors: finite labels, more than LABEL_TOL
+    apart, so a cluster_tol below LABEL_TOL can raise.
     """
     a = _square(a)
     if cluster_tol < 0:
@@ -229,17 +229,19 @@ def pvm_from_observable(a, cluster_tol: float = CLUSTER_TOL) -> Pvm:
     if not is_hermitian(a):
         raise NotHermitianError("spectral decomposition needs a Hermitian matrix")
     _check_dim(a.shape[0])
-    w, vecs = np.linalg.eigh((a + a.conj().T) / 2)
-    breaks = [0] + [i for i in range(1, len(w)) if w[i] - w[i - 1] > cluster_tol] + [len(w)]
     values = []
     projectors = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        block = vecs[:, lo:hi]
-        proj = block @ block.conj().T
-        values.append(float(np.mean(w[lo:hi])))
-        projectors.append((proj + proj.conj().T) / 2)
-    if not np.all(np.isfinite(vecs)):  # the Hermitian part of huge entries overflows
-        raise ValidationError("matrix entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflows are checked, not warned of
+        hermitian = (a + a.conj().T) / 2
+        if not np.all(np.isfinite(hermitian)):
+            raise ValidationError("matrix entries overflow in its Hermitian part (a + a^dag) / 2")
+        w, vecs = np.linalg.eigh(hermitian)
+        breaks = [0] + [i for i in range(1, len(w)) if w[i] - w[i - 1] > cluster_tol] + [len(w)]
+        for lo, hi in zip(breaks, breaks[1:]):
+            block = vecs[:, lo:hi]
+            proj = block @ block.conj().T
+            values.append(float(np.mean(w[lo:hi])))
+            projectors.append((proj + proj.conj().T) / 2)
     if not np.all(np.isfinite(values)):
         raise ValidationError("outcome labels must be finite")
     # sorted as Pvm sorts: rounding can swap the means of clusters an ulp apart

@@ -142,6 +142,26 @@ def test_entry_near_the_float_maximum_exits_2_without_a_warning(tmp_path, field,
     assert proc.stderr == message
 
 
+@pytest.mark.parametrize("entries,message", [
+    ([[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e308, 0.0]],
+     "error: matrix entries overflow in its Hermitian part (a + a^dag) / 2\n"),
+    ([[0.0, 0.0], [1e308, 0.0], [1e308, 0.0], [0.0, 0.0]],
+     "error: matrix entries overflow in its Hermitian part (a + a^dag) / 2\n"),
+    ([[0.0, 0.0], [1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]],
+     "error: spectral decomposition needs a Hermitian matrix\n"),
+])
+def test_observable_near_the_float_maximum_exits_2_without_a_warning(tmp_path, entries, message):
+    # the Hermitian part (or the anti-Hermitian residue) overflows before eigh
+    doc = json.loads(OIT_SCENARIO.read_text())
+    doc["observable"]["hermitian_matrix"]["entries"] = entries
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmeasure", "validate", str(_write(tmp_path, doc))],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == message
+
+
 def test_run_missing_file_and_malformed_json(capsys, tmp_path):
     code, _, _ = _run(capsys, "run", tmp_path / "absent.json")
     assert code == 2

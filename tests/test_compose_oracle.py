@@ -1,12 +1,15 @@
 """Differential oracle: the factored compose against dense operators on H x K1 x K2.
 
-compose keeps each evolved meter on its own factor. Here every evolved
-projector is embedded into the whole compound space by kron and a permutation
-of the tensor factors, and the commutator norm and the joint table are
-recomputed with dense D x D products, D = d * d1 * d2. compose's
-commutator_bound must lie above that norm and decide locality as it does.
+compose keeps each evolved meter on its own factor, and the joint table is
+computed on H from the induced effects. Here every evolved projector is
+embedded into the whole compound space by kron and a permutation of the
+tensor factors, and the commutator norm and the joint table are recomputed
+with dense D x D products, D = d * d1 * d2. compose's commutator_bound must
+lie above that norm and decide locality as it does, and the table on H must
+be the dense <Psi|E1(x) E2(y)|Psi>.
 """
 
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -20,15 +23,18 @@ from conftest import (
     PAULI_X,
     controlled_process,
     random_hermitian_with_outcomes,
+    random_labels,
     random_povm,
     random_process,
     random_pvm,
     random_state,
+    recompleted,
 )
 from qmeasure import (
     PAULI_Z,
     JointScenario,
     NonCommutingMetersError,
+    Pvm,
     compose,
     dilation_model,
     evolve_meter,
@@ -61,14 +67,49 @@ def dense(op, d, k_own, k_other, own_first):
     return full.reshape(size, size)
 
 
-def dense_reference(psi, p1, p2):
+def dense_meters(psi, p1, p2):
+    """Both evolved meters on H x K1 x K2, and the product state psi x xi1 x xi2."""
     d, d1, d2 = psi.shape[0], p1.apparatus_dim, p2.apparatus_dim
     e1 = [dense(p, d, d1, d2, True) for p in evolve_meter(p1).projectors]
     e2 = [dense(p, d, d2, d1, False) for p in evolve_meter(p2).projectors]
+    return e1, e2, np.kron(np.kron(psi, p1.apparatus_state), p2.apparatus_state)
+
+
+def dense_table(psi, p1, p2):
+    """The complex <Psi|E1(x) E2(y)|Psi>, meters commuting or not."""
+    e1, e2, state = dense_meters(psi, p1, p2)
+    return np.array([[np.vdot(state, a @ b @ state) for b in e2] for a in e1])
+
+
+def dense_reference(psi, p1, p2):
+    e1, e2, _ = dense_meters(psi, p1, p2)
     worst = max(np.max(np.abs(a @ b - b @ a)) for a in e1 for b in e2)
-    state = np.kron(np.kron(psi, p1.apparatus_state), p2.apparatus_state)
-    table = np.array([[np.vdot(state, a @ b @ state).real for b in e2] for a in e1])
-    return worst, table
+    return worst, dense_table(psi, p1, p2).real
+
+
+@pytest.fixture
+def system_table(monkeypatch):
+    """The complex table joint_distribution forms on H, taken before _probability_table checks it.
+
+    The scenario is composed with an infinite commutation tolerance, so a
+    table is formed for non-commuting meters too.
+    """
+    tables, check = [], intersubjectivity._probability_table
+
+    def spy(table):
+        tables.append(table)
+        return check(table)
+
+    monkeypatch.setattr(intersubjectivity, "_probability_table", spy)
+
+    def table(psi, p1, p2):
+        tables.clear()
+        with contextlib.suppress(NonCommutingMetersError):
+            joint_distribution(compose(psi, p1, p2, commutation_tol=np.inf))
+        (got,) = tables
+        return got
+
+    return table
 
 
 def assert_bound_decides_like_the_oracle(js, worst):
@@ -115,6 +156,81 @@ def test_factored_compose_matches_dense_oracle(d, commuting):
         else:
             with pytest.raises(NonCommutingMetersError):
                 joint_distribution(js)
+
+
+@pytest.mark.parametrize("commuting", [True, False])
+@pytest.mark.parametrize("d", DIMS)
+def test_system_space_table_is_the_dense_table(system_table, d, commuting):
+    # <Psi|E1(x) E2(y)|Psi> = <psi|Pi1(x) Pi2(y)|psi> for any two processes:
+    # random apparatus states, unequal apparatus dims, commuting or not
+    rng = np.random.default_rng(900 + 10 * d + commuting)
+    for d1, d2 in itertools.product(DIMS, DIMS):
+        psi = random_state(rng, d)
+        if commuting:
+            projectors = random_pvm(rng, d, int(rng.integers(1, d + 1))).projectors
+            p1 = controlled_process(rng, projectors, d, d1)
+            p2 = controlled_process(rng, projectors, d, d2)
+        else:
+            p1, p2 = random_process(rng, d, d1), random_process(rng, d, d2)
+        for pair in ((p1, p1), (p1, p2)):  # one process on both sides, then two
+            got = system_table(psi, *pair)
+            want = dense_table(psi, *pair)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12, (d1, d2)
+        if not commuting and min(d, d1, d2) > 1:
+            # the identity holds where the table is no probability
+            assert np.max(np.abs(want.imag)) > 1e-6
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_dilation_table_does_not_depend_on_the_completion(system_table, d):
+    # a different completion changes the evolved meters but not the isometry
+    # psi x |0> -> U (psi x |0>), so neither the dense table nor the table on H moves
+    rng = np.random.default_rng(950 + d)
+    for _ in range(6):
+        povm1 = random_povm(rng, d, int(rng.integers(2, 4)))
+        povm2 = random_povm(rng, d, int(rng.integers(2, 4)))
+        p1, p2 = dilation_model(povm1), dilation_model(povm2)
+        q1, q2 = recompleted(rng, p1), recompleted(rng, p2)
+        psi = random_state(rng, d)
+        want = dense_table(psi, p1, p2)
+        assert np.max(np.abs(dense_table(psi, q1, q2) - want)) <= 1e-12
+        for pair in ((p1, p2), (q1, q2)):
+            assert np.max(np.abs(system_table(psi, *pair) - want)) <= 1e-12
+    # commuting effects: the covariant completion's meters commute and a random
+    # one's need not, but the numbers are the same probability table
+    p = dilation_model(unsharp_qubit_povm(0.6))
+    q1, q2 = recompleted(rng, p), recompleted(rng, p)
+    for psi in (PLUS, GROUND):
+        want = joint_distribution(compose(psi, p, p)).probabilities
+        assert np.max(np.abs(dense_table(psi, q1, q2) - want)) <= 1e-12
+        assert np.max(np.abs(system_table(psi, q1, q2) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_pointer_table_of_a_function_of_the_observable(system_table, d):
+    # B = f(A) commutes with A; the pointer models' table is <psi|E^A(x) E^B(y)|psi>,
+    # taken straight from the two PVMs
+    rng = np.random.default_rng(970 + d)
+    for _ in range(4):
+        n = int(rng.integers(1, d + 1))
+        a = pvm_from_observable(random_hermitian_with_outcomes(rng, d, n))
+        image = rng.choice(random_labels(rng, min(3, len(a))), size=len(a))  # f, often not 1-1
+        labels = sorted(set(image))
+        b = Pvm(labels, [sum(p for p, y in zip(a.projectors, image) if y == label)
+                         for label in labels], d)
+        psi = random_state(rng, d)
+        js = compose(psi, von_neumann_model(a), von_neumann_model(b))
+        assert js.commuting
+        want = np.array([[np.vdot(psi, p @ q @ psi) for q in b.projectors] for p in a.projectors])
+        got = joint_distribution(js)
+        assert (got.outcomes1, got.outcomes2) == (a.outcomes, b.outcomes)
+        assert np.max(np.abs(got.probabilities - want)) <= 1e-12
+        assert np.max(np.abs(system_table(psi, js.process1, js.process2) - want)) <= 1e-12
+        # each row's mass sits on its image f(x)
+        for i, y in enumerate(image):
+            row = got.probabilities[i]
+            assert row.sum() == pytest.approx(row[labels.index(y)], abs=1e-12)
 
 
 @pytest.mark.parametrize("eta", np.linspace(0.0, 1.0, 11))

@@ -1,8 +1,8 @@
 """Every name a library module imports is used in that module, every
-module-level private name is used in some module, every public name is
-used by the library or named in the README, the only tolerance
-parameters are the ones a scenario sets, and the checking constructors
-run only at the boundary.
+module-level private name is read by live code of some module, every
+public name is used by the library or named in the README, the only
+tolerance parameters are the ones a scenario sets, and the checking
+constructors run only at the boundary.
 
 No linter ships with the project, so these stdlib-ast checks stand in for
 one. The import and public-name checks skip ``__init__.py``: its imports
@@ -48,26 +48,39 @@ def test_unused_import_is_reported():
 
 
 def dead_private_names(sources: dict) -> list:
-    """(module, name) for each module-level `_name` that no module reads."""
-    defined, used = [], set()
+    """(module, name) for each module-level `_name` that no live code of any module reads.
+
+    A module-level statement that defines no private name is live; one that
+    defines a private name is live once a live statement reads that name.
+    So a helper read only by itself, or only by other dead helpers, is dead.
+    """
+    nodes = []
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
+        for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
-                continue
-            defined += [(module, n) for n in names
-                        if n.startswith("_") and not n.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    return sorted((module, name) for module, name in defined if name not in used)
+                names = []
+            private = {n for n in names if n.startswith("_") and not n.startswith("__")}
+            reads = set()
+            for child in ast.walk(node):
+                if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                    reads.add(child.id)
+                elif isinstance(child, ast.Attribute):
+                    reads.add(child.attr)
+            nodes.append((module, private, reads))
+    used, live = set(), [False] * len(nodes)
+    changed = True
+    while changed:
+        changed = False
+        for k, (_, private, reads) in enumerate(nodes):
+            if not live[k] and (not private or private & used):
+                live[k] = changed = True
+                used |= reads
+    return sorted({(module, n) for module, private, _ in nodes for n in private if n not in used})
 
 
 def test_every_private_name_is_used():
@@ -81,6 +94,19 @@ def test_dead_private_name_is_reported():
         "b.py": "import a\nfrom a import _used\nprint(_used, a._helper)\n",
     }
     assert dead_private_names(sources) == [("a.py", "_Gone"), ("a.py", "_dead")]
+
+
+def test_private_name_read_only_by_dead_code_is_reported():
+    sources = {
+        "a.py": "def _recursive(n):\n    return _recursive(n - 1)\n"
+                "_TABLE = 3\ndef _reader():\n    return _TABLE\n"
+                "_count = 0\n_count = _count + 1\n"
+                "def public():\n    return _kept()\ndef _kept():\n    return _deep\n"
+                "_deep = 1\n",
+    }
+    assert dead_private_names(sources) == [
+        ("a.py", "_TABLE"), ("a.py", "_count"), ("a.py", "_reader"), ("a.py", "_recursive"),
+    ]
 
 
 def dead_public_names(names, sources: dict, readme: str) -> list:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import tracemalloc
@@ -118,20 +119,20 @@ def test_oit_run_checks_only_the_observable_as_a_pvm(monkeypatch):
 
 def test_oit_run_evolves_each_meter_once(monkeypatch):
     evolved, pinched = [], []
-    original, pinch = measurement.evolve_meter, intersubjectivity._pinch
+    original, pinch = measurement._evolved_meters, measurement._pinch
 
-    def counting(process):
-        evolved.append(process)
-        return original(process)
+    def counting(interactions, meter, system_dim):
+        evolved.append(interactions)
+        return original(interactions, meter, system_dim)
 
-    def counting_pinch(meter, xi):
-        pinched.append(meter)
-        return pinch(meter, xi)
+    def counting_pinch(meters, xi):
+        pinched.append(meters)
+        return pinch(meters, xi)
 
-    # compose and induced_povm look the function up in their own modules
+    # compose and induced_povm look the kernels up in their own modules
     for module in (intersubjectivity, measurement):
-        monkeypatch.setattr(module, "evolve_meter", counting)
-    monkeypatch.setattr(intersubjectivity, "_pinch", counting_pinch)
+        monkeypatch.setattr(module, "_evolved_meters", counting)
+        monkeypatch.setattr(module, "_pinch", counting_pinch)
     root = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
     oit = load_scenario_file(root / "oit_sigma_z.json")
     joint = load_scenario_file(root / "unsharp_eta08.json")
@@ -146,10 +147,15 @@ def test_oit_run_evolves_each_meter_once(monkeypatch):
         pinched.clear()
         report = run_experiment(scenario)
         assert report["diagnostics"]["commuting"] is True
-        assert len(evolved) == len({id(p) for p in evolved}) == distinct
-        assert {id(p) for p in evolved} == {id(p) for p in scenario.processes}
-        # verify_oit checks reproducibility once per distinct process
-        assert len(pinched) == (distinct if scenario.experiment == "oit" else 0)
+        # one evolution per distinct process, each of that process's own interaction
+        assert len(evolved) == distinct
+        owners = [[p for p in scenario.processes if np.shares_memory(u, p.interaction)]
+                  for u in evolved]
+        assert all(len({id(p) for p in found}) == 1 for found in owners)
+        assert {id(found[0]) for found in owners} == {id(p) for p in scenario.processes}
+        # the reproducibility check and the table share one pinch per distinct process
+        assert len(pinched) == distinct
+        assert all(m.shape[0] == 1 for m in evolved + pinched)
     assert report["results"]["intersubjective"] is True
 
 
@@ -206,6 +212,25 @@ def test_joint_distribution_marginals_match_induced_povms():
         born2 = born_povm(induced_povm(js.process2), js.psi)
         assert dist.marginal1() == pytest.approx(born1.probabilities, abs=1e-9)
         assert dist.marginal2() == pytest.approx(born2.probabilities, abs=1e-9)
+
+
+def test_a_scenario_not_built_by_compose_pinches_its_own_meters():
+    # compose hands its pinched effects to the scenario; a copy made with
+    # dataclasses.replace pinches evolved1 and evolved2 itself, to the same numbers
+    rng = np.random.default_rng(31)
+    shared = von_neumann_model(SIGMA_Z_PVM)
+    pairs = [(shared, shared), (shared, dilation_model(unsharp_qubit_povm(1.0))),
+             (controlled_process(rng, SIGMA_Z_PVM.projectors, 2, 3),
+              controlled_process(rng, SIGMA_Z_PVM.projectors, 2, 2))]
+    for p1, p2 in pairs:
+        js = compose(PLUS, p1, p2)
+        copy = dataclasses.replace(js, commutation_tol=js.commutation_tol)
+        assert "_effects" in vars(js) and "_effects" not in vars(copy)
+        got, want = joint_distribution(copy), joint_distribution(js)
+        assert np.array_equal(got.probabilities, want.probabilities)
+        assert (copy._effects[1] is copy._effects[0]) == (p2 is p1)
+        if p1.meter.outcomes == p2.meter.outcomes:
+            assert verify_oit(copy, SIGMA_Z_PVM).diagonal == verify_oit(js, SIGMA_Z_PVM).diagonal
 
 
 def _swapped_pairs():

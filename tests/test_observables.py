@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import PAULI_X, random_povm, random_pvm, random_state, random_unit
 from qmeasure import (
     PAULI_Z,
     DimensionError,
+    NotHermitianError,
     OutcomeDistribution,
     ParameterError,
     Povm,
@@ -153,16 +156,33 @@ def test_pvm_from_observable_keeps_the_label_separation_rule():
     assert pvm_from_observable(a).outcomes == (1.0000000025,)
 
 
-@pytest.mark.parametrize("entries,message", [
-    ([[1e308, 0], [0, -1e308]], "outcome labels must be finite"),
-    ([[0, 1e308], [1e308, 0]], "matrix entries must be finite"),
-])
-def test_pvm_from_observable_rejects_what_overflows_in_eigh(entries, message):
-    # finite entries whose Hermitian part overflows: the derived PVM is not
-    # finite, and the error is the one Pvm's checks gave
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
+OVERFLOW = "matrix entries overflow in its Hermitian part (a + a^dag) / 2"
+
+
+@pytest.mark.parametrize("entries", [[[1e308, 0], [0, -1e308]], [[0, 1e308], [1e308, 0]]])
+def test_pvm_from_observable_rejects_what_overflows_in_eigh(entries):
+    # finite entries whose Hermitian part overflows: one error that names the
+    # overflow, raised before eigh and without a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as exc:
             pvm_from_observable(np.array(entries, dtype=complex))
+    assert str(exc.value) == OVERFLOW
+
+
+@pytest.mark.parametrize("entries,error,message", [
+    ([[0, 1e308], [-1e308, 0]], NotHermitianError,
+     "spectral decomposition needs a Hermitian matrix"),
+    (np.full((3, 3), 8.9e307), ValidationError, "outcome labels must be finite"),
+])
+def test_pvm_from_observable_near_the_float_maximum_warns_nothing(entries, error, message):
+    # the anti-Hermitian residue overflows in is_hermitian; the Hermitian
+    # part is finite, but its eigenvalue 2.67e308 is not
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as exc:
+            pvm_from_observable(np.array(entries, dtype=complex))
+    assert str(exc.value) == message
 
 
 def _spectral_inputs(rng):

@@ -23,6 +23,7 @@ from qmeasure import (
     dilation_model,
     intersubjectivity,
     load_scenario,
+    measurement,
     scenario,
     sweep_agreement,
     unsharp_qubit_povm,
@@ -96,7 +97,8 @@ def test_sweep_composes_no_point_on_its_own(monkeypatch):
     sc = load_scenario(_doc())
     for name in ("compose", "dilation_model", "von_neumann_model"):
         monkeypatch.setattr(scenario, name, refuse)
-    monkeypatch.setattr(intersubjectivity, "evolve_meter", refuse)
+    monkeypatch.setattr(intersubjectivity, "compose", refuse)
+    monkeypatch.setattr(measurement, "evolve_meter", refuse)
     assert len(sweep_agreement(sc, GRID)) == len(GRID)
 
 
@@ -160,11 +162,12 @@ def test_a_failing_point_raises_before_a_later_invalid_eta(monkeypatch, chunk):
 
 @pytest.mark.parametrize("chunk", [1, 7, scenario.SWEEP_CHUNK])
 def test_a_table_error_raises_in_point_order(monkeypatch, chunk):
-    # every table gets an imaginary residue, so each point fails after locality
+    # every table gets an imaginary residue before it is checked, so each
+    # point fails after locality
     monkeypatch.setattr(scenario, "SWEEP_CHUNK", chunk)
-    tables = intersubjectivity._joint_tables
-    monkeypatch.setattr(intersubjectivity, "_joint_tables",
-                        lambda *args: tables(*args) + 1e-3j)
+    check = intersubjectivity._probability_table
+    monkeypatch.setattr(intersubjectivity, "_probability_table",
+                        lambda table: check(table + 1e-3j))
     sc = load_scenario(_doc(state="complex"))
     message = _failing_point_error(sc, 0.25)
     assert "imaginary residue 1.000e-03" in message
