@@ -27,7 +27,7 @@ commute on this state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -64,6 +64,8 @@ class JointScenario:
     evolved1 is process1's evolved meter on H x K1 and evolved2 is
     process2's on H x K2, as evolve_meter returns them. commuting is the one
     locality verdict, made with the commutation_tol compose was given.
+    _effects is both sides' (1, n, d, d) induced effects on H, which every
+    joint table reads; compose passes them and dataclasses.replace copies them.
     """
 
     psi: np.ndarray
@@ -73,17 +75,11 @@ class JointScenario:
     evolved2: Pvm
     commutator_bound: float
     commutation_tol: float
+    _effects: tuple = field(repr=False)
 
     @property
     def total_dim(self) -> int:
         return self.process1.total_dim * self.process2.apparatus_dim
-
-    @cached_property
-    def _effects(self) -> tuple:
-        """Both sides' (1, n, d, d) induced effects on H; compose sets them from its own stacks."""
-        e1 = np.array(self.evolved1.projectors)[None]
-        e2 = e1 if self.evolved2 is self.evolved1 else np.array(self.evolved2.projectors)[None]
-        return _side_effects(e1, e2, self.process1.apparatus_state, self.process2.apparatus_state)
 
     @cached_property
     def max_commutator_norm(self) -> float:
@@ -176,8 +172,7 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
     The scenario keeps commutation_tol and decides JointScenario.commuting
     with it, the verdict every consumer reads; commutator_bound (see
     _span_bounds) decides it whenever the bound is within the tolerance.
-    Each side's meters are pinched once, into the effects the scenario's
-    joint table reads (see _side_effects).
+    Meters, effects and bound come from _pair_kernel, as in the eta sweep.
     """
     psi = as_state(psi)
     d_sys = psi.shape[0]
@@ -187,23 +182,37 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
             f"{process2.system_dim}, state has dim {d_sys}"
         )
     _check_dim(process1.total_dim * process2.apparatus_dim)
-    e1 = _evolved_meters(process1.interaction[None], process1.meter, d_sys)
-    e2 = e1 if process2 is process1 else _evolved_meters(process2.interaction[None],
-                                                         process2.meter, d_sys)
+    side1 = (process1.interaction[None], process1.meter, process1.apparatus_state)
+    side2 = side1 if process2 is process1 else (
+        process2.interaction[None], process2.meter, process2.apparatus_state)
+    e1, e2, f1, f2, bounds = _pair_kernel(side1, side2, d_sys)
     evolved1 = _derived(Pvm, process1.meter.outcomes, e1[0], process1.total_dim)
-    scenario = JointScenario(
+    return JointScenario(
         psi=_frozen(psi.copy()),
         process1=process1,
         process2=process2,
         evolved1=evolved1,
         evolved2=(evolved1 if e2 is e1
                   else _derived(Pvm, process2.meter.outcomes, e2[0], process2.total_dim)),
-        commutator_bound=float(_span_bounds(e1, e2, d_sys)[0]),
+        commutator_bound=float(bounds[0]),
         commutation_tol=commutation_tol,
+        _effects=(f1, f2),
     )
-    effects = _side_effects(e1, e2, process1.apparatus_state, process2.apparatus_state)
-    object.__setattr__(scenario, "_effects", effects)
-    return scenario
+
+
+def _pair_kernel(side1: tuple, side2: tuple, d_sys: int) -> tuple:
+    """Evolved meters e1, e2 (m, n, D, D), effects f1, f2 (m, n, d, d) and (m,) span bounds.
+
+    A side is an (m, D, D) interaction stack, its meter and its apparatus
+    state. The stages run in compose's order: _evolved_meters, _span_bounds,
+    _pinch. side2 is side1 for a process both observers share, whose meters
+    are then evolved, spanned and pinched once: e2 is e1 and f2 is f1.
+    """
+    sides = (side1,) if side2 is side1 else (side1, side2)
+    evolved = [_evolved_meters(interactions, meter, d_sys) for interactions, meter, _ in sides]
+    bounds = _span_bounds(evolved[0], evolved[-1], d_sys)
+    effects = [_pinch(e, xi) for e, (_, _, xi) in zip(evolved, sides)]
+    return evolved[0], evolved[-1], effects[0], effects[-1], bounds
 
 
 def _span_bounds(e1: np.ndarray, e2: np.ndarray, d_sys: int) -> np.ndarray:
@@ -309,9 +318,7 @@ def joint_distribution(scenario: JointScenario) -> JointDistribution:
     P >= 0, either means the meters do not commute on this state.
     """
     _require_commuting(scenario)
-    f1, f2 = scenario._effects
-    psi = scenario.psi
-    table = _probability_table(((f1 @ psi).conj() @ (f2 @ psi).swapaxes(1, 2))[0])
+    table = _probability_table(_tables(scenario.psi, *scenario._effects)[0])
     return JointDistribution(scenario.evolved1.outcomes, scenario.evolved2.outcomes, table)
 
 
@@ -323,10 +330,9 @@ def _require_commuting(scenario: JointScenario) -> None:
         )
 
 
-def _side_effects(e1: np.ndarray, e2: np.ndarray, xi1: np.ndarray, xi2: np.ndarray) -> tuple:
-    """Both sides' (m, n, d, d) induced effects, one pinch when e2 is e1 (a shared process)."""
-    f1 = _pinch(e1, xi1)
-    return f1, f1 if e2 is e1 else _pinch(e2, xi2)
+def _tables(psi: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
+    """Complex tables <psi| Pi1(x) Pi2(y) |psi>, (m, n1, n2), of two (m, n, d, d) effect stacks."""
+    return (f1 @ psi).conj() @ (f2 @ psi).swapaxes(1, 2)
 
 
 def _probability_table(table: np.ndarray) -> np.ndarray:
@@ -351,24 +357,21 @@ def _model_distributions(psi: np.ndarray, outcomes, interactions1: np.ndarray,
 
     Both sides are model processes on measurement._pointer's apparatus for
     outcomes, and interactions2 is interactions1 when both sides share one
-    process. Each stage runs once on the whole stack: _evolved_meters (one
-    eigh of the pointer meter), _span_bounds, _side_effects and the tables
-    on H. The checks then run point by point, in compose and
-    joint_distribution's order, so the first failing point raises their
-    error: a bound above commutation_tol leaves locality to the point's own
-    compose (its exact max_commutator_norm), then the table must pass
-    _probability_table and JointDistribution.
+    process. compose's _pair_kernel and joint_distribution's _tables each
+    run once on the whole stack. The checks then run point by point, in
+    compose and joint_distribution's order, so the first failing point
+    raises their error: a bound above commutation_tol leaves locality to
+    the point's own compose (its exact max_commutator_norm), then the table
+    must pass _probability_table and JointDistribution.
     """
     d_sys = psi.shape[0]
     xi, meter = _pointer(outcomes)
     shared = interactions2 is interactions1
-    e1 = _evolved_meters(interactions1, meter, d_sys)
-    e2 = e1 if shared else _evolved_meters(interactions2, meter, d_sys)
-    bounds = _span_bounds(e1, e2, d_sys)
-    f1, f2 = _side_effects(e1, e2, xi, xi)
-    tables = (f1 @ psi).conj() @ (f2 @ psi).swapaxes(1, 2)  # as joint_distribution forms them
+    side1 = (interactions1, meter, xi)
+    side2 = side1 if shared else (interactions2, meter, xi)
+    _, _, f1, f2, bounds = _pair_kernel(side1, side2, d_sys)
     dists = []
-    for k, table in enumerate(tables):
+    for k, table in enumerate(_tables(psi, f1, f2)):
         if not bounds[k] <= commutation_tol:
             p1 = _model_process(d_sys, outcomes, interactions1[k])
             p2 = p1 if shared else _model_process(d_sys, outcomes, interactions2[k])
@@ -410,10 +413,8 @@ def verify_oit(
     observable label its row pairs with.
     """
     f1, f2 = scenario._effects
-    sides = [("process1", scenario.process1, f1)]
-    if f2 is not f1:
-        sides.append(("process2", scenario.process2, f2))
-    for name, process, effects in sides:
+    sides = [("process1", scenario.process1, f1), ("process2", scenario.process2, f2)]
+    for name, process, effects in sides[:1] if f2 is f1 else sides:
         induced = _derived(Povm, process.meter.outcomes, effects[0], process.system_dim)
         report = _compare(induced, observable, reproducibility_tol)
         if not report.reproducible:

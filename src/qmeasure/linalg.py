@@ -48,7 +48,8 @@ def as_state(v) -> np.ndarray:
         raise DimensionError(f"expected a vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValidationError("state amplitudes must be finite")
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, which fails the check
+        norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > NORM_TOL:
         raise ValidationError(f"state norm is {norm!r}, not 1 within {NORM_TOL}")
     return v

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, ValidationError
+from .errors import ParameterError, QmeasureError, ValidationError
 from .intersubjectivity import (
     COMMUTATION_TOL,
     OIT_TOL,
@@ -143,7 +143,8 @@ def _gated_state(raw, where: str, dim: Optional[int] = None) -> np.ndarray:
             vec.shape[0] == dim,
             f"{where}: expected {dim} amplitudes, got {vec.shape[0]}",
         )
-    norm = float(np.linalg.norm(vec))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, which the gate rejects
+        norm = float(np.linalg.norm(vec))
     _require(
         abs(norm - 1.0) <= STATE_NORM_GATE,
         f"{where}: norm {norm!r} deviates from 1 beyond {STATE_NORM_GATE}",
@@ -151,14 +152,12 @@ def _gated_state(raw, where: str, dim: Optional[int] = None) -> np.ndarray:
     return vec / norm
 
 
-def _projective_pvm(observable, derived: dict) -> Optional[Pvm]:
-    """The PVM of a projective observable, or None; derived["pvm"] keeps a Povm's answer."""
+def _projective_pvm(observable) -> Optional[Pvm]:
+    """The PVM of a projective observable, or None; only a Povm is tested."""
     if isinstance(observable, Pvm):
         return observable
-    if "pvm" not in derived:
-        derived["pvm"] = (_derived(Pvm, observable.outcomes, observable.effects, observable.dim)
-                          if is_projective(observable) else None)
-    return derived["pvm"]
+    return (_derived(Pvm, observable.outcomes, observable.effects, observable.dim)
+            if is_projective(observable) else None)
 
 
 def _build_observable(data, dim: int, cluster_tol: float):
@@ -177,7 +176,10 @@ def _build_observable(data, dim: int, cluster_tol: float):
         a = matrix_from_json(data[kind], f"{where}.hermitian_matrix")
         _require(a.shape == (dim, dim),
                  f"{where}: matrix shape {a.shape} does not match system dim {dim}")
-        return kind, pvm_from_observable(a, cluster_tol)
+        try:
+            return kind, pvm_from_observable(a, cluster_tol)
+        except QmeasureError as exc:  # the same error, naming the field it came from
+            raise type(exc)(f"{where}.hermitian_matrix: {exc}") from None
     if kind == "pvm":
         pvm = pvm_from_json(data[kind], f"{where}.pvm")
         _require(pvm.dim == dim,
@@ -197,33 +199,18 @@ def _build_observable(data, dim: int, cluster_tol: float):
     return kind, unsharp_qubit_povm(float(eta))
 
 
-def _derived_process(model: str, observable, where: str, derived: dict) -> MeasurementProcess:
-    """The von_neumann or dilation process of observable.
-
-    derived maps a model name to the process already built for this
-    observable, which is returned again instead of a new one, and "pvm" to
-    the observable's PVM (see _projective_pvm).
-    """
-    if model not in derived:
-        if model == "dilation":
-            povm = as_povm(observable) if isinstance(observable, Pvm) else observable
-            derived[model] = dilation_model(povm)
-        else:
-            derived[model] = von_neumann_model(_von_neumann_target(observable, where, derived))
-    return derived[model]
-
-
-def _von_neumann_target(observable, where: str, derived: dict) -> Pvm:
-    """The PVM a von_neumann model of observable realizes; a noisy one raises ValidationError."""
-    pvm = _projective_pvm(observable, derived)
+def _von_neumann_target(pvm: Optional[Pvm], where: str) -> Pvm:
+    """The PVM a von_neumann model realizes; None, a noisy observable's, raises ValidationError."""
     _require(pvm is not None, f"{where}: the von_neumann model needs a projective observable")
     return pvm
 
 
-def _build_process(entry, index: int, observable, system_dim: int, derived: dict):
-    """One checked process and its model name.
+def _build_process(entry, index: int, observable, pvm: Optional[Pvm], system_dim: int,
+                   shared: dict):
+    """One checked process.
 
-    derived holds the model processes already built, as in _derived_process.
+    pvm is the observable's PVM when the load needs one, else None. shared
+    maps a model name to its process, built once for both entries that name it.
     """
     where = f"processes[{index}]"
     _require(isinstance(entry, dict), f"{where}: expected an object")
@@ -231,7 +218,13 @@ def _build_process(entry, index: int, observable, system_dim: int, derived: dict
     model = entry["model"]
     if model in ("von_neumann", "dilation"):
         _check_keys(entry, ("model",), ("model",), where)
-        return _derived_process(model, observable, where, derived), model
+        if model not in shared:
+            if model == "dilation":
+                povm = as_povm(observable) if isinstance(observable, Pvm) else observable
+                shared[model] = dilation_model(povm)
+            else:
+                shared[model] = von_neumann_model(_von_neumann_target(pvm, where))
+        return shared[model]
     if model == "custom":
         fields = ("model", "apparatus_dim", "xi", "unitary", "meter")
         _check_keys(entry, fields, fields, where)
@@ -241,14 +234,13 @@ def _build_process(entry, index: int, observable, system_dim: int, derived: dict
             f"{where}.apparatus_dim: must be a positive integer, got {apparatus_dim!r}",
         )
         xi = _gated_state(entry["xi"], f"{where}.xi", apparatus_dim)
-        process = MeasurementProcess(
+        return MeasurementProcess(
             system_dim=system_dim,
             apparatus_dim=apparatus_dim,
             apparatus_state=xi,
             interaction=matrix_from_json(entry["unitary"], f"{where}.unitary"),
             meter=pvm_from_json(entry["meter"], f"{where}.meter"),
         )
-        return process, model
     raise ValidationError(
         f"{where}: unknown model {model!r} (expected von_neumann, dilation, or custom)"
     )
@@ -280,13 +272,13 @@ def _build_tolerances(data) -> dict:
 def load_scenario(data) -> Scenario:
     """Build and invariant-check every object a scenario file declares.
 
-    The observable is kept as declared (see the module docstring). A
-    von_neumann or dilation model is built once per scenario, and both
+    The observable is kept as declared (see the module docstring). Its PVM
+    is taken at most once, and only when a von_neumann entry or a reproduce
+    or oit experiment needs it; a noisy observable there raises
+    ValidationError, and for reproduce and oit the scenario holds the PVM.
+    A von_neumann or dilation model is built once per scenario, and both
     entries of such a pair hold that one process; custom entries are built
-    and checked one by one. A von_neumann process, and a reproduce or oit
-    experiment, need a projective observable and raise ValidationError on a
-    noisy one; for reproduce and oit the scenario holds the PVM derived from
-    a projective Povm.
+    and checked one by one.
 
     Each process's H x K and, for two-process experiments, the compound
     H x K1 x K2 must fit linalg.MAX_DIM, the cap compose applies; a model
@@ -337,22 +329,24 @@ def load_scenario(data) -> Scenario:
         f"processes: the {experiment} experiment needs exactly {spec.processes} "
         f"process(es), got {len(entries)}",
     )
-    derived = {}
-    built = [_build_process(entry, i, observable, dim, derived)
-             for i, entry in enumerate(entries)]
-    processes = tuple(p for p, _ in built)
-    models = tuple(m for _, m in built)
+    wants_pvm = spec.needs_pvm or any(
+        isinstance(entry, dict) and entry.get("model") == "von_neumann" for entry in entries)
+    pvm = _projective_pvm(observable) if wants_pvm else None
+    shared = {}
+    processes = tuple(_build_process(entry, i, observable, pvm, dim, shared)
+                      for i, entry in enumerate(entries))
+    models = tuple(entry["model"] for entry in entries)
     if spec.processes == 2:
         # compose's own cap, checked here so that validate rejects what run would
         _check_dim(processes[0].total_dim * processes[1].apparatus_dim)
     if spec.needs_pvm:
-        observable = _projective_pvm(observable, derived)
         _require(
-            observable is not None,
+            pvm is not None,
             f"the {experiment} experiment needs a projective observable "
             f"(hermitian_matrix, pvm, or an unsharp/povm observable whose effects "
             f"are projectors); use induce or joint for noisy ones",
         )
+        observable = pvm
 
     return Scenario(
         system_dim=dim,
@@ -524,11 +518,11 @@ def sweep_agreement(scenario: Scenario, etas):
 
 
 def _swept_eta(eta, models) -> float:
-    """eta as a float, checked as unsharp_qubit_povm and _derived_process check it."""
+    """eta as a float, checked as unsharp_qubit_povm and the loader's von_neumann entry check it."""
     eta = _checked_eta(eta)
     if "von_neumann" in models:
         where = f"processes[{models.index('von_neumann')}]"
-        _von_neumann_target(unsharp_qubit_povm(eta), where, {})
+        _von_neumann_target(_projective_pvm(unsharp_qubit_povm(eta)), where)
     return eta
 
 
@@ -537,7 +531,7 @@ def _sweep_chunk(scenario: Scenario, etas: list) -> list:
 
     The von_neumann model's PVM is the unsharp POVM itself, so one effect
     stack feeds both models, and each model's interaction stack is built
-    once and shared by both sides, as the loader shares a derived process.
+    once and shared by both sides, as the loader shares a model process.
     """
     effects = _unsharp_effects(etas)
     kernels = {"dilation": _dilation_unitaries, "von_neumann": _pointer_unitaries}

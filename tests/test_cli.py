@@ -12,7 +12,9 @@ from conftest import PAULI_X, random_povm
 from qmeasure import (
     PAULI_Z,
     Pvm,
+    QmeasureError,
     dilation_model,
+    load_scenario,
     pvm_from_observable,
     pvm_to_json,
     scenario_to_json,
@@ -142,6 +144,25 @@ def test_entry_near_the_float_maximum_exits_2_without_a_warning(tmp_path, field,
     assert proc.stderr == message
 
 
+@pytest.mark.parametrize("field,message", [
+    (("system", "state"), "error: system.state: norm inf deviates from 1 beyond 1e-08\n"),
+    (("processes", 0, "xi"), "error: processes[0].xi: norm inf deviates from 1 beyond 1e-08\n"),
+])
+def test_state_near_the_float_maximum_exits_2_without_a_warning(tmp_path, field, message):
+    # finite amplitudes whose norm overflows: the gate reads inf and numpy warns nothing
+    doc = scenario_to_json(GROUND, SIGMA_Z_PVM, [von_neumann_model(SIGMA_Z_PVM)], "induce")
+    node = doc
+    for key in field[:-1]:
+        node = node[key]
+    node[field[-1]] = [[1e300, 0.0], [1e300, 0.0]]
+    proc = subprocess.run(
+        [sys.executable, "-m", "qmeasure", "validate", str(_write(tmp_path, doc))],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == message
+
+
 @pytest.mark.parametrize("entries,message", [
     ([[1e308, 0.0], [0.0, 0.0], [0.0, 0.0], [-1e308, 0.0]],
      "error: matrix entries overflow in its Hermitian part (a + a^dag) / 2\n"),
@@ -151,7 +172,8 @@ def test_entry_near_the_float_maximum_exits_2_without_a_warning(tmp_path, field,
      "error: spectral decomposition needs a Hermitian matrix\n"),
 ])
 def test_observable_near_the_float_maximum_exits_2_without_a_warning(tmp_path, entries, message):
-    # the Hermitian part (or the anti-Hermitian residue) overflows before eigh
+    # the Hermitian part (or the anti-Hermitian residue) overflows before eigh;
+    # the loader puts the field's path in front of pvm_from_observable's message
     doc = json.loads(OIT_SCENARIO.read_text())
     doc["observable"]["hermitian_matrix"]["entries"] = entries
     proc = subprocess.run(
@@ -159,7 +181,26 @@ def test_observable_near_the_float_maximum_exits_2_without_a_warning(tmp_path, e
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
-    assert proc.stderr == message
+    assert proc.stderr == message.replace("error: ", "error: observable.hermitian_matrix: ", 1)
+
+
+@pytest.mark.parametrize("matrix,tolerances,message", [
+    (np.diag([1.0, 1.0 + 1e-12]), {"cluster": 1e-20},
+     "ValidationError: observable.hermitian_matrix: PVM outcome labels 1.0 and 1.0000"),
+    (np.eye(257), {},
+     "DimensionError: observable.hermitian_matrix: compound dimension 257 exceeds the cap 256"),
+])
+def test_spectral_errors_name_the_observable_field(capsys, tmp_path, matrix, tolerances, message):
+    # labels a tiny cluster tolerance leaves closer than LABEL_TOL, and a matrix over the cap
+    psi = np.ones(len(matrix)) / np.sqrt(len(matrix))
+    doc = scenario_to_json(psi, matrix, [], "induce", tolerances=tolerances)
+    doc["processes"] = [{"model": "dilation"}]
+    with pytest.raises(QmeasureError) as exc:
+        load_scenario(doc)
+    assert f"{type(exc.value).__name__}: {exc.value}".startswith(message)
+    code, out, err = _run(capsys, "validate", _write(tmp_path, doc))
+    assert (code, out) == (2, "")
+    assert err == f"error: {exc.value}\n"
 
 
 def test_run_missing_file_and_malformed_json(capsys, tmp_path):

@@ -214,9 +214,9 @@ def test_joint_distribution_marginals_match_induced_povms():
         assert dist.marginal2() == pytest.approx(born2.probabilities, abs=1e-9)
 
 
-def test_a_scenario_not_built_by_compose_pinches_its_own_meters():
-    # compose hands its pinched effects to the scenario; a copy made with
-    # dataclasses.replace pinches evolved1 and evolved2 itself, to the same numbers
+def test_a_replaced_scenario_holds_the_effects_compose_passed():
+    # compose passes its pinched effects to the scenario as a field, so a copy
+    # made with dataclasses.replace holds the same arrays and gives the same numbers
     rng = np.random.default_rng(31)
     shared = von_neumann_model(SIGMA_Z_PVM)
     pairs = [(shared, shared), (shared, dilation_model(unsharp_qubit_povm(1.0))),
@@ -225,10 +225,12 @@ def test_a_scenario_not_built_by_compose_pinches_its_own_meters():
     for p1, p2 in pairs:
         js = compose(PLUS, p1, p2)
         copy = dataclasses.replace(js, commutation_tol=js.commutation_tol)
-        assert "_effects" in vars(js) and "_effects" not in vars(copy)
+        assert all(a is b for a, b in zip(copy._effects, js._effects))
+        assert (copy._effects[1] is copy._effects[0]) == (p2 is p1)
+        for effects, process in zip(js._effects, (p1, p2)):
+            assert np.array_equal(effects[0], np.array(induced_povm(process).effects))
         got, want = joint_distribution(copy), joint_distribution(js)
         assert np.array_equal(got.probabilities, want.probabilities)
-        assert (copy._effects[1] is copy._effects[0]) == (p2 is p1)
         if p1.meter.outcomes == p2.meter.outcomes:
             assert verify_oit(copy, SIGMA_Z_PVM).diagonal == verify_oit(js, SIGMA_Z_PVM).diagonal
 

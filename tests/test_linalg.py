@@ -27,6 +27,12 @@ def test_as_operator_rejects_vectors_and_nonfinite():
         as_operator(np.array([[np.inf, 0], [0, 1]]))
 
 
+def test_as_state_rejects_an_overflowing_norm_without_a_warning():
+    # the suite turns warnings into errors, so a leaked overflow warning fails here
+    with pytest.raises(ValidationError, match="state norm is inf"):
+        as_state(np.array([1e300, 1e300], dtype=complex))
+
+
 def test_as_state_norm_gate():
     as_state(np.array([1, 0], dtype=complex))
     with pytest.raises(ValidationError, match=r"state norm is 1\.4142135623730951, not 1"):

@@ -1,10 +1,11 @@
 """Fuzz the scenario loader with mutated copies of the recorded scenarios.
 
-One mutation per document, at a node chosen anywhere below its root: the
-node is dropped, replaced by a random JSON value, or wrapped in another
-type. The
-loader must reject what it cannot run with exit 2: `validate` exits 0 or 2,
-and `run` 0, 2 or 3 (a verdict of the experiment), never 1.
+One mutation per document, or two to three in a row, each at a node chosen
+anywhere below its root: the node is dropped, replaced by a random JSON
+value, or wrapped in another type. The loader must reject what it cannot
+run with exit 2: `validate` exits 0 or 2, and `run` 0, 2 or 3 (a verdict of
+the experiment), never 1. Both commands load through one loader, so a
+document `validate` rejects is one `run` rejects with the same message.
 """
 
 import contextlib
@@ -71,9 +72,20 @@ def _mutated(doc, path, action, value, retype):
     return doc
 
 
-def _exit_code(*argv):
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return main([str(a) for a in argv])
+def _cli(*argv):
+    """The exit code and stderr of one command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main([str(a) for a in argv]), err.getvalue()
+
+
+def _draw_mutation(data, doc):
+    """doc with one node, drawn by _draw_path, dropped, replaced or retyped."""
+    path = _draw_path(data, doc)
+    action = data.draw(st.sampled_from(["drop", "replace", "retype"]), label="action")
+    value = data.draw(JSON_VALUES, label="value") if action == "replace" else None
+    retype = data.draw(st.sampled_from(RETYPES)) if action == "retype" else None
+    return _mutated(doc, path, action, value, retype)
 
 
 @pytest.fixture(scope="module")
@@ -85,14 +97,26 @@ def workdir(tmp_path_factory):
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_a_mutated_scenario_exits_0_2_or_3(workdir, scenario, data):
-    doc = json.loads(scenario.read_text())
-    path = _draw_path(data, doc)
-    action = data.draw(st.sampled_from(["drop", "replace", "retype"]), label="action")
-    value = data.draw(JSON_VALUES, label="value") if action == "replace" else None
-    retype = data.draw(st.sampled_from(RETYPES)) if action == "retype" else None
-    mutated = _mutated(doc, path, action, value, retype)
+    mutated = _draw_mutation(data, json.loads(scenario.read_text()))
     target = workdir / f"{scenario.stem}.json"
     # NaN and infinities are written as JSON's usual extensions, which json.load reads back
     target.write_text(json.dumps(mutated))
-    assert _exit_code("validate", target) in (0, 2)
-    assert _exit_code("run", target) in (0, 2, 3)
+    assert _cli("validate", target)[0] in (0, 2)
+    assert _cli("run", target)[0] in (0, 2, 3)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda p: p.stem)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_scenario_mutated_at_several_nodes_exits_as_validate_says(workdir, scenario, data):
+    doc = json.loads(scenario.read_text())
+    for _ in range(data.draw(st.integers(2, 3), label="mutations")):
+        doc = _draw_mutation(data, doc)  # the root keeps a field: at most 3 of 5 are dropped
+    target = workdir / f"{scenario.stem}-several.json"
+    target.write_text(json.dumps(doc))
+    validated, validate_err = _cli("validate", target)
+    ran, run_err = _cli("run", target)
+    assert validated in (0, 2)
+    assert ran in (0, 2, 3)
+    if validated == 2:
+        assert (ran, run_err) == (2, validate_err)
