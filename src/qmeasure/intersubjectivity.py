@@ -1,21 +1,21 @@
 """Two-observer joint local measurements and outcome agreement.
 
-Two measuring processes that share the system are composed on
-H x K1 x K2. Each meter is evolved by its own process's interaction and
-kept on its own factor, H x K1 or H x K2; nothing on the whole compound
+Two measuring processes that share the system are composed on H x K1 x K2.
+Each meter is evolved by its own process's interaction and kept on its own
+factor, H x K1 or H x K2, as a private array; nothing on the whole compound
 space is ever built. The scenario is local when every pair of evolved meter
 projectors, each extended by the identity on the other apparatus, commutes:
 its commutator_bound, else the exact max_commutator_norm, is within the
-commutation tolerance, which compose takes and the scenario keeps.
-Every other number lives on H: for Psi = psi x xi1 x xi2, contracting the
-apparatus factors gives <Psi| E1(x) E2(y) |Psi> = <psi| Pi1(x) Pi2(y) |psi>
-for any two processes, Pi1 and Pi2 the effects they induce (Ozawa,
-arXiv:1911.10893), one stacked pinch of each side's evolved meters. For
-local scenarios that joint table is a probability, and when both processes
-reproduce the same accurate observable, both observers read the same
-outcome with probability one. For noisy observables the agreement drops
-below one; a seeded sampler draws outcome pairs from the joint table.
-verify_oit and the sampler both return the table they used.
+commutation tolerance given to compose. Every other number lives on H: for
+Psi = psi x xi1 x xi2, contracting the apparatus factors gives
+<Psi| E1(x) E2(y) |Psi> = <psi| Pi1(x) Pi2(y) |psi> for any two processes,
+Pi1 and Pi2 the effects they induce (Ozawa, arXiv:1911.10893), one stacked
+pinch of each side's evolved meters. For local scenarios that joint table is
+a probability, and when both processes reproduce the same accurate
+observable, both observers read the same outcome with probability one. For
+noisy observables the agreement drops below one; a seeded sampler draws
+outcome pairs from the joint table. verify_oit and the sampler both return
+the table they used.
 
 Of the three tolerances a scenario sets, commutation is given to compose;
 reproducibility and oit are parameters of verify_oit. The other rules are
@@ -44,9 +44,7 @@ from .measurement import (
     MeasurementProcess,
     _compare,
     _evolved_meters,
-    _model_process,
     _pinch,
-    _pointer,
 )
 from .observables import PROB_TOL, Povm, Pvm, _checked_probabilities, _derived, _label_pairs
 from .serialize import _is_count
@@ -61,20 +59,19 @@ SPAN_QR_MIN_COLS = 25   # narrowest block stack whose svd _block_span takes afte
 class JointScenario:
     """A system state with two measuring processes composed on H x K1 x K2.
 
-    evolved1 is process1's evolved meter on H x K1 and evolved2 is
-    process2's on H x K2, as evolve_meter returns them. commuting is the one
-    locality verdict, made with the commutation_tol compose was given.
-    _effects is both sides' (1, n, d, d) induced effects on H, which every
-    joint table reads; compose passes them and dataclasses.replace copies them.
+    commuting is the one locality verdict, made with the commutation_tol
+    compose was given. compose passes the private arrays, which
+    dataclasses.replace copies: _meters, each side's (n, D, D) evolved
+    meter as evolve_meter gives it, read only by max_commutator_norm, and
+    _effects, both sides' (1, n, d, d) induced effects on H.
     """
 
     psi: np.ndarray
     process1: MeasurementProcess
     process2: MeasurementProcess
-    evolved1: Pvm
-    evolved2: Pvm
     commutator_bound: float
     commutation_tol: float
+    _meters: tuple = field(repr=False)
     _effects: tuple = field(repr=False)
 
     @property
@@ -84,16 +81,7 @@ class JointScenario:
     @cached_property
     def max_commutator_norm(self) -> float:
         """Largest entry of any commutator of evolved meter projectors on H x K1 x K2."""
-        d_sys = self.psi.shape[0]
-        blocks1 = _blocks(np.array(self.evolved1.projectors), d_sys)
-        blocks2 = _blocks(np.array(self.evolved2.projectors), d_sys)
-        worst = 0.0
-        for a in blocks1:
-            for b in blocks2:
-                ab = np.tensordot(a, b, axes=(2, 1))  # [p, i, q, j] = (a[p] b[q])[i, j]
-                ba = np.tensordot(b, a, axes=(2, 1))  # [q, i, p, j] = (b[q] a[p])[i, j]
-                worst = max(worst, max_abs(ab - ba.transpose(2, 1, 0, 3)))
-        return worst
+        return _max_commutator_norm(*self._meters, self.psi.shape[0])
 
     @property
     def locality_value(self) -> float:
@@ -186,16 +174,13 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
     side2 = side1 if process2 is process1 else (
         process2.interaction[None], process2.meter, process2.apparatus_state)
     e1, e2, f1, f2, bounds = _pair_kernel(side1, side2, d_sys)
-    evolved1 = _derived(Pvm, process1.meter.outcomes, e1[0], process1.total_dim)
     return JointScenario(
         psi=_frozen(psi.copy()),
         process1=process1,
         process2=process2,
-        evolved1=evolved1,
-        evolved2=(evolved1 if e2 is e1
-                  else _derived(Pvm, process2.meter.outcomes, e2[0], process2.total_dim)),
         commutator_bound=float(bounds[0]),
         commutation_tol=commutation_tol,
+        _meters=(_frozen(e1[0]), _frozen(e2[0])),
         _effects=(f1, f2),
     )
 
@@ -292,6 +277,17 @@ def _block_span(evolved: np.ndarray, d_sys: int):
     return s[:, :top] - masked, q[:, :top].reshape(m, top, d_sys, d_sys), dropped
 
 
+def _max_commutator_norm(e1: np.ndarray, e2: np.ndarray, d_sys: int) -> float:
+    """Largest entry of any commutator of two (n, D, D) evolved-meter stacks on H x K1 x K2."""
+    worst = 0.0
+    for a in _blocks(e1, d_sys):
+        for b in _blocks(e2, d_sys):
+            ab = np.tensordot(a, b, axes=(2, 1))  # [p, i, q, j] = (a[p] b[q])[i, j]
+            ba = np.tensordot(b, a, axes=(2, 1))  # [q, i, p, j] = (b[q] a[p])[i, j]
+            worst = max(worst, max_abs(ab - ba.transpose(2, 1, 0, 3)))
+    return worst
+
+
 def _blocks(projectors: np.ndarray, d_sys: int) -> np.ndarray:
     """The d_sys x d_sys blocks E[a, c] of E = sum_ac E[a, c] x |a><c| on H x K.
 
@@ -317,16 +313,16 @@ def joint_distribution(scenario: JointScenario) -> JointDistribution:
     Im P(x, y) = <Psi|[E1(x), E2(y)]|Psi> / 2i and commuting projectors give
     P >= 0, either means the meters do not commute on this state.
     """
-    _require_commuting(scenario)
+    _require_local(scenario.locality_value, scenario.commutation_tol)
     table = _probability_table(_tables(scenario.psi, *scenario._effects)[0])
-    return JointDistribution(scenario.evolved1.outcomes, scenario.evolved2.outcomes, table)
+    return JointDistribution(scenario.process1.meter.outcomes,
+                             scenario.process2.meter.outcomes, table)
 
 
-def _require_commuting(scenario: JointScenario) -> None:
-    if not scenario.commuting:
+def _require_local(value: float, limit: float) -> None:
+    if not value <= limit:
         raise NonCommutingMetersError(
-            f"evolved meters do not commute (max commutator norm "
-            f"{scenario.locality_value:.3e} > {scenario.commutation_tol})"
+            f"evolved meters do not commute (max commutator norm {value:.3e} > {limit})"
         )
 
 
@@ -351,32 +347,25 @@ def _probability_table(table: np.ndarray) -> np.ndarray:
     return table.real
 
 
-def _model_distributions(psi: np.ndarray, outcomes, interactions1: np.ndarray,
-                         interactions2: np.ndarray, commutation_tol: float) -> list:
-    """joint_distribution of a model pair at each point of two (m, D, D) interaction stacks.
+def _model_distributions(psi: np.ndarray, side1: tuple, side2: tuple,
+                         commutation_tol: float) -> list:
+    """joint_distribution of a process pair at each point of two sides' (m, D, D) stacks.
 
-    Both sides are model processes on measurement._pointer's apparatus for
-    outcomes, and interactions2 is interactions1 when both sides share one
-    process. compose's _pair_kernel and joint_distribution's _tables each
-    run once on the whole stack. The checks then run point by point, in
-    compose and joint_distribution's order, so the first failing point
-    raises their error: a bound above commutation_tol leaves locality to
-    the point's own compose (its exact max_commutator_norm), then the table
-    must pass _probability_table and JointDistribution.
+    The sides are _pair_kernel's (side2 is side1 for a shared process), and
+    _pair_kernel and _tables each run once on the whole stack. The checks
+    then run point by point in compose and joint_distribution's order, so
+    the first failing point raises their error: a bound above commutation_tol
+    leaves locality to the exact norm of the point's own meters e1[k] and
+    e2[k], then the table must pass _probability_table and JointDistribution.
     """
     d_sys = psi.shape[0]
-    xi, meter = _pointer(outcomes)
-    shared = interactions2 is interactions1
-    side1 = (interactions1, meter, xi)
-    side2 = side1 if shared else (interactions2, meter, xi)
-    _, _, f1, f2, bounds = _pair_kernel(side1, side2, d_sys)
+    outcomes1, outcomes2 = side1[1].outcomes, side2[1].outcomes
+    e1, e2, f1, f2, bounds = _pair_kernel(side1, side2, d_sys)
     dists = []
     for k, table in enumerate(_tables(psi, f1, f2)):
         if not bounds[k] <= commutation_tol:
-            p1 = _model_process(d_sys, outcomes, interactions1[k])
-            p2 = p1 if shared else _model_process(d_sys, outcomes, interactions2[k])
-            _require_commuting(compose(psi, p1, p2, commutation_tol))
-        dists.append(JointDistribution(outcomes, outcomes, _probability_table(table)))
+            _require_local(_max_commutator_norm(e1[k], e2[k], d_sys), commutation_tol)
+        dists.append(JointDistribution(outcomes1, outcomes2, _probability_table(table)))
     return dists
 
 

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ParameterError, QmeasureError, ValidationError
+from .errors import ParameterError, ValidationError
 from .intersubjectivity import (
     COMMUTATION_TOL,
     OIT_TOL,
@@ -53,6 +53,7 @@ from .measurement import (
     REPRO_TOL,
     MeasurementProcess,
     _dilation_unitaries,
+    _pointer,
     _pointer_unitaries,
     check_reproducibility,
     dilation_model,
@@ -73,6 +74,7 @@ from .observables import (
     unsharp_qubit_povm,
 )
 from .serialize import (
+    _field,
     _is_count,
     _is_number,
     _require,
@@ -176,10 +178,8 @@ def _build_observable(data, dim: int, cluster_tol: float):
         a = matrix_from_json(data[kind], f"{where}.hermitian_matrix")
         _require(a.shape == (dim, dim),
                  f"{where}: matrix shape {a.shape} does not match system dim {dim}")
-        try:
+        with _field(f"{where}.hermitian_matrix"):
             return kind, pvm_from_observable(a, cluster_tol)
-        except QmeasureError as exc:  # the same error, naming the field it came from
-            raise type(exc)(f"{where}.hermitian_matrix: {exc}") from None
     if kind == "pvm":
         pvm = pvm_from_json(data[kind], f"{where}.pvm")
         _require(pvm.dim == dim,
@@ -234,13 +234,10 @@ def _build_process(entry, index: int, observable, pvm: Optional[Pvm], system_dim
             f"{where}.apparatus_dim: must be a positive integer, got {apparatus_dim!r}",
         )
         xi = _gated_state(entry["xi"], f"{where}.xi", apparatus_dim)
-        return MeasurementProcess(
-            system_dim=system_dim,
-            apparatus_dim=apparatus_dim,
-            apparatus_state=xi,
-            interaction=matrix_from_json(entry["unitary"], f"{where}.unitary"),
-            meter=pvm_from_json(entry["meter"], f"{where}.meter"),
-        )
+        interaction = matrix_from_json(entry["unitary"], f"{where}.unitary")
+        meter = pvm_from_json(entry["meter"], f"{where}.meter")
+        with _field(where):
+            return MeasurementProcess(system_dim, apparatus_dim, xi, interaction, meter)
     raise ValidationError(
         f"{where}: unknown model {model!r} (expected von_neumann, dilation, or custom)"
     )
@@ -530,14 +527,15 @@ def _sweep_chunk(scenario: Scenario, etas: list) -> list:
     """The (eta, agreement) rows of checked etas, from one stacked pass.
 
     The von_neumann model's PVM is the unsharp POVM itself, so one effect
-    stack feeds both models, and each model's interaction stack is built
-    once and shared by both sides, as the loader shares a model process.
+    stack feeds both models. Each model's side (its interaction stack, the
+    pointer meter and start state) is built once, and a model both entries
+    name passes one side, as the loader shares a model process.
     """
     effects = _unsharp_effects(etas)
+    xi, meter = _pointer(scenario.observable.outcomes)
     kernels = {"dilation": _dilation_unitaries, "von_neumann": _pointer_unitaries}
-    stacks = {model: kernels[model](effects) for model in set(scenario.models)}
-    dists = _model_distributions(scenario.psi, scenario.observable.outcomes,
-                                 *(stacks[model] for model in scenario.models),
+    sides = {m: (kernels[m](effects), meter, xi) for m in set(scenario.models)}
+    dists = _model_distributions(scenario.psi, *(sides[m] for m in scenario.models),
                                  scenario.tolerances["commutation"])
     return [(eta, table_agreement(dist)) for eta, dist in zip(etas, dists)]
 

@@ -14,16 +14,26 @@ processes are encoded only inside scenario files (see scenario.py).
 from __future__ import annotations
 
 import numbers
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import QmeasureError, ValidationError
 from .observables import Povm, Pvm
 
 
 def _require(cond: bool, message: str):
     if not cond:
         raise ValidationError(message)
+
+
+@contextmanager
+def _field(where: str):
+    """Re-raise a qmeasure error from the block as its own class, naming the field first."""
+    try:
+        yield
+    except QmeasureError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _is_number(x) -> bool:
@@ -124,7 +134,8 @@ def pvm_to_json(pvm: Pvm) -> dict:
 
 def pvm_from_json(data, where: str = "pvm") -> Pvm:
     outcomes, ops = _labeled_ops_from_json(data, "projectors", where)
-    return Pvm(outcomes=outcomes, projectors=ops, dim=data["dim"])
+    with _field(where):
+        return Pvm(outcomes=outcomes, projectors=ops, dim=data["dim"])
 
 
 def povm_to_json(povm: Povm) -> dict:
@@ -137,7 +148,8 @@ def povm_to_json(povm: Povm) -> dict:
 
 def povm_from_json(data, where: str = "povm") -> Povm:
     outcomes, ops = _labeled_ops_from_json(data, "effects", where)
-    return Povm(outcomes=outcomes, effects=ops, dim=data["dim"])
+    with _field(where):
+        return Povm(outcomes=outcomes, effects=ops, dim=data["dim"])
 
 
 def _labeled_ops_from_json(data, op_field: str, where: str):

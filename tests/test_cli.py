@@ -125,9 +125,9 @@ def test_run_rejects_non_unitary_custom_interaction(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("field,message", [
-    (("unitary", "entries"), "error: interaction operator must be unitary\n"),
+    (("unitary", "entries"), "error: processes[0]: interaction operator must be unitary\n"),
     (("meter", "projectors", 0, "entries"),
-     "error: each PVM element must be an orthogonal projector\n"),
+     "error: processes[0].meter: each PVM element must be an orthogonal projector\n"),
 ])
 def test_entry_near_the_float_maximum_exits_2_without_a_warning(tmp_path, field, message):
     # finite, so it passes the number checks, but its square overflows in the operator checks

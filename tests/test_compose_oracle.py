@@ -143,7 +143,7 @@ def test_factored_compose_matches_dense_oracle(d, commuting):
         js = compose(psi, p1, p2)
         worst, table = dense_reference(psi, p1, p2)
         assert js.total_dim == d * d1 * d2
-        assert (js.evolved1.dim, js.evolved2.dim) == (d * d1, d * d2)
+        assert tuple(m.shape[1:] for m in js._meters) == ((d * d1,) * 2, (d * d2,) * 2)
         assert abs(js.max_commutator_norm - worst) <= AGREE_TOL, (d1, d2)
         assert_bound_decides_like_the_oracle(js, worst)
         if commuting:
@@ -231,6 +231,27 @@ def test_pointer_table_of_a_function_of_the_observable(system_table, d):
         for i, y in enumerate(image):
             row = got.probabilities[i]
             assert row.sum() == pytest.approx(row[labels.index(y)], abs=1e-12)
+
+
+@pytest.mark.parametrize("commuting", [True, False])
+@pytest.mark.parametrize("d", range(2, 7))
+def test_pointer_pair_norm_is_the_largest_projector_commutator(d, commuting):
+    # U = sum_j P_j x S^j gives E(x) = sum_j P_j x |s_j(x)><s_j(x)|, whose blocks are
+    # the P_j, so the exact norm of two pointer models is max_jk |[P_j, Q_k]|
+    rng = np.random.default_rng(1200 + 10 * d + commuting)
+    for n in sorted({max(2, d // 2), d}):  # degenerate PVMs (n < d) first, for d >= 3
+        a = random_pvm(rng, d, n)
+        if commuting:  # B = f(A), f often not 1-1
+            image = rng.choice(random_labels(rng, min(3, n)), size=n)
+            labels = sorted(set(image))
+            b = Pvm(labels, [sum(p for p, y in zip(a.projectors, image) if y == label)
+                             for label in labels], d)
+        else:
+            b = random_pvm(rng, d, int(rng.integers(2, d + 1)))
+        js = compose(random_state(rng, d), von_neumann_model(a), von_neumann_model(b))
+        want = max(np.max(np.abs(p @ q - q @ p)) for p in a.projectors for q in b.projectors)
+        assert abs(js.max_commutator_norm - want) <= 1e-14, (n, len(b))
+        assert want < 1e-12 if commuting else want > 1e-3
 
 
 @pytest.mark.parametrize("eta", np.linspace(0.0, 1.0, 11))

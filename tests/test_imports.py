@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 module-level private name is read by live code of some module, every
 public name is used by the library or named in the README, the only
-tolerance parameters are the ones a scenario sets, and the checking
-constructors run only at the boundary.
+tolerance parameters are the ones a scenario sets, the checking
+constructors run only at the boundary, and intersubjectivity imports no
+builder of measuring processes.
 
 No linter ships with the project, so these stdlib-ast checks stand in for
 one. The import and public-name checks skip ``__init__.py``: its imports
@@ -245,4 +246,32 @@ def test_checked_constructor_call_is_reported():
         ("a.py", "inner", "Povm"),
         ("a.py", "f", "MeasurementProcess"),
         ("a.py", "<module>", "Pvm"),
+    }
+
+
+# intersubjectivity works on the arrays a process carries; the models and
+# their pointer apparatus are built in measurement and scenario, never there
+PROCESS_BUILDERS = {"_model_process", "_pointer", "von_neumann_model", "dilation_model"}
+
+
+def imported_names(source: str) -> set:
+    """Each name a source imports, anywhere in it: a from-import's names, an import's last part."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+    return names
+
+
+def test_intersubjectivity_imports_no_process_builder():
+    assert imported_names(SOURCES["intersubjectivity.py"]) & PROCESS_BUILDERS == set()
+
+
+def test_imported_process_builder_is_reported():
+    source = ("from .measurement import _pointer as pointer, evolve_meter\n"
+              "import qmeasure.dilation_model\n"
+              "def f():\n    from .measurement import von_neumann_model\n"
+              "\"\"\"_model_process in a docstring.\"\"\"\n_model_process = 1\n")
+    assert imported_names(source) & PROCESS_BUILDERS == {
+        "_pointer", "dilation_model", "von_neumann_model",
     }

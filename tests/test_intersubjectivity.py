@@ -89,11 +89,10 @@ def test_compose_embedded_meters_pass_the_pvm_checks():
     p1, p2 = von_neumann_model(SIGMA_Z_PVM), dilation_model(three)
     js = compose(PLUS, p1, p2)
     assert js.total_dim == 2 * 2 * 3
-    for ev, process in ((js.evolved1, p1), (js.evolved2, p2)):
-        assert ev.dim == process.total_dim == 2 * process.apparatus_dim
-        assert all(np.array_equal(a, b)
-                   for a, b in zip(ev.projectors, evolve_meter(process).projectors))
-        Pvm(ev.outcomes, ev.projectors, ev.dim)
+    for meters, process in zip(js._meters, (p1, p2)):
+        assert process.total_dim == 2 * process.apparatus_dim
+        assert np.array_equal(meters, np.array(evolve_meter(process).projectors))
+        Pvm(process.meter.outcomes, meters, process.total_dim)
 
 
 def test_oit_run_checks_only_the_observable_as_a_pvm(monkeypatch):
@@ -215,8 +214,8 @@ def test_joint_distribution_marginals_match_induced_povms():
 
 
 def test_a_replaced_scenario_holds_the_effects_compose_passed():
-    # compose passes its pinched effects to the scenario as a field, so a copy
-    # made with dataclasses.replace holds the same arrays and gives the same numbers
+    # compose passes its evolved meters and pinched effects to the scenario as fields,
+    # so a copy made with dataclasses.replace holds the same arrays and gives the same numbers
     rng = np.random.default_rng(31)
     shared = von_neumann_model(SIGMA_Z_PVM)
     pairs = [(shared, shared), (shared, dilation_model(unsharp_qubit_povm(1.0))),
@@ -227,6 +226,8 @@ def test_a_replaced_scenario_holds_the_effects_compose_passed():
         copy = dataclasses.replace(js, commutation_tol=js.commutation_tol)
         assert all(a is b for a, b in zip(copy._effects, js._effects))
         assert (copy._effects[1] is copy._effects[0]) == (p2 is p1)
+        assert all(a is b for a, b in zip(copy._meters, js._meters))
+        assert copy.max_commutator_norm == js.max_commutator_norm
         for effects, process in zip(js._effects, (p1, p2)):
             assert np.array_equal(effects[0], np.array(induced_povm(process).effects))
         got, want = joint_distribution(copy), joint_distribution(js)

@@ -14,7 +14,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import PAULI_X
 from qmeasure import (
+    PAULI_Z,
     NonCommutingMetersError,
     ParameterError,
     Pvm,
@@ -22,14 +24,17 @@ from qmeasure import (
     compose,
     dilation_model,
     intersubjectivity,
+    joint_distribution,
     load_scenario,
     measurement,
+    pvm_from_observable,
     scenario,
     sweep_agreement,
     unsharp_qubit_povm,
     von_neumann_model,
 )
 from qmeasure.cli import main
+from qmeasure.intersubjectivity import COMMUTATION_TOL
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 UNSHARP_SCENARIO = REPO / "scenarios" / "unsharp_eta08.json"
@@ -180,6 +185,45 @@ def test_a_table_error_raises_in_point_order(monkeypatch, chunk):
     sc = dataclasses.replace(sc, tolerances={**sc.tolerances, "commutation": -1.0})
     with pytest.raises(NonCommutingMetersError, match="max commutator norm"):
         sweep_agreement(sc, [0.25])
+
+
+NON_LOCAL_SWEEPS = [(("dilation", "dilation"), [0.3, 0.7]),
+                    *((models, [1.0]) for models in SHARP_MODELS)]
+
+
+@pytest.mark.parametrize("models, etas", NON_LOCAL_SWEEPS,
+                         ids=["-".join(models) for models, _ in NON_LOCAL_SWEEPS])
+def test_a_non_local_point_is_decided_from_its_own_meters(monkeypatch, models, etas):
+    # a negative commutation tolerance makes every point non-local; the sweep
+    # takes the exact norm from the stacked meters and composes nothing again
+    sc = load_scenario(_doc(models, state="complex", eta=etas[0]))
+    sc = dataclasses.replace(sc, tolerances={**sc.tolerances, "commutation": -1.0})
+    message = _failing_point_error(sc, etas[0])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a point composed again")
+
+    monkeypatch.setattr(intersubjectivity, "compose", refuse)
+    with pytest.raises(NonCommutingMetersError) as exc:
+        sweep_agreement(sc, etas)
+    assert str(exc.value) == message
+
+
+def test_each_point_of_a_stack_reads_its_own_exact_norm():
+    # the unsharp family always commutes, so pointer pairs whose second axis turns
+    # away from z point by point pin which point's meters the exact norm is taken from
+    psi = np.array([0.6, 0.8j])
+    z = von_neumann_model(pvm_from_observable(PAULI_Z))
+    turned = [von_neumann_model(pvm_from_observable(np.cos(t) * PAULI_Z + np.sin(t) * PAULI_X))
+              for t in (0.0, 0.4, 0.2)]
+    side1 = (np.stack([z.interaction] * len(turned)), z.meter, z.apparatus_state)
+    side2 = (np.stack([p.interaction for p in turned]), z.meter, z.apparatus_state)
+    with pytest.raises(NonCommutingMetersError) as exc:
+        intersubjectivity._model_distributions(psi, side1, side2, COMMUTATION_TOL)
+    with pytest.raises(NonCommutingMetersError) as want:
+        joint_distribution(compose(psi, z, turned[1]))
+    assert str(exc.value) == str(want.value)
+    assert "max commutator norm 1.947e-01" in str(exc.value)
 
 
 def test_sweep_memory_is_bounded_by_the_chunk():
