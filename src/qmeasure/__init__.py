@@ -50,7 +50,6 @@ from .observables import (
     Pvm,
     as_povm,
     born_povm,
-    expectation,
     is_projective,
     pvm_from_observable,
     unsharp_qubit_povm,
@@ -104,7 +103,6 @@ __all__ = [
     "compose",
     "dilation_model",
     "evolve_meter",
-    "expectation",
     "induced_povm",
     "is_hermitian",
     "is_projective",

@@ -21,8 +21,8 @@ Of the three tolerances a scenario sets, commutation is given to compose;
 reproducibility and oit are parameters of verify_oit. The other rules are
 the ones observables keeps: two labels agree when observables._label_pairs
 pairs them (one to one, within LABEL_TOL), and a joint table is a
-probability within PROB_TOL; a table that is not means the meters do not
-commute on this state.
+probability within PROB_TOL, checked once per table by one stacked kernel
+(_checked_tables); a table that is not means the meters do not commute.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ from .measurement import (
     _evolved_meters,
     _pinch,
 )
-from .observables import PROB_TOL, Povm, Pvm, _checked_probabilities, _derived, _label_pairs
+from .observables import (PROB_TOL, Povm, Pvm, _checked_probabilities, _derived,
+                          _label_pairs, _trusted)
 from .serialize import _is_count
 
 COMMUTATION_TOL = 1e-8  # default locality decision tolerance
@@ -181,7 +182,7 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
         commutator_bound=float(bounds[0]),
         commutation_tol=commutation_tol,
         _meters=(_frozen(e1[0]), _frozen(e2[0])),
-        _effects=(f1, f2),
+        _effects=(_frozen(f1), _frozen(f2)),
     )
 
 
@@ -314,9 +315,9 @@ def joint_distribution(scenario: JointScenario) -> JointDistribution:
     P >= 0, either means the meters do not commute on this state.
     """
     _require_local(scenario.locality_value, scenario.commutation_tol)
-    table = _probability_table(_tables(scenario.psi, *scenario._effects)[0])
-    return JointDistribution(scenario.process1.meter.outcomes,
-                             scenario.process2.meter.outcomes, table)
+    table = _checked_tables(_tables(scenario.psi, *scenario._effects))[0]
+    return _trusted(JointDistribution, outcomes1=scenario.process1.meter.outcomes,
+                    outcomes2=scenario.process2.meter.outcomes, probabilities=_frozen(table))
 
 
 def _require_local(value: float, limit: float) -> None:
@@ -331,48 +332,60 @@ def _tables(psi: np.ndarray, f1: np.ndarray, f2: np.ndarray) -> np.ndarray:
     return (f1 @ psi).conj() @ (f2 @ psi).swapaxes(1, 2)
 
 
-def _probability_table(table: np.ndarray) -> np.ndarray:
-    """The real part of a complex joint table that is a probability within PROB_TOL.
+def _checked_tables(tables: np.ndarray) -> np.ndarray:
+    """The real parts of an (m, n1, n2) stack of complex joint tables, each checked once.
 
-    An imaginary residue or an entry below -PROB_TOL raises NonCommutingMetersError.
+    An imaginary residue above PROB_TOL (or NaN) or an entry below -PROB_TOL
+    raises NonCommutingMetersError (see joint_distribution); entries are clamped
+    at 0; a sum off 1 by more than PROB_TOL, or NaN, raises JointDistribution's
+    ValidationError. The first failing table raises.
     """
-    residue = max_abs(table.imag)
-    lowest = float(table.real.min())
-    if residue > PROB_TOL or lowest < -PROB_TOL:
-        raise NonCommutingMetersError(
-            f"evolved meters do not commute on this state: the joint table has "
-            f"imaginary residue {residue:.3e} and lowest entry {lowest:.3e}, "
-            f"beyond {PROB_TOL}"
-        )
-    return table.real
+    flat = tables.reshape(-1, tables.shape[1] * tables.shape[2])
+    residue = np.abs(flat.imag).max(axis=1)
+    lowest = flat.real.min(axis=1)
+    probs = np.maximum(flat.real, 0.0)
+    totals = probs.sum(axis=1)
+    skewed = ~(residue <= PROB_TOL) | (lowest < -PROB_TOL)
+    failing = skewed | ~(np.abs(totals - 1.0) <= PROB_TOL)
+    if failing.any():
+        k = int(failing.argmax())
+        if skewed[k]:
+            raise NonCommutingMetersError(
+                f"evolved meters do not commute on this state: the joint table has imaginary "
+                f"residue {residue[k]:.3e} and lowest entry {lowest[k]:.3e}, beyond {PROB_TOL}")
+        raise ValidationError(  # a Python float's repr, not numpy's np.float64(...)
+            f"joint probabilities sum to {float(totals[k])!r}, not 1 within {PROB_TOL}")
+    return probs.reshape(tables.shape)
 
 
-def _model_distributions(psi: np.ndarray, side1: tuple, side2: tuple,
-                         commutation_tol: float) -> list:
-    """joint_distribution of a process pair at each point of two sides' (m, D, D) stacks.
+def _model_agreements(psi, side1: tuple, side2: tuple, commutation_tol: float) -> np.ndarray:
+    """agreement_probability of a process pair at each point of two sides' (m, D, D) stacks.
 
-    The sides are _pair_kernel's (side2 is side1 for a shared process), and
-    _pair_kernel and _tables each run once on the whole stack. The checks
-    then run point by point in compose and joint_distribution's order, so
-    the first failing point raises their error: a bound above commutation_tol
-    leaves locality to the exact norm of the point's own meters e1[k] and
-    e2[k], then the table must pass _probability_table and JointDistribution.
+    The sides are _pair_kernel's (side2 is side1 for a shared process); each
+    stage runs once on the whole stack. Errors come in point-by-point order:
+    a bound above commutation_tol leaves locality to the exact norm of the
+    point's own meters e1[k] and e2[k], once the tables before it pass.
     """
     d_sys = psi.shape[0]
-    outcomes1, outcomes2 = side1[1].outcomes, side2[1].outcomes
     e1, e2, f1, f2, bounds = _pair_kernel(side1, side2, d_sys)
-    dists = []
-    for k, table in enumerate(_tables(psi, f1, f2)):
-        if not bounds[k] <= commutation_tol:
-            _require_local(_max_commutator_norm(e1[k], e2[k], d_sys), commutation_tol)
-        dists.append(JointDistribution(outcomes1, outcomes2, _probability_table(table)))
-    return dists
+    tables = _tables(psi, f1, f2)
+    for k in np.flatnonzero(~(bounds <= commutation_tol)):
+        _checked_tables(tables[:k])
+        _require_local(_max_commutator_norm(e1[k], e2[k], d_sys), commutation_tol)
+    return _agreements(_checked_tables(tables), side1[1].outcomes, side2[1].outcomes)
+
+
+def _agreements(probabilities: np.ndarray, outcomes1, outcomes2) -> np.ndarray:
+    """(m,) mass on the paired cells of an (m, n1, n2) table stack, summed as Python's sum does."""
+    total = np.zeros(len(probabilities))  # from 0, cell by cell in pairs order: the same bits
+    for i, j in _label_pairs(outcomes1, outcomes2):
+        total += probabilities[:, i, j]
+    return total
 
 
 def table_agreement(dist: JointDistribution) -> float:
     """Total mass on the cells of a joint table whose labels observables._label_pairs pairs."""
-    pairs = _label_pairs(dist.outcomes1, dist.outcomes2)
-    return float(sum(dist.probabilities[i, j] for i, j in pairs))
+    return float(_agreements(dist.probabilities[None], dist.outcomes1, dist.outcomes2)[0])
 
 
 def agreement_probability(scenario: JointScenario) -> float:
@@ -463,10 +476,10 @@ def sample_outcomes(scenario: JointScenario, n: int, seed: int) -> SampleResult:
         chunk.sort()
         below += np.searchsorted(chunk, edges, side="left")
     counts = np.diff(np.concatenate(([0], below, [n]))).reshape(dist.probabilities.shape)
-    empirical = JointDistribution(dist.outcomes1, dist.outcomes2, counts / n)
     return SampleResult(
         counts=_frozen(counts),
-        empirical=empirical,
+        empirical=_trusted(JointDistribution, outcomes1=dist.outcomes1,
+                           outcomes2=dist.outcomes2, probabilities=_frozen(counts / n)),
         seed=int(seed),
         analytic=dist,
     )

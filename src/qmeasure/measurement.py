@@ -25,7 +25,7 @@ from .linalg import (
     is_unitary,
     max_abs,
 )
-from .observables import Povm, Pvm, _derived, _label_pairs
+from .observables import Povm, Pvm, _derived, _label_pairs, _trusted
 
 REPRO_TOL = 1e-9  # default reproducibility decision tolerance
 
@@ -188,13 +188,8 @@ def _model_process(system_dim: int, outcomes, interaction) -> MeasurementProcess
     apparatus is unitary by construction, on the _pointer apparatus.
     """
     xi, meter = _pointer(outcomes)
-    process = object.__new__(MeasurementProcess)
-    object.__setattr__(process, "system_dim", system_dim)
-    object.__setattr__(process, "apparatus_dim", len(outcomes))
-    object.__setattr__(process, "apparatus_state", xi)
-    object.__setattr__(process, "interaction", _frozen(interaction))
-    object.__setattr__(process, "meter", meter)
-    return process
+    return _trusted(MeasurementProcess, system_dim=system_dim, apparatus_dim=len(outcomes),
+                    apparatus_state=xi, interaction=_frozen(interaction), meter=meter)
 
 
 def _pointer_unitaries(projectors: np.ndarray) -> np.ndarray:

@@ -7,9 +7,9 @@ immutable; outcome labels are sorted increasing at construction and must be
 separated by more than LABEL_TOL, and labels of two observables agree
 when _label_pairs pairs them. The public constructors check every
 invariant, the linalg.MAX_DIM cap included; observables the library
-derives from checked ones are built through _derived and trusted. Every
-probability the library derives is checked against the one bound PROB_TOL:
-its imaginary residue, its floor and its sum.
+derives from checked ones are built through _derived, other derived records
+through _trusted, and trusted. PROB_TOL bounds each derived probability's floor
+and sum (a NaN fails); a Povm's Born weight is real within dim * OP_TOL / 2.
 """
 
 from __future__ import annotations
@@ -156,6 +156,14 @@ class Povm:
         return len(self.outcomes)
 
 
+def _trusted(cls, **fields):
+    """A frozen dataclass cls holding fields derived from checked values; no check is run."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _derived(cls, outcomes, operators, dim: int):
     """A Pvm or Povm (or a subclass) built without running its checks.
 
@@ -163,12 +171,9 @@ def _derived(cls, outcomes, operators, dim: int):
     the outcomes are sorted and separated, and the operators satisfy the
     invariants of cls within OP_TOL. The operator arrays are frozen in place.
     """
-    obj = object.__new__(cls)
     field = "effects" if issubclass(cls, Povm) else "projectors"
-    object.__setattr__(obj, "outcomes", tuple(outcomes))
-    object.__setattr__(obj, field, tuple(_frozen(p) for p in operators))
-    object.__setattr__(obj, "dim", int(dim))
-    return obj
+    return _trusted(cls, outcomes=tuple(outcomes), dim=int(dim),
+                    **{field: tuple(_frozen(p) for p in operators)})
 
 
 def _checked_probabilities(probs: np.ndarray, kind: str) -> np.ndarray:
@@ -178,7 +183,7 @@ def _checked_probabilities(probs: np.ndarray, kind: str) -> np.ndarray:
         raise ValidationError(f"{kind}probability {lowest!r} is below the -{PROB_TOL} floor")
     probs = np.maximum(probs, 0.0)
     total = float(probs.sum())
-    if abs(total - 1.0) > PROB_TOL:
+    if not abs(total - 1.0) <= PROB_TOL:  # a NaN fails too
         raise ValidationError(f"{kind}probabilities sum to {total!r}, not 1 within {PROB_TOL}")
     return probs
 
@@ -198,14 +203,6 @@ class OutcomeDistribution:
         probs = _checked_probabilities(probs, "")
         object.__setattr__(self, "outcomes", labels)
         object.__setattr__(self, "probabilities", tuple(probs.tolist()))
-
-
-def expectation(op, psi) -> float:
-    """<psi|op|psi> for Hermitian op; rejects imaginary residue above PROB_TOL."""
-    value = complex(np.vdot(psi, op @ psi))
-    if abs(value.imag) > PROB_TOL:
-        raise ValidationError(f"expectation has imaginary residue {value.imag!r}")
-    return value.real
 
 
 def pvm_from_observable(a, cluster_tol: float = CLUSTER_TOL) -> Pvm:
@@ -252,13 +249,14 @@ def pvm_from_observable(a, cluster_tol: float = CLUSTER_TOL) -> Pvm:
 
 
 def born_povm(povm: Povm, psi) -> OutcomeDistribution:
-    """P(x) = <psi|Pi(x)|psi> over the POVM's outcomes."""
+    """P(x) = Re <psi|Pi(x)|psi> over the POVM's outcomes (see the module docstring)."""
     psi = as_state(psi)
     if psi.shape[0] != povm.dim:
         raise DimensionError(
             f"state dim {psi.shape[0]} does not match observable dim {povm.dim}"
         )
-    return OutcomeDistribution(povm.outcomes, tuple(expectation(e, psi) for e in povm.effects))
+    weights = (np.vdot(psi, e @ psi).real for e in povm.effects)
+    return OutcomeDistribution(povm.outcomes, tuple(weights))
 
 
 def as_povm(pvm: Pvm) -> Povm:

@@ -41,7 +41,7 @@ from .errors import ParameterError, ValidationError
 from .intersubjectivity import (
     COMMUTATION_TOL,
     OIT_TOL,
-    _model_distributions,
+    _model_agreements,
     compose,
     joint_distribution,
     sample_outcomes,
@@ -535,9 +535,9 @@ def _sweep_chunk(scenario: Scenario, etas: list) -> list:
     xi, meter = _pointer(scenario.observable.outcomes)
     kernels = {"dilation": _dilation_unitaries, "von_neumann": _pointer_unitaries}
     sides = {m: (kernels[m](effects), meter, xi) for m in set(scenario.models)}
-    dists = _model_distributions(scenario.psi, *(sides[m] for m in scenario.models),
-                                 scenario.tolerances["commutation"])
-    return [(eta, table_agreement(dist)) for eta, dist in zip(etas, dists)]
+    agreements = _model_agreements(scenario.psi, *(sides[m] for m in scenario.models),
+                                   scenario.tolerances["commutation"])
+    return list(zip(etas, agreements.tolist()))
 
 
 def scenario_to_json(

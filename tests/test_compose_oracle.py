@@ -89,18 +89,19 @@ def dense_reference(psi, p1, p2):
 
 @pytest.fixture
 def system_table(monkeypatch):
-    """The complex table joint_distribution forms on H, taken before _probability_table checks it.
+    """The complex table joint_distribution forms on H, taken before _checked_tables checks it.
 
     The scenario is composed with an infinite commutation tolerance, so a
     table is formed for non-commuting meters too.
     """
-    tables, check = [], intersubjectivity._probability_table
+    tables, check = [], intersubjectivity._checked_tables
 
-    def spy(table):
+    def spy(stack):
+        (table,) = stack
         tables.append(table)
-        return check(table)
+        return check(stack)
 
-    monkeypatch.setattr(intersubjectivity, "_probability_table", spy)
+    monkeypatch.setattr(intersubjectivity, "_checked_tables", spy)
 
     def table(psi, p1, p2):
         tables.clear()

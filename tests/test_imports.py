@@ -152,7 +152,7 @@ SCENARIO_TOLERANCES = {
     ("intersubjectivity.py", "verify_oit", "reproducibility_tol"),
     ("intersubjectivity.py", "compose", "commutation_tol"),
     ("intersubjectivity.py", "JointScenario", "commutation_tol"),
-    ("intersubjectivity.py", "_model_distributions", "commutation_tol"),
+    ("intersubjectivity.py", "_model_agreements", "commutation_tol"),
 }
 
 
@@ -200,13 +200,17 @@ def test_tolerance_parameter_is_reported():
     }
 
 
-# the boundary: the decoders of declared observables and meters, and the
-# loader's custom processes; everything else the library builds is derived
-CHECKED_CONSTRUCTORS = ("Pvm", "Povm", "MeasurementProcess")
+# the boundary: the decoders of declared observables and meters, the
+# loader's custom processes, and the Born weights of born_povm, whose sum is
+# the one check they get; everything else the library builds is derived, and
+# each joint table is checked once by intersubjectivity._checked_tables
+CHECKED_CONSTRUCTORS = ("Pvm", "Povm", "MeasurementProcess", "JointDistribution",
+                        "OutcomeDistribution")
 BOUNDARY_CALLS = {
     ("serialize.py", "pvm_from_json", "Pvm"),
     ("serialize.py", "povm_from_json", "Povm"),
     ("scenario.py", "_build_process", "MeasurementProcess"),
+    ("observables.py", "born_povm", "OutcomeDistribution"),
 }
 
 

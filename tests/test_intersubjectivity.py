@@ -40,6 +40,7 @@ from qmeasure import (
     load_scenario,
     load_scenario_file,
     measurement,
+    observables,
     pvm_from_observable,
     pvm_to_json,
     run_experiment,
@@ -234,6 +235,19 @@ def test_a_replaced_scenario_holds_the_effects_compose_passed():
         assert np.array_equal(got.probabilities, want.probabilities)
         if p1.meter.outcomes == p2.meter.outcomes:
             assert verify_oit(copy, SIGMA_Z_PVM).diagonal == verify_oit(js, SIGMA_Z_PVM).diagonal
+
+
+def test_composed_effects_and_derived_tables_are_frozen():
+    # a write to a scenario's effects would move every later table built from them
+    js = compose(PLUS, von_neumann_model(SIGMA_Z_PVM), von_neumann_model(SIGMA_Z_PVM))
+    for effects in js._effects:
+        with pytest.raises(ValueError):
+            effects[0, 0] = 0
+    # the records built trusted from checked tables are frozen as the constructor freezes them
+    sample = sample_outcomes(js, 10, seed=1)
+    for dist in (joint_distribution(js), sample.empirical, sample.analytic):
+        assert not dist.probabilities.flags.writeable
+    assert table_agreement(joint_distribution(js)) == pytest.approx(1.0, abs=1e-12)
 
 
 def _swapped_pairs():
@@ -581,6 +595,53 @@ def test_joint_distribution_invariant_gates():
         JointDistribution((0.0, 1.0), (0.0, 1.0), np.array([[0.3, 0.3], [0.3, 0.3]]))
     with pytest.raises(DimensionError):
         JointDistribution((0.0, 1.0), (0.0,), np.array([[0.5, 0.5]]))
+    with pytest.raises(ValidationError, match="sum to nan"):
+        JointDistribution((0.0, 1.0), (0.0, 1.0), np.array([[np.nan, 0.5], [0.5, 0.0]]))
+
+
+def test_the_table_kernel_raises_the_first_failing_table():
+    # each table of a stack is checked once, by joint_distribution's rule and
+    # JointDistribution's sum check; the first table that fails raises
+    good = np.array([[0.5, 0.0], [0.0, 0.5]], dtype=complex)
+    skewed = good + np.array([[0.0, 2e-3j], [0.0, 0.0]])
+    stray = np.array([[np.nan, 0.5], [0.5, 0.0]], dtype=complex)
+    short = good * 0.9
+    drifting = good.copy()
+    drifting[0, 1] = complex(0.0, np.nan)
+    checked = intersubjectivity._checked_tables(np.stack([good, good.conj()]))
+    assert np.array_equal(checked, np.stack([good.real] * 2))
+    for stack, error, message in [
+        ((good, skewed, stray), NonCommutingMetersError, "imaginary residue 2.000e-03"),
+        ((good, stray, skewed), ValidationError, "joint probabilities sum to nan, not 1"),
+        ((short, skewed), ValidationError, "joint probabilities sum to 0.9, not 1"),
+        ((good, drifting), NonCommutingMetersError, "imaginary residue nan"),
+    ]:
+        with pytest.raises(error) as exc:
+            intersubjectivity._checked_tables(np.stack(stack))
+        assert message in str(exc.value)
+        assert "np.float64" not in str(exc.value)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_agreement_adds_the_paired_cells_as_python_sum_does(seed):
+    # 12 paired labels and unpaired ones on each side; from 8 terms up numpy's
+    # pairwise sum adds in another order, so only Python's order gives the same bits
+    rng = np.random.default_rng(seed)
+    shared = np.arange(12.0)
+    outcomes1 = tuple(sorted([*shared, -3.5, 20.5]))
+    outcomes2 = tuple(sorted([*shared, 7.25]))
+    pairs = observables._label_pairs(outcomes1, outcomes2)
+    assert len(pairs) == len(shared)
+    stack = rng.dirichlet(np.ones(len(outcomes1) * len(outcomes2)), size=40)
+    stack = stack.reshape(40, len(outcomes1), len(outcomes2))
+    stacked = intersubjectivity._agreements(stack, outcomes1, outcomes2)
+    differs = 0
+    for table, row in zip(stack, stacked):
+        want = float(sum(table[i, j] for i, j in pairs))
+        assert table_agreement(JointDistribution(outcomes1, outcomes2, table)) == want
+        assert row == want
+        differs += float(np.sum([table[i, j] for i, j in pairs])) != want
+    assert differs > 0
 
 
 def test_joint_distribution_clamps_rounding_noise():

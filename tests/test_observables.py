@@ -15,13 +15,13 @@ from qmeasure import (
     ValidationError,
     as_povm,
     born_povm,
-    expectation,
     is_projective,
     max_abs,
     pvm_from_observable,
     unsharp_qubit_povm,
 )
-from qmeasure.observables import CLUSTER_TOL, LABEL_TOL
+from qmeasure.linalg import OP_TOL
+from qmeasure.observables import CLUSTER_TOL, LABEL_TOL, PROB_TOL
 
 
 def _diag_projectors(*patterns):
@@ -112,14 +112,8 @@ def test_outcome_distribution_rejects_real_negatives_and_bad_sums():
         OutcomeDistribution((0.0, 1.0), (1.1, -0.1))
     with pytest.raises(ValidationError):
         OutcomeDistribution((0.0, 1.0), (0.6, 0.2))
-
-
-def test_expectation_values_and_imag_gate():
-    plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
-    assert expectation(PAULI_Z, plus) == pytest.approx(0.0)
-    assert expectation(PAULI_X, plus) == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        expectation(np.array([[0, 1j], [0, 0]]), np.array([1, 1]) / np.sqrt(2))
+    with pytest.raises(ValidationError, match="sum to nan"):
+        OutcomeDistribution((0.0, 1.0), (np.nan, 1.0))
 
 
 def test_pvm_from_observable_sigma_z():
@@ -326,4 +320,22 @@ def test_born_povm_accepts_an_effect_hermitian_within_op_tol():
     effect = np.array([[0.5, 5e-10], [0, 0.5]], dtype=complex)
     povm = Povm((0.0, 1.0), (effect, np.eye(2) - effect), 2)
     dist = born_povm(povm, np.array([1, 1j]) / np.sqrt(2))
+    assert dist.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 16, 64, 256])
+def test_a_born_weight_is_real_within_half_prob_tol(dim):
+    # the largest anti-Hermitian part is_hermitian admits, a real antisymmetric
+    # A of entries OP_TOL / 2, cancelling between the effects I/2 + A and
+    # I/2 - A; the worst state is an eigenvector of the Hermitian iA
+    upper = np.triu(np.full((dim, dim), OP_TOL / 2), 1)
+    skew = upper - upper.T
+    half = np.eye(dim) / 2
+    povm = Povm((0.0, 1.0), (half + skew, half - skew), dim)
+    w, vecs = np.linalg.eigh(1j * skew)
+    psi = vecs[:, np.argmax(np.abs(w))]
+    worst = max(abs(np.vdot(psi, e @ psi).imag) for e in povm.effects)
+    assert worst == pytest.approx(np.abs(w).max(), rel=1e-6)
+    assert worst <= PROB_TOL / 2
+    dist = born_povm(povm, psi)
     assert dist.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)

@@ -170,9 +170,9 @@ def test_a_table_error_raises_in_point_order(monkeypatch, chunk):
     # every table gets an imaginary residue before it is checked, so each
     # point fails after locality
     monkeypatch.setattr(scenario, "SWEEP_CHUNK", chunk)
-    check = intersubjectivity._probability_table
-    monkeypatch.setattr(intersubjectivity, "_probability_table",
-                        lambda table: check(table + 1e-3j))
+    check = intersubjectivity._checked_tables
+    monkeypatch.setattr(intersubjectivity, "_checked_tables",
+                        lambda tables: check(tables + 1e-3j))
     sc = load_scenario(_doc(state="complex"))
     message = _failing_point_error(sc, 0.25)
     assert "imaginary residue 1.000e-03" in message
@@ -219,11 +219,35 @@ def test_each_point_of_a_stack_reads_its_own_exact_norm():
     side1 = (np.stack([z.interaction] * len(turned)), z.meter, z.apparatus_state)
     side2 = (np.stack([p.interaction for p in turned]), z.meter, z.apparatus_state)
     with pytest.raises(NonCommutingMetersError) as exc:
-        intersubjectivity._model_distributions(psi, side1, side2, COMMUTATION_TOL)
+        intersubjectivity._model_agreements(psi, side1, side2, COMMUTATION_TOL)
     with pytest.raises(NonCommutingMetersError) as want:
         joint_distribution(compose(psi, z, turned[1]))
     assert str(exc.value) == str(want.value)
     assert "max commutator norm 1.947e-01" in str(exc.value)
+
+
+def _turned_pointer_sides(angles):
+    """Sides of a z pointer model against pointer models turned towards x by each angle."""
+    z = von_neumann_model(pvm_from_observable(PAULI_Z))
+    turned = [von_neumann_model(pvm_from_observable(np.cos(t) * PAULI_Z + np.sin(t) * PAULI_X))
+              for t in angles]
+    side1 = (np.stack([z.interaction] * len(turned)), z.meter, z.apparatus_state)
+    side2 = (np.stack([p.interaction for p in turned]), z.meter, z.apparatus_state)
+    return side1, side2
+
+
+def test_a_table_error_raises_before_a_later_non_local_point(monkeypatch):
+    # only point 2 is non-local; point 1's table fails its check, so it must raise
+    # before point 2's exact norm decides locality, as the point-by-point loop raises
+    psi = np.array([0.6, 0.8j])
+    sides = _turned_pointer_sides((0.0, 0.0, 0.4))
+    with pytest.raises(NonCommutingMetersError, match="max commutator norm 1.947e-01"):
+        intersubjectivity._model_agreements(psi, *sides, COMMUTATION_TOL)
+    tables = intersubjectivity._tables
+    residue = np.array([0, 1e-3j, 0])[:, None, None]
+    monkeypatch.setattr(intersubjectivity, "_tables", lambda *args: tables(*args) + residue)
+    with pytest.raises(NonCommutingMetersError, match=r"imaginary residue 1\.000e-03"):
+        intersubjectivity._model_agreements(psi, *sides, COMMUTATION_TOL)
 
 
 def test_sweep_memory_is_bounded_by_the_chunk():
