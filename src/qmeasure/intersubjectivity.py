@@ -1,13 +1,16 @@
 """Two-observer joint local measurements and outcome agreement.
 
 Two measuring processes that share the system are composed on H x K1 x K2.
-Each meter is evolved by its own process's interaction and kept on its own
-factor, H x K1 or H x K2, as a private array; nothing on the whole compound
-space is ever built. The scenario is local when every pair of evolved meter
-projectors, each extended by the identity on the other apparatus, commutes:
-its commutator_bound, else the exact max_commutator_norm, is within the
-commutation tolerance given to compose. Every other number lives on H: for
-Psi = psi x xi1 x xi2, contracting the apparatus factors gives
+The scenario is local when every pair of evolved meter projectors, each
+extended by the identity on the other apparatus, commutes: its
+commutator_bound, else the exact max_commutator_norm, is within the
+commutation tolerance given to compose. Two pointer models are decided on
+H: their meters' blocks are their projectors P_j and Q_k, so the exact norm
+is max_jk |[P_j, Q_k]| and their effects are the projectors. Any other pair
+has each meter evolved by its own interaction and kept on its own factor,
+H x K1 or H x K2, as a private array; nothing on the whole compound space
+is ever built. Every other number lives on H: for Psi = psi x xi1 x xi2,
+contracting the apparatus factors gives
 <Psi| E1(x) E2(y) |Psi> = <psi| Pi1(x) Pi2(y) |psi> for any two processes,
 Pi1 and Pi2 the effects they induce (Ozawa, arXiv:1911.10893), one stacked
 pinch of each side's evolved meters. For local scenarios that joint table is
@@ -64,7 +67,8 @@ class JointScenario:
     compose was given. compose passes the private arrays, which
     dataclasses.replace copies: _meters, each side's (n, D, D) evolved
     meter as evolve_meter gives it, read only by max_commutator_norm, and
-    _effects, both sides' (1, n, d, d) induced effects on H.
+    _effects, both sides' (1, n, d, d) induced effects on H. A pointer pair
+    has no _meters: its commutator_bound is the exact max_commutator_norm.
     """
 
     psi: np.ndarray
@@ -82,7 +86,8 @@ class JointScenario:
     @cached_property
     def max_commutator_norm(self) -> float:
         """Largest entry of any commutator of evolved meter projectors on H x K1 x K2."""
-        return _max_commutator_norm(*self._meters, self.psi.shape[0])
+        return (_max_commutator_norm(*self._meters, self.psi.shape[0]) if self._meters
+                else self.commutator_bound)
 
     @property
     def locality_value(self) -> float:
@@ -154,9 +159,10 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
 
     Process1's interaction acts on H and K1, process2's on H and K2. Each
     meter is evolved by its own interaction and kept on its own factor; when
-    process2 is process1 it is evolved once and both sides share it. A
-    compound dimension over linalg.MAX_DIM raises DimensionError before
-    either meter is evolved.
+    process2 is process1 it is evolved once and both sides share it. Two
+    pointer models evolve no meter: their pair is decided on H, and
+    commutator_bound is the exact norm. A compound dimension over
+    linalg.MAX_DIM raises DimensionError first, for every pair.
 
     The scenario keeps commutation_tol and decides JointScenario.commuting
     with it, the verdict every consumer reads; commutator_bound (see
@@ -171,34 +177,56 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
             f"{process2.system_dim}, state has dim {d_sys}"
         )
     _check_dim(process1.total_dim * process2.apparatus_dim)
-    side1 = (process1.interaction[None], process1.meter, process1.apparatus_state)
-    side2 = side1 if process2 is process1 else (
-        process2.interaction[None], process2.meter, process2.apparatus_state)
-    e1, e2, f1, f2, bounds = _pair_kernel(side1, side2, d_sys)
+    side1 = _side(process1)
+    side2 = side1 if process2 is process1 else _side(process2)
+    meters, f1, f2, bounds = _pair_kernel(side1, side2, d_sys)
     return JointScenario(
         psi=_frozen(psi.copy()),
         process1=process1,
         process2=process2,
         commutator_bound=float(bounds[0]),
         commutation_tol=commutation_tol,
-        _meters=(_frozen(e1[0]), _frozen(e2[0])),
+        _meters=tuple(_frozen(e[0]) for e in meters),
         _effects=(_frozen(f1), _frozen(f2)),
     )
 
 
-def _pair_kernel(side1: tuple, side2: tuple, d_sys: int) -> tuple:
-    """Evolved meters e1, e2 (m, n, D, D), effects f1, f2 (m, n, d, d) and (m,) span bounds.
+def _side(process: MeasurementProcess) -> tuple:
+    """A process as a _pair_kernel side of one point."""
+    record = process._projectors
+    return (process.interaction[None], process.meter, process.apparatus_state,
+            None if record is None else record[None])
 
-    A side is an (m, D, D) interaction stack, its meter and its apparatus
-    state. The stages run in compose's order: _evolved_meters, _span_bounds,
-    _pinch. side2 is side1 for a process both observers share, whose meters
-    are then evolved, spanned and pinched once: e2 is e1 and f2 is f1.
+
+def _pair_kernel(side1: tuple, side2: tuple, d_sys: int) -> tuple:
+    """Evolved meters (e1, e2) (m, n, D, D), effects f1, f2 (m, n, d, d) and (m,) bounds.
+
+    A side is an (m, D, D) interaction stack, its meter, its apparatus state
+    and a pointer model's (m, n, d, d) projectors, else None. When both sides
+    hold projectors, they are the effects, the bounds are the exact norms
+    (_projector_norms) and meters is (). Else the stages run in compose's
+    order: _evolved_meters, _span_bounds, _pinch. side2 is side1 for a
+    process both observers share, whose meters are then evolved, spanned and
+    pinched once: e2 is e1 and f2 is f1.
     """
+    if side1[3] is not None and side2[3] is not None:
+        return (), side1[3], side2[3], _projector_norms(side1[3], side2[3])
     sides = (side1,) if side2 is side1 else (side1, side2)
-    evolved = [_evolved_meters(interactions, meter, d_sys) for interactions, meter, _ in sides]
+    evolved = [_evolved_meters(interactions, meter, d_sys) for interactions, meter, *_ in sides]
     bounds = _span_bounds(evolved[0], evolved[-1], d_sys)
-    effects = [_pinch(e, xi) for e, (_, _, xi) in zip(evolved, sides)]
-    return evolved[0], evolved[-1], effects[0], effects[-1], bounds
+    effects = [_pinch(e, xi) for e, (_, _, xi, _) in zip(evolved, sides)]
+    return (evolved[0], evolved[-1]), effects[0], effects[-1], bounds
+
+
+def _projector_norms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(m,) largest entry of any [P_j, Q_k] for two (m, n, d, d) projector stacks.
+
+    A pointer meter E(x) = sum_j P_j x |s_j(x)><s_j(x)| has the P_j as its
+    blocks (see _blocks), so this is a pointer pair's max_commutator_norm.
+    [P, Q] = PQ - (PQ)^dag for Hermitian P and Q: one stacked product.
+    """
+    pq = p[:, :, None] @ q[:, None]
+    return np.abs(pq - pq.conj().swapaxes(3, 4)).reshape(len(p), -1).max(axis=1)
 
 
 def _span_bounds(e1: np.ndarray, e2: np.ndarray, d_sys: int) -> np.ndarray:
@@ -367,11 +395,12 @@ def _model_agreements(psi, side1: tuple, side2: tuple, commutation_tol: float) -
     point's own meters e1[k] and e2[k], once the tables before it pass.
     """
     d_sys = psi.shape[0]
-    e1, e2, f1, f2, bounds = _pair_kernel(side1, side2, d_sys)
+    meters, f1, f2, bounds = _pair_kernel(side1, side2, d_sys)
     tables = _tables(psi, f1, f2)
     for k in np.flatnonzero(~(bounds <= commutation_tol)):
         _checked_tables(tables[:k])
-        _require_local(_max_commutator_norm(e1[k], e2[k], d_sys), commutation_tol)
+        exact = _max_commutator_norm(*(e[k] for e in meters), d_sys) if meters else bounds[k]
+        _require_local(exact, commutation_tol)
     return _agreements(_checked_tables(tables), side1[1].outcomes, side2[1].outcomes)
 
 

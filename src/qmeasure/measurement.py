@@ -11,7 +11,7 @@ realizing any generalized observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,6 +39,7 @@ class MeasurementProcess:
     apparatus_state: np.ndarray
     interaction: np.ndarray
     meter: Pvm
+    _projectors: np.ndarray | None = field(default=None, repr=False)  # see von_neumann_model
 
     def __post_init__(self):
         system_dim = int(self.system_dim)
@@ -69,6 +70,7 @@ class MeasurementProcess:
         object.__setattr__(self, "apparatus_dim", apparatus_dim)
         object.__setattr__(self, "apparatus_state", _frozen(xi.copy()))
         object.__setattr__(self, "interaction", _frozen(u.copy()))
+        object.__setattr__(self, "_projectors", None)  # so a dataclasses.replace copy has none
 
     @property
     def total_dim(self) -> int:
@@ -125,9 +127,11 @@ def _pinch(evolved: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 
 def induced_povm(process: MeasurementProcess) -> Povm:
-    """System-side POVM the process induces, Pi(x) = <xi|E_evolved(x)|xi>; derived and trusted."""
-    evolved = _evolved_meters(process.interaction[None], process.meter, process.system_dim)
-    effects = _pinch(evolved, process.apparatus_state)[0]
+    """System-side POVM Pi(x) = <xi|E_evolved(x)|xi>, or a pointer model's record; trusted."""
+    effects = process._projectors
+    if effects is None:
+        evolved = _evolved_meters(process.interaction[None], process.meter, process.system_dim)
+        effects = _pinch(evolved, process.apparatus_state)[0]
     return _derived(Povm, process.meter.outcomes, effects, process.system_dim)
 
 
@@ -181,7 +185,7 @@ def _pointer(outcomes):
     return _frozen(basis[0]), _derived(Pvm, outcomes, projectors, n)
 
 
-def _model_process(system_dim: int, outcomes, interaction) -> MeasurementProcess:
+def _model_process(system_dim: int, outcomes, interaction, projectors=None) -> MeasurementProcess:
     """A model process built without running the MeasurementProcess checks.
 
     Only for the constructive models below, whose interaction on system x
@@ -189,7 +193,8 @@ def _model_process(system_dim: int, outcomes, interaction) -> MeasurementProcess
     """
     xi, meter = _pointer(outcomes)
     return _trusted(MeasurementProcess, system_dim=system_dim, apparatus_dim=len(outcomes),
-                    apparatus_state=xi, interaction=_frozen(interaction), meter=meter)
+                    apparatus_state=xi, interaction=_frozen(interaction), meter=meter,
+                    _projectors=projectors)
 
 
 def _pointer_unitaries(projectors: np.ndarray) -> np.ndarray:
@@ -212,11 +217,13 @@ def von_neumann_model(target: Pvm) -> MeasurementProcess:
     interaction shifts the pointer by j on the eigenspace of the j-th
     outcome (a unitary, since the eigenspace projectors are orthogonal and
     complete). It is the one-PVM case of _pointer_unitaries. The process is
-    derived and trusted; it induces the target exactly.
+    derived and trusted. It induces the target exactly and keeps its (n, d, d)
+    projectors as the private record _projectors, which no checked process has.
     """
     _check_dim(target.dim * len(target.outcomes))
-    u = _pointer_unitaries(np.array(target.projectors)[None])[0]
-    return _model_process(target.dim, target.outcomes, u)
+    projectors = _frozen(np.array(target.projectors))
+    u = _pointer_unitaries(projectors[None])[0]
+    return _model_process(target.dim, target.outcomes, u, projectors)
 
 
 def _dilation_unitaries(effects: np.ndarray) -> np.ndarray:

@@ -527,14 +527,16 @@ def _sweep_chunk(scenario: Scenario, etas: list) -> list:
     """The (eta, agreement) rows of checked etas, from one stacked pass.
 
     The von_neumann model's PVM is the unsharp POVM itself, so one effect
-    stack feeds both models. Each model's side (its interaction stack, the
-    pointer meter and start state) is built once, and a model both entries
-    name passes one side, as the loader shares a model process.
+    stack feeds both models, and is the von_neumann side's projector record.
+    Each model's side (its interaction stack, the pointer meter, start state
+    and record) is built once, and a model both entries name passes one
+    side, as the loader shares a model process.
     """
     effects = _unsharp_effects(etas)
     xi, meter = _pointer(scenario.observable.outcomes)
     kernels = {"dilation": _dilation_unitaries, "von_neumann": _pointer_unitaries}
-    sides = {m: (kernels[m](effects), meter, xi) for m in set(scenario.models)}
+    sides = {m: (kernels[m](effects), meter, xi, effects if m == "von_neumann" else None)
+             for m in set(scenario.models)}
     agreements = _model_agreements(scenario.psi, *(sides[m] for m in scenario.models),
                                    scenario.tolerances["commutation"])
     return list(zip(etas, agreements.tolist()))

@@ -104,3 +104,13 @@ def recompleted(rng, process):
     mix[np.ix_(free, free)] = random_unitary(rng, len(free))
     return MeasurementProcess(process.system_dim, n, process.apparatus_state,
                               process.interaction @ mix, process.meter)
+
+
+def as_custom(process):
+    """The process rebuilt by the checking constructor, as the loader builds a custom entry.
+
+    A checked process carries no pointer record, so compose evolves its meter
+    and decides locality by the span bound, whatever model it was built by.
+    """
+    return MeasurementProcess(process.system_dim, process.apparatus_dim,
+                              process.apparatus_state, process.interaction, process.meter)

@@ -21,6 +21,7 @@ import pytest
 
 from conftest import (
     PAULI_X,
+    as_custom,
     controlled_process,
     random_hermitian_with_outcomes,
     random_labels,
@@ -38,8 +39,10 @@ from qmeasure import (
     compose,
     dilation_model,
     evolve_meter,
+    induced_povm,
     intersubjectivity,
     joint_distribution,
+    measurement,
     pvm_from_observable,
     scenario_to_json,
     unsharp_qubit_povm,
@@ -234,6 +237,14 @@ def test_pointer_table_of_a_function_of_the_observable(system_table, d):
             assert row.sum() == pytest.approx(row[labels.index(y)], abs=1e-12)
 
 
+def _function_of(rng, a):
+    """B = f(A) for a random f, often not one to one, on A's labels: B commutes with A."""
+    image = rng.choice(random_labels(rng, min(3, len(a))), size=len(a))
+    labels = sorted(set(image))
+    return Pvm(labels, [sum(p for p, y in zip(a.projectors, image) if y == label)
+                        for label in labels], a.dim)
+
+
 @pytest.mark.parametrize("commuting", [True, False])
 @pytest.mark.parametrize("d", range(2, 7))
 def test_pointer_pair_norm_is_the_largest_projector_commutator(d, commuting):
@@ -242,17 +253,75 @@ def test_pointer_pair_norm_is_the_largest_projector_commutator(d, commuting):
     rng = np.random.default_rng(1200 + 10 * d + commuting)
     for n in sorted({max(2, d // 2), d}):  # degenerate PVMs (n < d) first, for d >= 3
         a = random_pvm(rng, d, n)
-        if commuting:  # B = f(A), f often not 1-1
-            image = rng.choice(random_labels(rng, min(3, n)), size=n)
-            labels = sorted(set(image))
-            b = Pvm(labels, [sum(p for p, y in zip(a.projectors, image) if y == label)
-                             for label in labels], d)
-        else:
-            b = random_pvm(rng, d, int(rng.integers(2, d + 1)))
+        b = _function_of(rng, a) if commuting else random_pvm(rng, d, int(rng.integers(2, d + 1)))
         js = compose(random_state(rng, d), von_neumann_model(a), von_neumann_model(b))
         want = max(np.max(np.abs(p @ q - q @ p)) for p in a.projectors for q in b.projectors)
         assert abs(js.max_commutator_norm - want) <= 1e-14, (n, len(b))
         assert want < 1e-12 if commuting else want > 1e-3
+
+
+@pytest.mark.parametrize("commuting", [True, False])
+@pytest.mark.parametrize("d", range(1, 7))
+def test_pointer_pairs_on_h_match_the_compound_path(d, commuting):
+    # two pointer models evolve no meter: the bound is the exact norm max_jk |[P_j, Q_k]|
+    # and the effects are the recorded projectors, as the evolved meters and the dense
+    # oracle give them, for a shared process, an equal distinct one and another PVM's
+    rng = np.random.default_rng(1300 + 10 * d + commuting)
+    for n in sorted({1, max(1, d // 2), d}):  # degenerate PVMs first
+        a = random_pvm(rng, d, n)
+        b = _function_of(rng, a) if commuting else random_pvm(rng, d, max(1, d - n % 2))
+        pa, psi = von_neumann_model(a), random_state(rng, d)
+        pairs = ((pa, pa), (pa, von_neumann_model(a)), (pa, von_neumann_model(b)))
+        local = (True, True, commuting or n == 1 or len(b) == 1)  # else generic: not local
+        for (p1, p2), expected in zip(pairs, local):
+            js = compose(psi, p1, p2)
+            c1 = as_custom(p1)
+            compound = compose(psi, c1, c1 if p2 is p1 else as_custom(p2))
+            assert js._meters == () and len(compound._meters) == 2
+            meters = [np.array(evolve_meter(p).projectors) for p in (p1, p2)]
+            exact = intersubjectivity._max_commutator_norm(*meters, d)
+            assert js.commutator_bound == js.max_commutator_norm
+            assert abs(js.commutator_bound - exact) <= 1e-14, (n, len(b))
+            for effects, e, p in zip(js._effects, meters, (p1, p2)):
+                pinched = measurement._pinch(e[None], p.apparatus_state)
+                assert np.max(np.abs(effects - pinched)) <= 1e-15
+            if exact > 1e-10:  # the two paths' rounding cannot tell 1e-3 of it apart
+                for tol in (exact * (1 - 1e-3), exact * (1 + 1e-3)):
+                    verdicts = [dataclasses.replace(j, commutation_tol=tol).commuting
+                                for j in (js, compound)]
+                    assert verdicts == [tol > exact] * 2, (tol, exact)
+            worst, table = dense_reference(psi, p1, p2)
+            assert js.commuting == compound.commuting == (worst <= COMMUTATION_TOL) == expected
+            if js.commuting:
+                got = joint_distribution(js).probabilities
+                assert np.max(np.abs(got - table)) <= AGREE_TOL
+            else:
+                with pytest.raises(NonCommutingMetersError):
+                    joint_distribution(js)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_replaced_interaction_carries_no_stale_record(d):
+    # a copy of A's pointer model given B's interaction measures B: the checking
+    # constructor drops A's projectors, so the pair with B's model is decided on
+    # the compound space, and is local as the dense oracle says
+    rng = np.random.default_rng(1400 + d)
+    pairs = [(SIGMA_Z_PVM, SIGMA_X_PVM)] if d == 2 else []
+    pairs += [(random_pvm(rng, d, d), random_pvm(rng, d, d)) for _ in range(3)]
+    for a, b in pairs:
+        pb = von_neumann_model(b)
+        swapped = dataclasses.replace(von_neumann_model(a), interaction=pb.interaction)
+        assert swapped._projectors is None
+        induced = induced_povm(swapped)
+        assert max(np.max(np.abs(e - q)) for e, q in zip(induced.effects, b.projectors)) < 1e-14
+        psi = random_state(rng, d)
+        js = compose(psi, swapped, pb)
+        worst, table = dense_reference(psi, swapped, pb)
+        assert len(js._meters) == 2
+        assert worst < 1e-10 and js.commuting
+        assert np.max(np.abs(joint_distribution(js).probabilities - table)) <= AGREE_TOL
+        # A's record read as the swapped process's effects would make the pair non-local
+        assert compose(psi, von_neumann_model(a), pb).commutator_bound > 1e-3
 
 
 @pytest.mark.parametrize("eta", np.linspace(0.0, 1.0, 11))
@@ -268,11 +337,12 @@ def test_commutator_bound_of_unsharp_dilations(eta):
 @pytest.mark.parametrize("d", range(1, 7))
 def test_truncated_bound_of_pointer_models(d):
     # a pointer model's blocks span only its n eigenprojectors, n <= d of the
-    # d^2 directions, so compose drops the rest of each span and adds their term
+    # d^2 directions, so compose drops the rest of each span and adds their term;
+    # written as custom processes, pointer models still take the span bound
     rng = np.random.default_rng(600 + d)
     for n in sorted({1, max(1, d // 2), d}):  # degenerate PVMs first
         pvm = random_pvm(rng, d, n)
-        p, p_copy = von_neumann_model(pvm), von_neumann_model(pvm)
+        p, p_copy = as_custom(von_neumann_model(pvm)), as_custom(von_neumann_model(pvm))
         psi = random_state(rng, d)
         kept, _, dropped = _block_span(np.array(evolve_meter(p).projectors)[None], d)
         assert kept.shape == (1, n)
@@ -287,7 +357,7 @@ def test_truncated_bound_of_pointer_models(d):
 
 
 def test_truncated_bound_of_incompatible_pointer_models():
-    p1, p2 = von_neumann_model(SIGMA_Z_PVM), von_neumann_model(SIGMA_X_PVM)
+    p1, p2 = as_custom(von_neumann_model(SIGMA_Z_PVM)), as_custom(von_neumann_model(SIGMA_X_PVM))
     js = compose(PLUS, p1, p2)
     worst, _ = dense_reference(PLUS, p1, p2)
     assert worst == pytest.approx(0.5, abs=AGREE_TOL)
@@ -322,7 +392,9 @@ def test_compose_of_pointer_models_stays_below_the_full_span_tensor():
     rng = np.random.default_rng(66)
     d = 6
     pvm = pvm_from_observable(random_hermitian_with_outcomes(rng, d, d))
-    p1, p2, psi = von_neumann_model(pvm), von_neumann_model(pvm), random_state(rng, d)
+    # custom copies: two pointer models decide their pair on H and take no span
+    p1, p2 = as_custom(von_neumann_model(pvm)), as_custom(von_neumann_model(pvm))
+    psi = random_state(rng, d)
     compose(psi, p1, p2)  # numpy's first-call allocations stay out of the peak
     tracemalloc.start()
     try:
@@ -335,9 +407,9 @@ def test_compose_of_pointer_models_stays_below_the_full_span_tensor():
 
 def _span_family(rng, family, d, m):
     """m processes of one shape from a family: pointer, dilation or random custom."""
-    if family == "pointer":  # n = d - 1 outcomes: some stacks are not tall
-        n = max(1, d - (d + m) % 2)
-        return [von_neumann_model(random_pvm(rng, d, n)) for _ in range(m)]
+    if family == "pointer":  # n = d - 1 outcomes: some stacks are not tall; custom, so
+        n = max(1, d - (d + m) % 2)  # that compose takes the span bound too
+        return [as_custom(von_neumann_model(random_pvm(rng, d, n))) for _ in range(m)]
     if family == "dilation":
         return [dilation_model(random_povm(rng, d, 1 + (d + m) % 3)) for _ in range(m)]
     # apparatus dim d - 2: from d = 5 on, more rows than columns but not twice as many

@@ -30,6 +30,7 @@ from qmeasure import (
     agreement_probability,
     as_povm,
     born_povm,
+    check_reproducibility,
     compose,
     dilation_model,
     evolve_meter,
@@ -59,6 +60,7 @@ SIGMA_X_PVM = pvm_from_observable(PAULI_X)
 PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 GROUND = np.array([1, 0], dtype=complex)
 DATA = pathlib.Path(__file__).resolve().parent / "data"
+ROOT = DATA.parent.parent
 
 
 def _accurate_z_scenario(psi):
@@ -142,21 +144,67 @@ def test_oit_run_evolves_each_meter_once(monkeypatch):
     assert oit.processes[0] is oit.processes[1]
     assert joint.processes[0] is joint.processes[1]
     assert custom.processes[0] is not custom.processes[1]
-    for scenario, distinct in ((oit, 1), (joint, 1), (custom, 2)):
+    for scenario, distinct in ((oit, 0), (joint, 1), (custom, 2)):
         evolved.clear()
         pinched.clear()
         report = run_experiment(scenario)
         assert report["diagnostics"]["commuting"] is True
-        # one evolution per distinct process, each of that process's own interaction
+        # a pointer pair evolves no meter; any other, one evolution per distinct
+        # process, each of that process's own interaction
         assert len(evolved) == distinct
         owners = [[p for p in scenario.processes if np.shares_memory(u, p.interaction)]
                   for u in evolved]
         assert all(len({id(p) for p in found}) == 1 for found in owners)
-        assert {id(found[0]) for found in owners} == {id(p) for p in scenario.processes}
+        assert {id(found[0]) for found in owners} == (
+            {id(p) for p in scenario.processes} if distinct else set())
         # the reproducibility check and the table share one pinch per distinct process
         assert len(pinched) == distinct
         assert all(m.shape[0] == 1 for m in evolved + pinched)
     assert report["results"]["intersubjective"] is True
+
+
+def _refuse_compound_stages(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a compound-space stage ran for two pointer models")
+
+    kernels = ("_evolved_meters", "_pinch")
+    for module, names in ((measurement, kernels),
+                          (intersubjectivity, kernels + ("_span_bounds", "_max_commutator_norm"))):
+        for name in names:
+            monkeypatch.setattr(module, name, refuse)
+
+
+def test_pointer_pair_runs_build_nothing_on_the_compound_space(monkeypatch):
+    # two von_neumann models are decided on H: no evolved meter, span bound,
+    # pinch or pair loop, for compose and for the eta sweep alike
+    _refuse_compound_stages(monkeypatch)
+    doc = json.loads((ROOT / "scenarios" / "oit_sigma_z.json").read_text())
+    for experiment in ("oit", "joint", "sample"):
+        diagnostics = run_experiment(load_scenario({**doc, "experiment": experiment}))["diagnostics"]
+        assert (diagnostics["commuting"], diagnostics["max_commutator_norm"]) == (True, 0.0)
+    sweep = json.loads((ROOT / "scenarios" / "unsharp_eta08.json").read_text())
+    sweep["processes"] = [{"model": "von_neumann"}] * 2
+    sweep["observable"] = {"unsharp": {"eta": 1.0}}
+    assert sweep_agreement(load_scenario(sweep), [1.0, 1.0]) == [(1.0, 1.0)] * 2
+
+
+def test_a_pointer_model_reproduces_from_its_record(monkeypatch):
+    # reproduce, induce and verify_oit read the projectors von_neumann_model
+    # recorded: no meter is evolved and the deviation is exactly 0
+    _refuse_compound_stages(monkeypatch)
+    doc = json.loads((ROOT / "scenarios" / "oit_sigma_z.json").read_text())
+    doc["processes"] = doc["processes"][:1]
+    report = run_experiment(load_scenario({**doc, "experiment": "reproduce"}))
+    assert report["results"]["reproducible"] is True
+    assert report["results"]["max_operator_deviation"] == 0.0
+    assert run_experiment(load_scenario({**doc, "experiment": "induce"}))["results"]["projective"]
+    rng = np.random.default_rng(41)
+    pvm = random_pvm(rng, 4, 3)
+    process = von_neumann_model(pvm)
+    induced = induced_povm(process).effects
+    (composed,) = compose(random_state(rng, 4), process, process)._effects[0]
+    assert all(np.shares_memory(e, f) for e, f in zip(induced, composed))
+    assert check_reproducibility(process, pvm).max_operator_deviation == 0.0
 
 
 def test_compose_incompatible_observables_flagged_not_local():
@@ -430,11 +478,13 @@ def test_a_load_tests_projectivity_once(monkeypatch, observable, model, experime
 
 
 def _tilted_pair():
-    # pointer models of sigma_z and of sigma_z turned by 0.1 rad; on GROUND the
-    # exact commutator norm is 0.099, the bound 0.56, and the table a probability
+    # pointer models of sigma_z and of sigma_z turned by 0.1 rad, as custom entries,
+    # so that the span bound decides; on GROUND the exact commutator norm is 0.099,
+    # the bound 0.56, and the table a probability
     turn = np.array([[np.cos(0.1), -np.sin(0.1)], [np.sin(0.1), np.cos(0.1)]])
     tilted = pvm_from_observable((turn @ PAULI_Z @ turn.T).astype(complex))
-    return von_neumann_model(SIGMA_Z_PVM), von_neumann_model(tilted)
+    pair = [von_neumann_model(SIGMA_Z_PVM), von_neumann_model(tilted)]
+    return load_scenario(scenario_to_json(GROUND, SIGMA_Z_PVM, pair, "joint")).processes
 
 
 LOCALITY_CONSUMERS = {

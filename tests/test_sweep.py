@@ -137,9 +137,11 @@ def test_sweep_errors_are_the_recorded_ones(capsys, tmp_path, models, values, co
 
 
 def test_sweep_of_a_sharp_pointer_pair_is_the_recorded_table(capsys, tmp_path):
+    # the pair is decided on H from the effects themselves, so an eta projective only
+    # within OP_TOL reads the closed form ((1 + eta)^2 + (1 - eta)^2) / 4
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(_doc(("von_neumann", "von_neumann"), eta=1.0)))
-    expected = "eta,agreement\n1.0,1.0\n0.9999999999,0.9999999998\n"
+    expected = "eta,agreement\n1.0,1.0\n0.9999999999,0.9999999999\n"
     assert _cli(capsys, path, "1,0.9999999999") == (0, expected, "")
 
 
@@ -209,15 +211,30 @@ def test_a_non_local_point_is_decided_from_its_own_meters(monkeypatch, models, e
     assert str(exc.value) == message
 
 
-def test_each_point_of_a_stack_reads_its_own_exact_norm():
-    # the unsharp family always commutes, so pointer pairs whose second axis turns
-    # away from z point by point pin which point's meters the exact norm is taken from
-    psi = np.array([0.6, 0.8j])
+def _turned_pointer_sides(angles, recorded):
+    """Sides of a z pointer model against pointer models turned towards x by each angle.
+
+    With recorded, the sides carry the models' projectors and are decided on
+    H; without, their meters are evolved, as a custom pair's are.
+    """
     z = von_neumann_model(pvm_from_observable(PAULI_Z))
     turned = [von_neumann_model(pvm_from_observable(np.cos(t) * PAULI_Z + np.sin(t) * PAULI_X))
-              for t in (0.0, 0.4, 0.2)]
-    side1 = (np.stack([z.interaction] * len(turned)), z.meter, z.apparatus_state)
-    side2 = (np.stack([p.interaction for p in turned]), z.meter, z.apparatus_state)
+              for t in angles]
+
+    def side(processes):
+        record = np.stack([p._projectors for p in processes]) if recorded else None
+        return (np.stack([p.interaction for p in processes]), z.meter, z.apparatus_state, record)
+
+    return side([z] * len(turned)), side(turned), z, turned
+
+
+@pytest.mark.parametrize("recorded", [False, True])
+def test_each_point_of_a_stack_reads_its_own_exact_norm(recorded):
+    # the unsharp family always commutes, so pointer pairs whose second axis turns
+    # away from z point by point pin which point's meters (or projectors) the exact
+    # norm is taken from
+    psi = np.array([0.6, 0.8j])
+    side1, side2, z, turned = _turned_pointer_sides((0.0, 0.4, 0.2), recorded)
     with pytest.raises(NonCommutingMetersError) as exc:
         intersubjectivity._model_agreements(psi, side1, side2, COMMUTATION_TOL)
     with pytest.raises(NonCommutingMetersError) as want:
@@ -226,21 +243,12 @@ def test_each_point_of_a_stack_reads_its_own_exact_norm():
     assert "max commutator norm 1.947e-01" in str(exc.value)
 
 
-def _turned_pointer_sides(angles):
-    """Sides of a z pointer model against pointer models turned towards x by each angle."""
-    z = von_neumann_model(pvm_from_observable(PAULI_Z))
-    turned = [von_neumann_model(pvm_from_observable(np.cos(t) * PAULI_Z + np.sin(t) * PAULI_X))
-              for t in angles]
-    side1 = (np.stack([z.interaction] * len(turned)), z.meter, z.apparatus_state)
-    side2 = (np.stack([p.interaction for p in turned]), z.meter, z.apparatus_state)
-    return side1, side2
-
-
-def test_a_table_error_raises_before_a_later_non_local_point(monkeypatch):
+@pytest.mark.parametrize("recorded", [False, True])
+def test_a_table_error_raises_before_a_later_non_local_point(monkeypatch, recorded):
     # only point 2 is non-local; point 1's table fails its check, so it must raise
     # before point 2's exact norm decides locality, as the point-by-point loop raises
     psi = np.array([0.6, 0.8j])
-    sides = _turned_pointer_sides((0.0, 0.0, 0.4))
+    sides = _turned_pointer_sides((0.0, 0.0, 0.4), recorded)[:2]
     with pytest.raises(NonCommutingMetersError, match="max commutator norm 1.947e-01"):
         intersubjectivity._model_agreements(psi, *sides, COMMUTATION_TOL)
     tables = intersubjectivity._tables
