@@ -4,10 +4,15 @@ Two measuring processes that share the system are composed on H x K1 x K2.
 The scenario is local when every pair of evolved meter projectors, each
 extended by the identity on the other apparatus, commutes: its
 commutator_bound, else the exact max_commutator_norm, is within the
-commutation tolerance given to compose. Two pointer models are decided on
-H: their meters' blocks are their projectors P_j and Q_k, so the exact norm
-is max_jk |[P_j, Q_k]| and their effects are the projectors. Any other pair
-has each meter evolved by its own interaction and kept on its own factor,
+commutation tolerance given to compose. Model pairs are decided on H from
+the instrument each model records, its effects and Kraus roots R_x =
+sqrt(Pi(x)). Two pointer models' meter blocks are their projectors P_j and
+Q_k, so the exact norm is max_jk |[P_j, Q_k]|. Any pair with a dilation has
+its norm bounded by c1 c2 max_xy ||[R1_x, R2_y]||_F, c = 6 for a dilation
+and 1 for a pointer model (see measurement.dilation_model); when that bound
+is within the tolerance, the pair is local and its effects are the recorded
+ones. Any other pair (a custom process, or a model pair over its bound) has
+each meter evolved by its own interaction and kept on its own factor,
 H x K1 or H x K2, as a private array; nothing on the whole compound space
 is ever built. Every other number lives on H: for Psi = psi x xi1 x xi2,
 contracting the apparatus factors gives
@@ -47,6 +52,7 @@ from .measurement import (
     MeasurementProcess,
     _compare,
     _evolved_meters,
+    _Instrument,
     _pinch,
 )
 from .observables import (PROB_TOL, Povm, Pvm, _checked_probabilities, _derived,
@@ -67,8 +73,10 @@ class JointScenario:
     compose was given. compose passes the private arrays, which
     dataclasses.replace copies: _meters, each side's (n, D, D) evolved
     meter as evolve_meter gives it, read only by max_commutator_norm, and
-    _effects, both sides' (1, n, d, d) induced effects on H. A pointer pair
-    has no _meters: its commutator_bound is the exact max_commutator_norm.
+    _effects, both sides' (1, n, d, d) induced effects on H. A pair decided
+    on H (see _pair_kernel) has no _meters: a pointer pair's commutator_bound
+    is the exact max_commutator_norm, and any other pair's meters are
+    evolved from its processes when the exact norm is first read.
     """
 
     psi: np.ndarray
@@ -86,8 +94,15 @@ class JointScenario:
     @cached_property
     def max_commutator_norm(self) -> float:
         """Largest entry of any commutator of evolved meter projectors on H x K1 x K2."""
-        return (_max_commutator_norm(*self._meters, self.psi.shape[0]) if self._meters
-                else self.commutator_bound)
+        p1, p2, d_sys = self.process1, self.process2, self.psi.shape[0]
+        meters = self._meters
+        if not meters:
+            if p1._instrument.factors * p2._instrument.factors == 1:
+                return self.commutator_bound  # a pointer pair's bound is its exact norm
+            e1 = _evolved_meters(p1.interaction[None], p1.meter, d_sys)[0]
+            e2 = e1 if p2 is p1 else _evolved_meters(p2.interaction[None], p2.meter, d_sys)[0]
+            meters = (e1, e2)
+        return _max_commutator_norm(*meters, d_sys)
 
     @property
     def locality_value(self) -> float:
@@ -160,8 +175,10 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
     Process1's interaction acts on H and K1, process2's on H and K2. Each
     meter is evolved by its own interaction and kept on its own factor; when
     process2 is process1 it is evolved once and both sides share it. Two
-    pointer models evolve no meter: their pair is decided on H, and
-    commutator_bound is the exact norm. A compound dimension over
+    model processes evolve no meter when their pair is decided on H (see
+    _pair_kernel): always for two pointer models, whose commutator_bound is
+    the exact norm, and for any other model pair whose bound from the Kraus
+    roots is within commutation_tol. A compound dimension over
     linalg.MAX_DIM raises DimensionError first, for every pair.
 
     The scenario keeps commutation_tol and decides JointScenario.commuting
@@ -179,7 +196,7 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
     _check_dim(process1.total_dim * process2.apparatus_dim)
     side1 = _side(process1)
     side2 = side1 if process2 is process1 else _side(process2)
-    meters, f1, f2, bounds = _pair_kernel(side1, side2, d_sys)
+    meters, f1, f2, bounds = _pair_kernel(side1, side2, d_sys, commutation_tol)
     return JointScenario(
         psi=_frozen(psi.copy()),
         process1=process1,
@@ -193,40 +210,64 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
 
 def _side(process: MeasurementProcess) -> tuple:
     """A process as a _pair_kernel side of one point."""
-    record = process._projectors
-    return (process.interaction[None], process.meter, process.apparatus_state,
-            None if record is None else record[None])
+    return (lambda: process.interaction[None], process.meter, process.apparatus_state,
+            process._instrument)
 
 
-def _pair_kernel(side1: tuple, side2: tuple, d_sys: int) -> tuple:
+def _pair_kernel(side1: tuple, side2: tuple, d_sys: int, commutation_tol: float) -> tuple:
     """Evolved meters (e1, e2) (m, n, D, D), effects f1, f2 (m, n, d, d) and (m,) bounds.
 
-    A side is an (m, D, D) interaction stack, its meter, its apparatus state
-    and a pointer model's (m, n, d, d) projectors, else None. When both sides
-    hold projectors, they are the effects, the bounds are the exact norms
-    (_projector_norms) and meters is (). Else the stages run in compose's
-    order: _evolved_meters, _span_bounds, _pinch. side2 is side1 for a
-    process both observers share, whose meters are then evolved, spanned and
-    pinched once: e2 is e1 and f2 is f1.
+    A side is a callable that builds its (m, D, D) interaction stack, its
+    meter, its apparatus state and a model's stacked measurement._Instrument,
+    else None. When both sides hold one, the pair is decided on H, with the
+    recorded effects as its effects and () as meters, if it is a pointer
+    pair (its bounds are the exact norms) or if every bound from the Kraus
+    roots (_instrument_bounds) is within commutation_tol. Otherwise the
+    stages run in compose's order: _evolved_meters (only now is an
+    interaction stack built), _span_bounds, _pinch; a point whose bound from
+    the roots is within commutation_tol keeps its recorded effects and that
+    bound, as compose gives them for that point. side2 is side1 for a
+    process both observers share, whose meters are then evolved, spanned
+    and pinched once: e2 is e1 and f2 is f1.
     """
-    if side1[3] is not None and side2[3] is not None:
-        return (), side1[3], side2[3], _projector_norms(side1[3], side2[3])
+    r1, r2 = side1[3], side2[3]
+    on_h = None
+    if r1 is not None and r2 is not None:
+        h_bounds = _instrument_bounds(r1, r2, d_sys)
+        on_h = None if r1.factors * r2.factors == 1 else h_bounds <= commutation_tol
+        if on_h is None or on_h.all():
+            return (), r1.effects, r2.effects, h_bounds
     sides = (side1,) if side2 is side1 else (side1, side2)
-    evolved = [_evolved_meters(interactions, meter, d_sys) for interactions, meter, *_ in sides]
+    evolved = [_evolved_meters(build(), meter, d_sys) for build, meter, *_ in sides]
     bounds = _span_bounds(evolved[0], evolved[-1], d_sys)
     effects = [_pinch(e, xi) for e, (_, _, xi, _) in zip(evolved, sides)]
-    return (evolved[0], evolved[-1]), effects[0], effects[-1], bounds
+    f1, f2 = effects[0], effects[-1]
+    if on_h is not None and on_h.any():
+        bounds = np.where(on_h, h_bounds, bounds)
+        f1, f2 = (np.where(on_h[:, None, None, None], r.effects, f) for r, f in ((r1, f1), (r2, f2)))
+    return (evolved[0], evolved[-1]), f1, f2, bounds
 
 
-def _projector_norms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """(m,) largest entry of any [P_j, Q_k] for two (m, n, d, d) projector stacks.
+def _instrument_bounds(r1: _Instrument, r2: _Instrument, d_sys: int) -> np.ndarray:
+    """(m,) upper bounds on max_commutator_norm from two stacked model instruments.
 
-    A pointer meter E(x) = sum_j P_j x |s_j(x)><s_j(x)| has the P_j as its
-    blocks (see _blocks), so this is a pointer pair's max_commutator_norm.
-    [P, Q] = PQ - (PQ)^dag for Hermitian P and Q: one stacked product.
+    For two pointer models it is the exact norm, the largest entry of any
+    [P_j, Q_k]: a pointer meter E(x) = sum_j P_j x |s_j(x)><s_j(x)| has the
+    P_j as its blocks (see _blocks). For any other model pair it is
+    c1 c2 max_xy ||[R1_x, R2_y]||_F, c the sides' factors and R their roots
+    (see dilation_model), plus 4 (n1 + n2) d_sys eps for the exact loop's
+    rounding: on commuting meters of random model pairs the loop read below
+    (n1 + n2) d_sys eps.
+    [R, S] = RS - (RS)^dag for Hermitian R and S: one stacked product.
     """
-    pq = p[:, :, None] @ q[:, None]
-    return np.abs(pq - pq.conj().swapaxes(3, 4)).reshape(len(p), -1).max(axis=1)
+    rs = r1.roots[:, :, None] @ r2.roots[:, None]
+    comm = rs - rs.conj().swapaxes(3, 4)
+    m, n1, n2 = comm.shape[:3]
+    if r1.factors * r2.factors == 1:
+        return np.abs(comm).reshape(m, -1).max(axis=1)
+    squared = (comm.real**2 + comm.imag**2).sum(axis=(3, 4)).reshape(m, -1).max(axis=1)
+    eps = np.finfo(float).eps
+    return r1.factors * r2.factors * np.sqrt(squared) + 4 * (n1 + n2) * d_sys * eps
 
 
 def _span_bounds(e1: np.ndarray, e2: np.ndarray, d_sys: int) -> np.ndarray:
@@ -395,7 +436,7 @@ def _model_agreements(psi, side1: tuple, side2: tuple, commutation_tol: float) -
     point's own meters e1[k] and e2[k], once the tables before it pass.
     """
     d_sys = psi.shape[0]
-    meters, f1, f2, bounds = _pair_kernel(side1, side2, d_sys)
+    meters, f1, f2, bounds = _pair_kernel(side1, side2, d_sys, commutation_tol)
     tables = _tables(psi, f1, f2)
     for k in np.flatnonzero(~(bounds <= commutation_tol)):
         _checked_tables(tables[:k])

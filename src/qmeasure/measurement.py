@@ -12,6 +12,8 @@ realizing any generalized observable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,6 +32,22 @@ from .observables import Povm, Pvm, _derived, _label_pairs, _trusted
 REPRO_TOL = 1e-9  # default reproducibility decision tolerance
 
 
+class _Instrument(NamedTuple):
+    """A model's instrument on H for each point of a stack, recorded when the model is built.
+
+    effects (m, n, d, d) are the POVMs the model's processes induce and
+    roots their Kraus rows K_x = sqrt(Pi(x)), the blocks each interaction is
+    made of; a model process records a one-point stack (m = 1). factors
+    counts the roots (or (I + K_0)^-1 factors) a block of an evolved meter is
+    a product of: 1 for a pointer model, whose roots are its projectors
+    (sqrt(P) = P), and 6 for a dilation (see dilation_model).
+    """
+
+    effects: np.ndarray
+    roots: np.ndarray
+    factors: int
+
+
 @dataclass(frozen=True, eq=False)
 class MeasurementProcess:
     """The measuring-process quadruple with an explicit system dimension."""
@@ -39,7 +57,7 @@ class MeasurementProcess:
     apparatus_state: np.ndarray
     interaction: np.ndarray
     meter: Pvm
-    _projectors: np.ndarray | None = field(default=None, repr=False)  # see von_neumann_model
+    _instrument: _Instrument | None = field(default=None, repr=False)  # see _model_process
 
     def __post_init__(self):
         system_dim = int(self.system_dim)
@@ -70,7 +88,7 @@ class MeasurementProcess:
         object.__setattr__(self, "apparatus_dim", apparatus_dim)
         object.__setattr__(self, "apparatus_state", _frozen(xi.copy()))
         object.__setattr__(self, "interaction", _frozen(u.copy()))
-        object.__setattr__(self, "_projectors", None)  # so a dataclasses.replace copy has none
+        object.__setattr__(self, "_instrument", None)  # so a dataclasses.replace copy has none
 
     @property
     def total_dim(self) -> int:
@@ -127,9 +145,10 @@ def _pinch(evolved: np.ndarray, xi: np.ndarray) -> np.ndarray:
 
 
 def induced_povm(process: MeasurementProcess) -> Povm:
-    """System-side POVM Pi(x) = <xi|E_evolved(x)|xi>, or a pointer model's record; trusted."""
-    effects = process._projectors
-    if effects is None:
+    """System-side POVM Pi(x) = <xi|E_evolved(x)|xi>, or a model's recorded effects; trusted."""
+    if process._instrument is not None:
+        effects = process._instrument.effects[0]
+    else:
         evolved = _evolved_meters(process.interaction[None], process.meter, process.system_dim)
         effects = _pinch(evolved, process.apparatus_state)[0]
     return _derived(Povm, process.meter.outcomes, effects, process.system_dim)
@@ -185,16 +204,20 @@ def _pointer(outcomes):
     return _frozen(basis[0]), _derived(Pvm, outcomes, projectors, n)
 
 
-def _model_process(system_dim: int, outcomes, interaction, projectors=None) -> MeasurementProcess:
+def _model_process(system_dim: int, outcomes, stack: tuple) -> MeasurementProcess:
     """A model process built without running the MeasurementProcess checks.
 
     Only for the constructive models below, whose interaction on system x
-    apparatus is unitary by construction, on the _pointer apparatus.
+    apparatus is unitary by construction, on the _pointer apparatus. stack
+    is a one-point _pointer_stack or _dilation_stack; the process keeps its
+    instrument as the private record _instrument, which the checking
+    constructor always clears.
     """
+    build, instrument = stack
     xi, meter = _pointer(outcomes)
     return _trusted(MeasurementProcess, system_dim=system_dim, apparatus_dim=len(outcomes),
-                    apparatus_state=xi, interaction=_frozen(interaction), meter=meter,
-                    _projectors=projectors)
+                    apparatus_state=xi, interaction=_frozen(build()[0]), meter=meter,
+                    _instrument=instrument)
 
 
 def _pointer_unitaries(projectors: np.ndarray) -> np.ndarray:
@@ -210,6 +233,12 @@ def _pointer_unitaries(projectors: np.ndarray) -> np.ndarray:
     return u.reshape(m, d * n, d * n)
 
 
+def _pointer_stack(projectors: np.ndarray) -> tuple:
+    """The builder of _pointer_unitaries and the _Instrument of an (m, n, d, d) projector stack."""
+    # E(x)[a, c] = delta_ac P_(x-a): each meter block is one projector
+    return partial(_pointer_unitaries, projectors), _Instrument(projectors, projectors, 1)
+
+
 def von_neumann_model(target: Pvm) -> MeasurementProcess:
     """Pointer model realizing an accurate observable.
 
@@ -217,24 +246,22 @@ def von_neumann_model(target: Pvm) -> MeasurementProcess:
     interaction shifts the pointer by j on the eigenspace of the j-th
     outcome (a unitary, since the eigenspace projectors are orthogonal and
     complete). It is the one-PVM case of _pointer_unitaries. The process is
-    derived and trusted. It induces the target exactly and keeps its (n, d, d)
-    projectors as the private record _projectors, which no checked process has.
+    derived and trusted. It induces the target exactly; its recorded
+    instrument has the projectors as effects and as roots.
     """
     _check_dim(target.dim * len(target.outcomes))
     projectors = _frozen(np.array(target.projectors))
-    u = _pointer_unitaries(projectors[None])[0]
-    return _model_process(target.dim, target.outcomes, u, projectors)
+    return _model_process(target.dim, target.outcomes, _pointer_stack(projectors[None]))
 
 
-def _dilation_unitaries(effects: np.ndarray) -> np.ndarray:
-    """dilation_model's interaction for each POVM of an (m, n, d, d) effect stack.
+def _dilation_unitaries(roots: np.ndarray) -> np.ndarray:
+    """dilation_model's interaction for each POVM of an (m, n, d, d) stack of effect roots.
 
-    Every effect's root comes from one _psd_roots call; the completion is
-    one stacked solve and product. Returned as an (m, d n, d n) stack.
+    The completion is one stacked solve and product. Returned as an
+    (m, d n, d n) stack.
     """
-    m, n, d, _ = effects.shape
+    m, n, d, _ = roots.shape
     total = d * n
-    roots = _psd_roots(effects.reshape(m * n, d, d)).reshape(m, n, d, d)
     a = roots[:, 0]
     b = roots[:, 1:].reshape(m, -1, d)
     b_dag = b.conj().swapaxes(1, 2)
@@ -243,6 +270,16 @@ def _dilation_unitaries(effects: np.ndarray) -> np.ndarray:
     u[:, d:, d:] = np.eye(total - d) - b @ np.linalg.solve(np.eye(d) + a, b_dag)
     # apparatus-major (j, i) rows and columns to the system-major (i, j) of H x K
     return u.reshape(m, n, d, n, d).transpose(0, 2, 1, 4, 3).reshape(m, total, total)
+
+
+def _dilation_stack(effects: np.ndarray) -> tuple:
+    """The builder of _dilation_unitaries and the _Instrument of an (m, n, d, d) effect stack.
+
+    Every effect's root comes from one _psd_roots call, taken once for both.
+    """
+    roots = _frozen(_psd_roots(effects.reshape(-1, *effects.shape[2:])).reshape(effects.shape))
+    # E(x)[a, c] = U_xa^dag U_xc, each U block a product of up to 3 roots or C
+    return partial(_dilation_unitaries, roots), _Instrument(effects, roots, 6)
 
 
 def dilation_model(povm: Povm) -> MeasurementProcess:
@@ -255,12 +292,22 @@ def dilation_model(povm: Povm) -> MeasurementProcess:
 
         U = [[A, -B^dag], [B, I - B (I + A)^-1 B^dag]],
 
-    which is unitary because A >= 0 and A^2 + B^dag B = I. The completion
-    is covariant: the POVM W Pi W^dag dilates to (W x I) U (W^dag x I), so
-    dilations of commuting effects have commuting meters in every basis.
-    The induced POVM equals the input POVM whatever the completion. It is
-    the one-POVM case of _dilation_unitaries; the process is derived and trusted.
+    which is unitary because A >= 0 and A^2 + B^dag B = I. The induced POVM
+    equals the input POVM whatever the completion. It is the one-POVM case
+    of _dilation_unitaries; the process is derived and trusted, and records
+    the POVM's effects and their roots R_x as its instrument.
+
+    The completion is covariant, and more: with C = (I + R_0)^-1 and the
+    apparatus index slow, every block of U is R_0, -R_c, R_x or
+    delta_xc I - R_x C R_c, each of norm at most 1, and a block of an evolved
+    meter is E(x)[a, c] = U_xa^dag U_xc, a product of at most 6 roots or C.
+    Since [C, S] = C [S, R_0] C, Leibniz's rule bounds every commutator of
+    two such processes' meter blocks by c1 c2 max_xy ||[R1_x, R2_y]||_F,
+    with c = 6 for a dilation and 1 for a pointer model (whose blocks are
+    its projectors). Dilations of commuting effects therefore have commuting
+    meters in every basis, and nearly commuting effects nearly commuting
+    meters: the bound is linear in the roots' commutators.
     """
     _check_dim(povm.dim * len(povm.outcomes))
-    u = _dilation_unitaries(np.array(povm.effects)[None])[0]
-    return _model_process(povm.dim, povm.outcomes, u)
+    effects = _frozen(np.array(povm.effects))
+    return _model_process(povm.dim, povm.outcomes, _dilation_stack(effects[None]))

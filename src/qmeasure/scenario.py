@@ -52,9 +52,9 @@ from .linalg import _check_dim
 from .measurement import (
     REPRO_TOL,
     MeasurementProcess,
-    _dilation_unitaries,
+    _dilation_stack,
     _pointer,
-    _pointer_unitaries,
+    _pointer_stack,
     check_reproducibility,
     dilation_model,
     induced_povm,
@@ -527,16 +527,21 @@ def _sweep_chunk(scenario: Scenario, etas: list) -> list:
     """The (eta, agreement) rows of checked etas, from one stacked pass.
 
     The von_neumann model's PVM is the unsharp POVM itself, so one effect
-    stack feeds both models, and is the von_neumann side's projector record.
-    Each model's side (its interaction stack, the pointer meter, start state
-    and record) is built once, and a model both entries name passes one
-    side, as the loader shares a model process.
+    stack feeds both models: it is the effects of both sides' recorded
+    instruments, and the von_neumann side's roots; the dilation side's
+    roots are taken once. Each model's side (the builder of its interaction
+    stack, the pointer meter, start state and instrument) is made once, and
+    a model both entries name passes one side, as the loader shares a model
+    process. An interaction stack is built only for a chunk that the
+    instruments do not decide on H (see intersubjectivity._pair_kernel).
     """
     effects = _unsharp_effects(etas)
     xi, meter = _pointer(scenario.observable.outcomes)
-    kernels = {"dilation": _dilation_unitaries, "von_neumann": _pointer_unitaries}
-    sides = {m: (kernels[m](effects), meter, xi, effects if m == "von_neumann" else None)
-             for m in set(scenario.models)}
+    stacks = {"dilation": _dilation_stack, "von_neumann": _pointer_stack}
+    sides = {}
+    for model in set(scenario.models):
+        build, instrument = stacks[model](effects)
+        sides[model] = (build, meter, xi, instrument)
     agreements = _model_agreements(scenario.psi, *(sides[m] for m in scenario.models),
                                    scenario.tolerances["commutation"])
     return list(zip(etas, agreements.tolist()))

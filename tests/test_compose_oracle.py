@@ -9,6 +9,7 @@ lie above that norm and decide locality as it does, and the table on H must
 be the dense <Psi|E1(x) E2(y)|Psi>.
 """
 
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -29,12 +30,14 @@ from conftest import (
     random_process,
     random_pvm,
     random_state,
+    random_unitary,
     recompleted,
 )
 from qmeasure import (
     PAULI_Z,
     JointScenario,
     NonCommutingMetersError,
+    Povm,
     Pvm,
     compose,
     dilation_model,
@@ -199,7 +202,8 @@ def test_dilation_table_does_not_depend_on_the_completion(system_table, d):
         psi = random_state(rng, d)
         want = dense_table(psi, p1, p2)
         assert np.max(np.abs(dense_table(psi, q1, q2) - want)) <= 1e-12
-        for pair in ((p1, p2), (q1, q2)):
+        # the models' recorded effects, their custom copies' pinched ones, and another completion's
+        for pair in ((p1, p2), (as_custom(p1), as_custom(p2)), (q1, q2)):
             assert np.max(np.abs(system_table(psi, *pair) - want)) <= 1e-12
     # commuting effects: the covariant completion's meters commute and a random
     # one's need not, but the numbers are the same probability table
@@ -207,6 +211,9 @@ def test_dilation_table_does_not_depend_on_the_completion(system_table, d):
     q1, q2 = recompleted(rng, p), recompleted(rng, p)
     for psi in (PLUS, GROUND):
         want = joint_distribution(compose(psi, p, p)).probabilities
+        custom = as_custom(p)
+        assert np.max(np.abs(joint_distribution(compose(psi, custom, custom)).probabilities
+                             - want)) <= 1e-12
         assert np.max(np.abs(dense_table(psi, q1, q2) - want)) <= 1e-12
         assert np.max(np.abs(system_table(psi, q1, q2) - want)) <= 1e-12
 
@@ -311,7 +318,7 @@ def test_a_replaced_interaction_carries_no_stale_record(d):
     for a, b in pairs:
         pb = von_neumann_model(b)
         swapped = dataclasses.replace(von_neumann_model(a), interaction=pb.interaction)
-        assert swapped._projectors is None
+        assert swapped._instrument is None
         induced = induced_povm(swapped)
         assert max(np.max(np.abs(e - q)) for e, q in zip(induced.effects, b.projectors)) < 1e-14
         psi = random_state(rng, d)
@@ -326,12 +333,105 @@ def test_a_replaced_interaction_carries_no_stale_record(d):
 
 @pytest.mark.parametrize("eta", np.linspace(0.0, 1.0, 11))
 def test_commutator_bound_of_unsharp_dilations(eta):
+    # the models take the bound from their roots; custom copies take the span bound
     povm = unsharp_qubit_povm(eta)
     p1, p2 = dilation_model(povm), dilation_model(povm)
-    js = compose(GROUND, p1, p2)
     worst, _ = dense_reference(GROUND, p1, p2)
-    assert_bound_decides_like_the_oracle(js, worst)
-    assert js.commutator_bound <= COMMUTATION_TOL
+    for pair in ((p1, p2), (as_custom(p1), as_custom(p2))):
+        js = compose(GROUND, *pair)
+        assert len(js._meters) == 2 * (pair[0] is not p1)
+        assert_bound_decides_like_the_oracle(js, worst)
+        assert js.commutator_bound <= COMMUTATION_TOL
+    # the roots are diagonal and commute exactly: the bound is its rounding term
+    # 4 (n1 + n2) d eps alone
+    assert compose(GROUND, p1, p2).commutator_bound == 4 * (2 + 2) * 2 * np.finfo(float).eps
+
+
+def _turned(rng, v, angle):
+    """The basis v turned by exp(i angle H), H a random Hermitian of unit norm."""
+    d = v.shape[0]
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    w, vecs = np.linalg.eigh(h + h.conj().T)
+    w /= max(1.0, np.abs(w).max())
+    return (vecs * np.exp(1j * angle * w)) @ vecs.conj().T @ v
+
+
+def _povm_in(rng, v, n, kind):
+    """n effects diagonal in the basis v: generic, near-degenerate, near-singular or projective."""
+    d = v.shape[0]
+    if kind == "projective":
+        n = min(n, d)
+        labels = np.concatenate([np.arange(n), rng.integers(0, n, d - n)])
+        weights = (labels == np.arange(n)[:, None]).astype(float)
+    else:
+        weights = rng.random((n, d))
+        if kind == "degenerate":  # each effect's eigenvalues 1e-12 apart
+            weights = weights[:, :1] + 1e-12 * weights
+        elif kind == "singular":  # eigenvalues of 1e-12, whose roots are 1e-6
+            weights[:, 0] *= 1e-12
+        weights /= weights.sum(axis=0)
+    return Povm(tuple(range(n)), tuple(v @ np.diag(w) @ v.conj().T for w in weights), d)
+
+
+def _bound_family_pair(rng, k):
+    """The k-th pair: dilation/dilation or pointer/dilation, commuting, nearly or not at all."""
+    d, n1, n2 = (int(x) for x in rng.integers(1, 5, size=3))
+    kinds = ("generic", "degenerate", "singular", "projective")
+    v = random_unitary(rng, d)
+    other = v if k % 2 else _turned(rng, v, 10.0 ** rng.uniform(-14, -6))
+    povm1 = _povm_in(rng, v, n1, kinds[k // 2 % 4])
+    povm2 = _povm_in(rng, other, n2, kinds[k // 8 % 4])
+    family = k // 32 % 5
+    if family == 0:  # generic POVMs, in no common basis
+        return dilation_model(random_povm(rng, d, n1)), dilation_model(random_povm(rng, d, n2))
+    if family == 1:  # one process on both sides
+        p = dilation_model(povm1)
+        return p, p
+    projective = _povm_in(rng, v, n1, "projective")
+    pointer = von_neumann_model(Pvm(projective.outcomes, projective.effects, d))
+    if family == 2:
+        return pointer, dilation_model(povm2)
+    if family == 3:
+        return dilation_model(povm2), pointer
+    return dilation_model(povm1), dilation_model(povm2)
+
+
+def _unsharp_pairs():
+    pairs = []
+    for eta in (0.0, 1 - 1e-10, 1.0):
+        povm = unsharp_qubit_povm(eta)
+        p = dilation_model(povm)
+        pairs += [(p, p), (p, dilation_model(povm))]
+        if eta > 0:  # projective within OP_TOL
+            vn = von_neumann_model(Pvm(povm.outcomes, povm.effects, 2))
+            pairs += [(vn, p), (p, vn)]
+    return pairs
+
+
+def test_the_bound_from_the_roots_holds_and_decides_as_the_compound_path():
+    # c1 c2 max_xy ||[R1_x, R2_y]||_F (plus rounding) bounds the exact loop and the
+    # dense norm on every pair; the verdicts equal the compound path's, taken by custom
+    # copies, at the default tolerance and either side of the exact norm
+    rng = np.random.default_rng(2200)
+    pairs = [_bound_family_pair(rng, k) for k in range(320)] + _unsharp_pairs()
+    kinds = collections.Counter()
+    for p1, p2 in pairs:
+        d = p1.system_dim
+        psi = random_state(rng, d)
+        js = compose(psi, p1, p2, commutation_tol=np.inf)
+        assert js._meters == ()
+        exact = js.max_commutator_norm
+        assert exact <= js.commutator_bound, (exact, js.commutator_bound)
+        assert dense_reference(psi, p1, p2)[0] <= js.commutator_bound + AGREE_TOL
+        c1 = as_custom(p1)
+        c2 = c1 if p2 is p1 else as_custom(p2)
+        for tol in (COMMUTATION_TOL, exact * (1 - 1e-3), exact * (1 + 1e-3)):
+            model, custom = compose(psi, p1, p2, tol), compose(psi, c1, c2, tol)
+            assert model.commuting == custom.commuting == (exact <= tol), (tol, exact)
+        default = compose(psi, p1, p2)
+        kinds[(default._meters == (), default.commuting)] += 1
+    # decided on H; over the tolerance yet local; not local
+    assert len(pairs) >= 300 and min(kinds[True, True], kinds[False, True], kinds[False, False]) >= 5
 
 
 @pytest.mark.parametrize("d", range(1, 7))
@@ -410,8 +510,8 @@ def _span_family(rng, family, d, m):
     if family == "pointer":  # n = d - 1 outcomes: some stacks are not tall; custom, so
         n = max(1, d - (d + m) % 2)  # that compose takes the span bound too
         return [as_custom(von_neumann_model(random_pvm(rng, d, n))) for _ in range(m)]
-    if family == "dilation":
-        return [dilation_model(random_povm(rng, d, 1 + (d + m) % 3)) for _ in range(m)]
+    if family == "dilation":  # custom copies too, as model pairs are decided on H
+        return [as_custom(dilation_model(random_povm(rng, d, 1 + (d + m) % 3))) for _ in range(m)]
     # apparatus dim d - 2: from d = 5 on, more rows than columns but not twice as many
     return [random_process(rng, d, max(1, d - 2)) for _ in range(m)]
 

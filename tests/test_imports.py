@@ -153,6 +153,7 @@ SCENARIO_TOLERANCES = {
     ("intersubjectivity.py", "compose", "commutation_tol"),
     ("intersubjectivity.py", "JointScenario", "commutation_tol"),
     ("intersubjectivity.py", "_model_agreements", "commutation_tol"),
+    ("intersubjectivity.py", "_pair_kernel", "commutation_tol"),
 }
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import (
     PAULI_X,
+    as_custom,
     controlled_process,
     pointer_meter,
     random_hermitian_with_outcomes,
@@ -54,6 +55,7 @@ from qmeasure import (
     von_neumann_model,
 )
 from qmeasure.intersubjectivity import COMMUTATION_TOL
+from qmeasure.linalg import _psd_roots
 
 SIGMA_Z_PVM = pvm_from_observable(PAULI_Z)
 SIGMA_X_PVM = pvm_from_observable(PAULI_X)
@@ -86,12 +88,14 @@ def test_compose_two_dilations_commute():
 
 
 def test_compose_embedded_meters_pass_the_pvm_checks():
-    # each evolved meter stays on H x K_i, built unchecked; the public constructor checks it here
+    # each evolved meter stays on H x K_i, built unchecked; the public constructor checks it
+    # here. Custom copies: the models themselves are decided on H and evolve no meter
     low, high = unsharp_qubit_povm(0.7).effects
     three = Povm((-1.0, 0.0, 1.0), (low / 2, low / 2, high), 2)
-    p1, p2 = von_neumann_model(SIGMA_Z_PVM), dilation_model(three)
+    p1, p2 = as_custom(von_neumann_model(SIGMA_Z_PVM)), as_custom(dilation_model(three))
     js = compose(PLUS, p1, p2)
     assert js.total_dim == 2 * 2 * 3
+    assert len(js._meters) == 2
     for meters, process in zip(js._meters, (p1, p2)):
         assert process.total_dim == 2 * process.apparatus_dim
         assert np.array_equal(meters, np.array(evolve_meter(process).projectors))
@@ -144,13 +148,13 @@ def test_oit_run_evolves_each_meter_once(monkeypatch):
     assert oit.processes[0] is oit.processes[1]
     assert joint.processes[0] is joint.processes[1]
     assert custom.processes[0] is not custom.processes[1]
-    for scenario, distinct in ((oit, 0), (joint, 1), (custom, 2)):
+    for scenario, distinct in ((oit, 0), (joint, 0), (custom, 2)):
         evolved.clear()
         pinched.clear()
         report = run_experiment(scenario)
         assert report["diagnostics"]["commuting"] is True
-        # a pointer pair evolves no meter; any other, one evolution per distinct
-        # process, each of that process's own interaction
+        # a model pair decided on H evolves no meter; a custom pair, one evolution
+        # per distinct process, each of that process's own interaction
         assert len(evolved) == distinct
         owners = [[p for p in scenario.processes if np.shares_memory(u, p.interaction)]
                   for u in evolved]
@@ -165,7 +169,7 @@ def test_oit_run_evolves_each_meter_once(monkeypatch):
 
 def _refuse_compound_stages(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a compound-space stage ran for two pointer models")
+        raise AssertionError("a compound-space stage ran for two model processes")
 
     kernels = ("_evolved_meters", "_pinch")
     for module, names in ((measurement, kernels),
@@ -205,6 +209,61 @@ def test_a_pointer_model_reproduces_from_its_record(monkeypatch):
     (composed,) = compose(random_state(rng, 4), process, process)._effects[0]
     assert all(np.shares_memory(e, f) for e, f in zip(induced, composed))
     assert check_reproducibility(process, pvm).max_operator_deviation == 0.0
+
+
+def test_a_dilation_model_runs_from_its_record(monkeypatch):
+    # induce, reproduce and the two-process experiments read the effects and roots
+    # dilation_model recorded: no meter is evolved, spanned or pinched
+    rng = np.random.default_rng(43)
+    povm = random_povm(rng, 3, 4)
+    process = dilation_model(povm)
+    (effects,), (roots,), _ = process._instrument
+    assert all(np.array_equal(e, f) for e, f in zip(effects, povm.effects))
+    assert np.array_equal(roots, _psd_roots(effects))
+    assert np.array_equal(process.interaction, measurement._dilation_unitaries(roots[None])[0])
+    _refuse_compound_stages(monkeypatch)
+    assert all(np.shares_memory(e, f) for e, f in zip(induced_povm(process).effects, effects))
+    doc = json.loads((ROOT / "scenarios" / "unsharp_eta08.json").read_text())
+    for experiment, count in (("induce", 1), ("joint", 2), ("sample", 2)):
+        doc = {**doc, "experiment": experiment, "processes": doc["processes"][:1] * count}
+        assert run_experiment(load_scenario(doc))["experiment"] == experiment
+    doc["observable"] = {"unsharp": {"eta": 1.0}}
+    for experiment, count in (("reproduce", 1), ("oit", 2)):
+        doc = {**doc, "experiment": experiment, "processes": doc["processes"][:1] * count}
+        report = run_experiment(load_scenario(doc))["results"]
+        assert report.get("max_operator_deviation", 0.0) == 0.0
+        assert report.get("intersubjective", True) is True
+
+
+def _commuting_model_pairs(rng, d):
+    """Model pairs on d dims whose effects commute: dilation pairs and mixed pairs."""
+    v = random_unitary(rng, d)
+    pvm = Pvm(tuple(range(d)), tuple(np.outer(v[:, j], v[:, j].conj()) for j in range(d)), d)
+
+    def povm(n):  # random effects diagonal in the basis of v
+        w = rng.random((n, d))
+        w /= w.sum(axis=0)
+        return Povm(tuple(range(n)), tuple(v @ np.diag(x) @ v.conj().T for x in w), d)
+
+    dil, vn = dilation_model(povm(3)), von_neumann_model(pvm)
+    return [(dil, dil), (dil, dilation_model(povm(2))), (vn, dil), (dil, vn)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_max_commutator_norm_of_a_pair_decided_on_h_is_the_exact_loop(d):
+    # a dilation or mixed pair decided on H keeps no meters; its exact norm evolves
+    # both processes' meters on first read, bit for bit the loop over evolve_meter's
+    rng = np.random.default_rng(50 + d)
+    for p1, p2 in _commuting_model_pairs(rng, d):
+        js = compose(random_state(rng, d), p1, p2)
+        assert js._meters == () and js.commuting
+        meters = [measurement._evolved_meters(p.interaction[None], p.meter, d)[0]
+                  for p in (p1, p2)]
+        exact = intersubjectivity._max_commutator_norm(*meters, d)
+        copy = dataclasses.replace(js, commutation_tol=0.0)
+        assert copy.max_commutator_norm == exact
+        assert js.max_commutator_norm == exact <= js.commutator_bound
+        assert copy.commuting == (exact <= 0.0)
 
 
 def test_compose_incompatible_observables_flagged_not_local():

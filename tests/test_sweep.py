@@ -19,10 +19,12 @@ from qmeasure import (
     PAULI_Z,
     NonCommutingMetersError,
     ParameterError,
+    Povm,
     Pvm,
     agreement_probability,
     compose,
     dilation_model,
+    induced_povm,
     intersubjectivity,
     joint_distribution,
     load_scenario,
@@ -136,13 +138,53 @@ def test_sweep_errors_are_the_recorded_ones(capsys, tmp_path, models, values, co
     assert _cli(capsys, path, values) == (code, "", err)
 
 
-def test_sweep_of_a_sharp_pointer_pair_is_the_recorded_table(capsys, tmp_path):
-    # the pair is decided on H from the effects themselves, so an eta projective only
-    # within OP_TOL reads the closed form ((1 + eta)^2 + (1 - eta)^2) / 4
+@pytest.mark.parametrize("models", [("dilation", "dilation"), *SHARP_MODELS])
+def test_sweep_of_a_sharp_pointer_pair_is_the_recorded_table(capsys, tmp_path, models):
+    # every model pair is decided on H from the recorded effects, so an eta projective
+    # only within OP_TOL reads the closed form ((1 + eta)^2 + (1 - eta)^2) / 4
     path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(_doc(("von_neumann", "von_neumann"), eta=1.0)))
+    path.write_text(json.dumps(_doc(models, eta=1.0)))
     expected = "eta,agreement\n1.0,1.0\n0.9999999999,0.9999999999\n"
     assert _cli(capsys, path, "1,0.9999999999") == (0, expected, "")
+
+
+def test_a_mixed_pair_reads_the_pointer_record():
+    # the pointer side's effects are the projectors it records, not P^dag P pinched
+    # from its meter, so verify_oit and reproduce read the same arrays
+    vn, dil = _process("von_neumann", 1 - 1e-10), _process("dilation", 1 - 1e-10)
+    ground = np.array([1.0, 0.0])
+    for js in (compose(ground, vn, dil), compose(ground, dil, vn)):
+        (effects,) = js._effects[js.process2 is vn]
+        assert np.array_equal(effects, np.array(induced_povm(vn).effects))
+        assert js._meters == ()
+
+
+def _refuse_interactions(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an interaction stack was built")
+
+    for name in ("_dilation_unitaries", "_pointer_unitaries"):
+        monkeypatch.setattr(measurement, name, refuse)
+
+
+@pytest.mark.parametrize("models", [("dilation", "dilation"), *SHARP_MODELS])
+def test_a_sweep_decided_on_h_builds_no_interaction(monkeypatch, models):
+    sc = load_scenario(_doc(models, state="complex", eta=1.0))
+    etas = [1.0, 1 - 1e-10] if "von_neumann" in models else GRID
+    expected = point_by_point(sc, etas)
+    non_local = dataclasses.replace(sc, tolerances={**sc.tolerances, "commutation": -1.0})
+    message = _failing_point_error(non_local, etas[0])
+    _refuse_interactions(monkeypatch)
+    assert sweep_agreement(sc, etas) == expected
+    if models != ("von_neumann", "von_neumann"):
+        # a bound over the tolerance needs the stack for the point's exact norm;
+        # a pointer pair's recorded bound is that norm
+        with pytest.raises(AssertionError, match="interaction stack was built"):
+            sweep_agreement(non_local, etas)
+        monkeypatch.undo()
+    with pytest.raises(NonCommutingMetersError) as exc:
+        sweep_agreement(non_local, etas)
+    assert str(exc.value) == message
 
 
 def _failing_point_error(sc, eta):
@@ -214,16 +256,20 @@ def test_a_non_local_point_is_decided_from_its_own_meters(monkeypatch, models, e
 def _turned_pointer_sides(angles, recorded):
     """Sides of a z pointer model against pointer models turned towards x by each angle.
 
-    With recorded, the sides carry the models' projectors and are decided on
-    H; without, their meters are evolved, as a custom pair's are.
+    With recorded, the sides carry the models' instruments and are decided
+    on H; without, their meters are evolved, as a custom pair's are.
     """
     z = von_neumann_model(pvm_from_observable(PAULI_Z))
     turned = [von_neumann_model(pvm_from_observable(np.cos(t) * PAULI_Z + np.sin(t) * PAULI_X))
               for t in angles]
 
     def side(processes):
-        record = np.stack([p._projectors for p in processes]) if recorded else None
-        return (np.stack([p.interaction for p in processes]), z.meter, z.apparatus_state, record)
+        interactions = np.stack([p.interaction for p in processes])
+        record = None
+        if recorded:
+            record = measurement._pointer_stack(
+                np.concatenate([p._instrument.roots for p in processes]))[1]
+        return (lambda: interactions, z.meter, z.apparatus_state, record)
 
     return side([z] * len(turned)), side(turned), z, turned
 
@@ -270,3 +316,38 @@ def test_sweep_memory_is_bounded_by_the_chunk():
     assert len(rows) == len(etas)
     # the rows take under 1 MB; all 8000 points in one pass would peak above 16 MB
     assert peak < 3 * 2**20
+
+
+def _stacked_side(processes):
+    """dilation_model processes of one shape as one _pair_kernel side, point by point."""
+    first = processes[0]
+    record = measurement._dilation_stack(
+        np.concatenate([p._instrument.effects for p in processes]))[1]
+    return (lambda: np.stack([p.interaction for p in processes]), first.meter,
+            first.apparatus_state, record)
+
+
+def test_a_point_over_its_bound_leaves_the_others_on_h():
+    # point 1's effects are turned by 1e-9 out of point 0's basis: its bound from the
+    # roots is over the tolerance while its exact norm is within it, so the stack takes
+    # the compound path for point 1's exact norm, and point 0 keeps its recorded
+    # effects; each row is compose's on that point alone
+    rng = np.random.default_rng(12)
+    v = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    turn = np.array([[np.cos(1e-9), -np.sin(1e-9)], [np.sin(1e-9), np.cos(1e-9)]]) @ v
+
+    def povm(basis, weights):
+        effects = [basis @ np.diag(w) @ basis.conj().T for w in (weights, 1 - weights)]
+        return dilation_model(Povm((-1.0, 1.0), effects, 2))
+
+    left = povm(v, np.array([0.9, 0.2]))
+    right = [povm(v, np.array([0.3, 0.6])), povm(turn, np.array([0.3, 0.6]))]
+    psi = np.array([0.6, 0.8j])
+    loose = compose(psi, left, right[1], np.inf)
+    tol = np.sqrt(loose.max_commutator_norm * loose.commutator_bound)
+    assert loose.max_commutator_norm < tol < loose.commutator_bound
+    rows = intersubjectivity._model_agreements(psi, _stacked_side([left, left]),
+                                               _stacked_side(right), tol)
+    points = [compose(psi, left, r, tol) for r in right]
+    assert [js._meters == () for js in points] == [True, False]
+    assert rows.tolist() == [agreement_probability(js) for js in points]
