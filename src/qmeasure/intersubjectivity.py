@@ -62,6 +62,7 @@ from .serialize import _is_count
 COMMUTATION_TOL = 1e-8  # default locality decision tolerance
 OIT_TOL = 1e-9          # default intersubjectivity decision tolerance
 SAMPLE_CHUNK = 2**16    # draws held at once by sample_outcomes
+SAMPLE_MAX_PASSES = 16  # most distinct CDF edges sample_outcomes counts by one compare each
 SPAN_QR_MIN_COLS = 25   # narrowest block stack whose svd _block_span takes after a qr
 
 
@@ -524,10 +525,14 @@ def sample_outcomes(scenario: JointScenario, n: int, seed: int) -> SampleResult:
     using numpy's seeded default generator, so a fixed seed reproduces the
     exact sequence. A draw u lands in the first cell whose CDF exceeds u
     (the last cell if none does). Draws are counted, not looked up one at a
-    time: each chunk of SAMPLE_CHUNK draws is sorted, and one searchsorted
-    of the inner CDF edges into it counts the draws below each edge. The
-    table is clamped to be non-negative, so the CDF never decreases and cell
-    j holds exactly (draws below edge j) - (draws below edge j-1): the counts
+    time, against each distinct inner CDF edge: a diagonal d x d table has
+    d - 1 of them. For each chunk of SAMPLE_CHUNK draws, the draws below an
+    edge e are np.count_nonzero(chunk < e), one compare pass per distinct
+    edge; past SAMPLE_MAX_PASSES edges (below the measured crossover of
+    about 24, where the passes cost more than one sort) the chunk is sorted
+    and one searchsorted counts them, which gives the same number. The table
+    is clamped to be non-negative, so the CDF never decreases and cell j
+    holds exactly (draws below edge j) - (draws below edge j-1): the counts
     equal a per-draw lookup's. The generator yields the same stream in
     chunks as in one call, so the counts do not depend on the chunk size,
     and memory is bounded by the chunk, not by n. Cells with zero analytic
@@ -538,14 +543,18 @@ def sample_outcomes(scenario: JointScenario, n: int, seed: int) -> SampleResult:
         raise ValidationError(f"sample count must be an integer >= 1, got {n!r}")
     n = int(n)
     dist = joint_distribution(scenario)
-    edges = np.cumsum(dist.probabilities.ravel())[:-1]
+    edges, slot = np.unique(np.cumsum(dist.probabilities.ravel())[:-1], return_inverse=True)
     rng = np.random.default_rng(seed)
     below = np.zeros(edges.size, dtype=np.int64)
     for start in range(0, n, SAMPLE_CHUNK):
         chunk = rng.random(min(SAMPLE_CHUNK, n - start))
-        chunk.sort()
-        below += np.searchsorted(chunk, edges, side="left")
-    counts = np.diff(np.concatenate(([0], below, [n]))).reshape(dist.probabilities.shape)
+        if edges.size > SAMPLE_MAX_PASSES:
+            chunk.sort()
+            below += np.searchsorted(chunk, edges, side="left")
+        else:
+            for k, e in enumerate(edges):
+                below[k] += np.count_nonzero(chunk < e)
+    counts = np.diff(np.concatenate(([0], below[slot], [n]))).reshape(dist.probabilities.shape)
     return SampleResult(
         counts=_frozen(counts),
         empirical=_trusted(JointDistribution, outcomes1=dist.outcomes1,

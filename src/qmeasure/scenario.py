@@ -31,6 +31,7 @@ Schema sketch (see the README for a worked example):
 from __future__ import annotations
 
 import json
+import pickle
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
@@ -205,26 +206,18 @@ def _von_neumann_target(pvm: Optional[Pvm], where: str) -> Pvm:
     return pvm
 
 
-def _build_process(entry, index: int, observable, pvm: Optional[Pvm], system_dim: int,
-                   shared: dict):
-    """One checked process.
-
-    pvm is the observable's PVM when the load needs one, else None. shared
-    maps a model name to its process, built once for both entries that name it.
-    """
+def _build_process(entry, index: int, observable, pvm: Optional[Pvm], system_dim: int):
+    """One checked process; pvm is the observable's PVM when the load needs one, else None."""
     where = f"processes[{index}]"
     _require(isinstance(entry, dict), f"{where}: expected an object")
     _require("model" in entry, f"{where}: missing field 'model'")
     model = entry["model"]
     if model in ("von_neumann", "dilation"):
         _check_keys(entry, ("model",), ("model",), where)
-        if model not in shared:
-            if model == "dilation":
-                povm = as_povm(observable) if isinstance(observable, Pvm) else observable
-                shared[model] = dilation_model(povm)
-            else:
-                shared[model] = von_neumann_model(_von_neumann_target(pvm, where))
-        return shared[model]
+        if model == "dilation":
+            povm = as_povm(observable) if isinstance(observable, Pvm) else observable
+            return dilation_model(povm)
+        return von_neumann_model(_von_neumann_target(pvm, where))
     if model == "custom":
         fields = ("model", "apparatus_dim", "xi", "unitary", "meter")
         _check_keys(entry, fields, fields, where)
@@ -241,6 +234,20 @@ def _build_process(entry, index: int, observable, pvm: Optional[Pvm], system_dim
     raise ValidationError(
         f"{where}: unknown model {model!r} (expected von_neumann, dilation, or custom)"
     )
+
+
+def _entry_key(entry):
+    """entry's pickled bytes, equal for two entries only if their types and values are.
+
+    Unlike ==, pickle tells true from 1, 1 from 1.0, -0.0 from 0.0 and a list
+    from a tuple, at C speed. An entry pickle cannot encode (an object it
+    refuses, or nesting deeper than the recursion limit, which a JSON file
+    can reach) gets a key equal to no other.
+    """
+    try:
+        return pickle.dumps(entry)
+    except (pickle.PicklingError, TypeError, AttributeError, RecursionError):
+        return object()
 
 
 def _checked_tolerance(value, where: str) -> float:
@@ -273,9 +280,10 @@ def load_scenario(data) -> Scenario:
     is taken at most once, and only when a von_neumann entry or a reproduce
     or oit experiment needs it; a noisy observable there raises
     ValidationError, and for reproduce and oit the scenario holds the PVM.
-    A von_neumann or dilation model is built once per scenario, and both
-    entries of such a pair hold that one process; custom entries are built
-    and checked one by one.
+    An entry equal to an earlier one, with the same JSON types and values
+    (see _entry_key), holds that entry's process, so each distinct entry is
+    built and checked once: a von_neumann or dilation pair, or two equal
+    custom entries, is one process that compose evolves once.
 
     Each process's H x K and, for two-process experiments, the compound
     H x K1 x K2 must fit linalg.MAX_DIM, the cap compose applies; a model
@@ -329,9 +337,12 @@ def load_scenario(data) -> Scenario:
     wants_pvm = spec.needs_pvm or any(
         isinstance(entry, dict) and entry.get("model") == "von_neumann" for entry in entries)
     pvm = _projective_pvm(observable) if wants_pvm else None
-    shared = {}
-    processes = tuple(_build_process(entry, i, observable, pvm, dim, shared)
-                      for i, entry in enumerate(entries))
+    keys = [_entry_key(entry) for entry in entries]
+    built = {}  # an entry equal to an earlier one holds that entry's process
+    for i, (key, entry) in enumerate(zip(keys, entries)):
+        if key not in built:
+            built[key] = _build_process(entry, i, observable, pvm, dim)
+    processes = tuple(built[key] for key in keys)
     models = tuple(entry["model"] for entry in entries)
     if spec.processes == 2:
         # compose's own cap, checked here so that validate rejects what run would

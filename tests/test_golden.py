@@ -1,12 +1,15 @@
 """Reports of the bundled scenarios compared against recorded ones.
 
 tests/data holds the standard output of `qmeasure run` on both bundled
-scenarios and of one 11-value sweep, and three scenarios of its own with their
+scenarios and of one 11-value sweep, and four scenarios of its own with their
 `run` output: a non-diagonal d=4 `oit`, a d=3 `joint` whose processes have
-apparatus dims 3 and 2, and a `joint` of two dilations of the eta = 0.8
+apparatus dims 3 and 2, a `joint` of two dilations of the eta = 0.8
 unsharp observable along x, whose meters commute only because the dilation
-completes its isometry covariantly. Keys, strings and booleans must match
-exactly; numbers must agree within NUMBER_TOL. Regenerate a file only when a
+completes its isometry covariantly, and a `sample` of 150000 draws (three
+chunks) from two equal `custom` entries, the dilation of a noisy d=3 POVM
+whose joint table has two zero cells; it pins the sampled counts. Keys,
+strings and booleans must match exactly; numbers must agree within
+NUMBER_TOL. Regenerate a file only when a
 report is meant to change, and say why in the commit.
 """
 
@@ -29,6 +32,7 @@ SCENARIO_DIRS = {
     "oit_nondiagonal_d4": DATA,
     "joint_unequal_apparatus_d3": DATA,
     "joint_unsharp_x": DATA,
+    "sample_noisy_d3": DATA,
 }
 
 

@@ -142,13 +142,18 @@ def test_oit_run_evolves_each_meter_once(monkeypatch):
     root = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
     oit = load_scenario_file(root / "oit_sigma_z.json")
     joint = load_scenario_file(root / "unsharp_eta08.json")
-    custom = load_scenario(scenario_to_json(PLUS, SIGMA_Z_PVM, oit.processes, "oit"))
-    # a von_neumann or dilation pair is one process shared by both observers;
-    # custom entries are built one by one
+    doc = scenario_to_json(PLUS, SIGMA_Z_PVM, oit.processes, "oit")
+    custom = load_scenario(doc)
+    # the second entry's unitary times -1: the same meters from an unequal entry
+    doc["processes"][1]["unitary"]["entries"] = [
+        [-re, -im] for re, im in doc["processes"][1]["unitary"]["entries"]]
+    unequal = load_scenario(doc)
+    # equal entries are one process shared by both observers, unequal ones are built one by one
     assert oit.processes[0] is oit.processes[1]
     assert joint.processes[0] is joint.processes[1]
-    assert custom.processes[0] is not custom.processes[1]
-    for scenario, distinct in ((oit, 0), (joint, 0), (custom, 2)):
+    assert custom.processes[0] is custom.processes[1]
+    assert unequal.processes[0] is not unequal.processes[1]
+    for scenario, distinct in ((oit, 0), (joint, 0), (custom, 1), (unequal, 2)):
         evolved.clear()
         pinched.clear()
         report = run_experiment(scenario)
@@ -695,6 +700,60 @@ def test_sampling_memory_is_bounded_by_the_chunk():
     assert result.counts.sum() == 10**6
     # one chunk of draws is 0.5 MB; all 10^6 draws at once would be 8 MB
     assert peak < 4 * 2**20
+
+
+def _reference_counts(table, n, seed):
+    """The sort-based count: each sorted chunk searched for every inner CDF edge."""
+    edges = np.cumsum(table.ravel())[:-1]
+    rng = np.random.default_rng(seed)
+    below = np.zeros(edges.size, dtype=np.int64)
+    for start in range(0, n, intersubjectivity.SAMPLE_CHUNK):
+        chunk = np.sort(rng.random(min(intersubjectivity.SAMPLE_CHUNK, n - start)))
+        below += np.searchsorted(chunk, edges, side="left")
+    return np.diff(np.concatenate(([0], below, [n]))).reshape(table.shape)
+
+
+def _diagonal_dilations(weights, amplitudes):
+    """A shared dilation of the POVM whose effects are diag(w), w the rows of weights."""
+    weights = np.asarray(weights, dtype=float)
+    povm = Povm(tuple(float(x) for x in range(len(weights))),
+                tuple(np.diag(w).astype(complex) for w in weights), weights.shape[1])
+    psi = np.asarray(amplitudes, dtype=complex)
+    process = dilation_model(povm)
+    return compose(psi / np.linalg.norm(psi), process, process)
+
+
+# table: (scenario, its number of distinct inner CDF edges). The pointer pairs'
+# tables are diagonal, so their zero cells make edges coincide; "many" has two
+# zero cells, (0, 4) and (4, 0), whose rows have disjoint supports.
+EDGE_TABLES = {
+    "none": (lambda: _pointer_pair([2.0], [1.0]), 0),
+    "one": (lambda: _pointer_pair([-1.0, 1.0], [0.6, 0.8j]), 1),
+    "two": (SAMPLER_TABLES["d3"], 2),
+    "eight": (lambda: _diagonal_dilations(
+        [[0.5, 0.2, 0.1], [0.3, 0.3, 0.3], [0.2, 0.5, 0.6]], [1.0, 1.3j, 0.7]), 8),
+    "many": (lambda: _diagonal_dilations(
+        [[0.4, 0.0, 0.0, 0.0], [0.3, 0.2, 0.1, 0.2], [0.2, 0.3, 0.4, 0.1],
+         [0.1, 0.5, 0.5, 0.2], [0.0, 0.0, 0.0, 0.5]], [1.0, 0.9j, -0.8, 0.7]), 22),
+}
+
+
+@pytest.mark.parametrize("table", sorted(EDGE_TABLES))
+@pytest.mark.parametrize("passes", ["module", 0, 10**6])
+def test_sample_counts_match_the_sorted_chunk_count(monkeypatch, table, passes):
+    # passes 0 sorts every table's chunks and 10**6 counts every table by compare passes
+    build, distinct = EDGE_TABLES[table]
+    js = build()
+    probabilities = joint_distribution(js).probabilities
+    assert np.unique(np.cumsum(probabilities.ravel())[:-1]).size == distinct
+    if table == "many":
+        assert distinct > intersubjectivity.SAMPLE_MAX_PASSES  # the module sorts it
+    if passes != "module":
+        monkeypatch.setattr(intersubjectivity, "SAMPLE_MAX_PASSES", passes)
+    for n in (1, 1000, intersubjectivity.SAMPLE_CHUNK + 1):
+        for seed in (0, 7, 2**32 - 1):
+            counts = sample_outcomes(js, n, seed).counts
+            assert np.array_equal(counts, _reference_counts(probabilities, n, seed))
 
 
 def test_joint_distribution_invariant_gates():

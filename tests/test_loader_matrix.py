@@ -10,6 +10,7 @@ exactly 1 for a projective observable.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from conftest import random_hermitian_with_outcomes, random_state, random_unitar
 from qmeasure import (
     Povm,
     Pvm,
+    ValidationError,
     as_povm,
     dilation_model,
     load_scenario,
@@ -120,8 +122,9 @@ def test_every_observable_model_and_experiment(capsys, tmp_path, kind, models, e
     scenario = load_scenario(doc)
     assert scenario.models == models
     if len(models) == 2:
-        # equal model entries share one process object; custom entries never do
-        shared = models[0] == models[1] != "custom"
+        # equal entries, model or custom, share one process object; unequal ones never do
+        shared = doc["processes"][0] == doc["processes"][1]
+        assert shared == (models[0] == models[1])
         assert (scenario.processes[0] is scenario.processes[1]) == shared
     if EXPERIMENTS[experiment].needs_pvm:
         assert isinstance(scenario.observable, Pvm)
@@ -145,3 +148,84 @@ def test_every_observable_model_and_experiment(capsys, tmp_path, kind, models, e
         assert abs(results["analytic_agreement"] - _agreement(psi, povm)) <= 1e-9
         assert np.sum(results["counts"]) == 500
 
+
+# a trivial process on a qubit, written with JSON integers: K is one-dimensional,
+# the interaction is the identity and the meter has one outcome
+TRIVIAL = {"model": "custom", "apparatus_dim": 1, "xi": [[1, 0]],
+           "unitary": {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]},
+           "meter": {"dim": 1, "outcomes": [0],
+                     "projectors": [{"rows": 1, "cols": 1, "entries": [[1, 0]]}]}}
+
+
+def _trivial_pair(path=(), value=None):
+    """A joint document of two TRIVIAL entries, the second with value at path."""
+    second = json.loads(json.dumps(TRIVIAL))
+    if path:
+        node = second
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return {"schema_version": "1", "system": {"dim": 2, "state": [[0.6, 0], [0, 0.8]]},
+            "observable": {"pvm": {"dim": 2, "outcomes": [0, 1], "projectors": [
+                {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+                {"rows": 2, "cols": 2, "entries": [[0, 0], [0, 0], [0, 0], [1, 0]]}]}},
+            "processes": [TRIVIAL, second], "experiment": "joint"}
+
+
+def _run_error(capsys, tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    return err
+
+
+# a second entry == to the first, since True == 1, but not the same JSON value
+TYPE_VARIANTS = [
+    (("apparatus_dim",), True, "processes[1].apparatus_dim: must be a positive integer, got True"),
+    (("meter", "projectors", 0, "rows"), True,
+     "processes[1].meter.projectors[0]: rows must be a positive integer, got True"),
+    (("xi", 0), [True, 0],
+     "processes[1].xi[0]: entries of a [re, im] pair must be numbers, got [True, 0]"),
+    (("unitary", "entries", 0), [True, 0],
+     "processes[1].unitary.entries[0]: entries of a [re, im] pair must be numbers, got [True, 0]"),
+]
+
+
+@pytest.mark.parametrize("path,value,error", TYPE_VARIANTS,
+                         ids=[".".join(map(str, path)) for path, _, _ in TYPE_VARIANTS])
+def test_an_entry_equal_only_under_python_equality_is_checked_on_its_own(
+        capsys, tmp_path, path, value, error):
+    doc = _trivial_pair(path, value)
+    assert doc["processes"][1] == doc["processes"][0]
+    assert _run_error(capsys, tmp_path, doc).startswith(f"error: {error}")
+
+
+def test_an_entry_unequal_in_one_unitary_entry_is_checked_on_its_own(capsys, tmp_path):
+    doc = _trivial_pair(("unitary", "entries", 3), [0.5, 0])
+    assert _run_error(capsys, tmp_path, doc).startswith(
+        "error: processes[1]: interaction operator must be unitary")
+
+
+def test_an_entry_pickle_cannot_encode_is_checked_on_its_own():
+    with pytest.raises(ValidationError,
+                       match=re.escape("processes[1].apparatus_dim: must be a positive integer")):
+        load_scenario(_trivial_pair(("apparatus_dim",), lambda: 1))
+    deep = []
+    for _ in range(5000):  # past the recursion limit of pickle
+        deep = [deep]
+    with pytest.raises(ValidationError, match=re.escape("processes[1].meter: expected an object")):
+        load_scenario(_trivial_pair(("meter",), deep))
+
+
+def test_equal_entries_share_a_process_and_types_or_zero_signs_that_differ_do_not():
+    scenario = load_scenario(_trivial_pair())
+    assert scenario.processes[0] is scenario.processes[1]
+    # 1.0 == 1 and -0.0 == 0: valid, but not the same JSON value, so built on their own
+    for path, value in ((("xi", 0), [1.0, 0]), (("unitary", "entries", 1), [-0.0, 0])):
+        doc = _trivial_pair(path, value)
+        assert doc["processes"][1] == doc["processes"][0]
+        scenario = load_scenario(doc)
+        assert scenario.processes[0] is not scenario.processes[1]
+        assert run_experiment(scenario)["results"]["joint_table"] == [[1.0]]
