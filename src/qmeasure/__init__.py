@@ -40,7 +40,6 @@ from .measurement import (
     ReproducibilityReport,
     check_reproducibility,
     dilation_model,
-    evolve_meter,
     induced_povm,
     von_neumann_model,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "check_reproducibility",
     "compose",
     "dilation_model",
-    "evolve_meter",
     "induced_povm",
     "is_hermitian",
     "is_projective",

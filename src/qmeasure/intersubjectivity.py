@@ -73,11 +73,11 @@ class JointScenario:
     commuting is the one locality verdict, made with the commutation_tol
     compose was given. compose passes the private arrays, which
     dataclasses.replace copies: _meters, each side's (n, D, D) evolved
-    meter as evolve_meter gives it, read only by max_commutator_norm, and
-    _effects, both sides' (1, n, d, d) induced effects on H. A pair decided
-    on H (see _pair_kernel) has no _meters: a pointer pair's commutator_bound
-    is the exact max_commutator_norm, and any other pair's meters are
-    evolved from its processes when the exact norm is first read.
+    meter from measurement._evolved_meters, read only by max_commutator_norm,
+    and _effects, both sides' (1, n, d, d) induced effects on H. A pair
+    decided on H (see _pair_kernel) has no _meters: a pointer pair's
+    commutator_bound is the exact max_commutator_norm, and any other pair's
+    meters are evolved from its processes when the exact norm is first read.
     """
 
     psi: np.ndarray
@@ -220,33 +220,27 @@ def _pair_kernel(side1: tuple, side2: tuple, d_sys: int, commutation_tol: float)
 
     A side is a callable that builds its (m, D, D) interaction stack, its
     meter, its apparatus state and a model's stacked measurement._Instrument,
-    else None. When both sides hold one, the pair is decided on H, with the
-    recorded effects as its effects and () as meters, if it is a pointer
-    pair (its bounds are the exact norms) or if every bound from the Kraus
-    roots (_instrument_bounds) is within commutation_tol. Otherwise the
-    stages run in compose's order: _evolved_meters (only now is an
-    interaction stack built), _span_bounds, _pinch; a point whose bound from
-    the roots is within commutation_tol keeps its recorded effects and that
-    bound, as compose gives them for that point. side2 is side1 for a
+    else None. When both sides hold one, the whole stack is decided on H,
+    with the recorded effects as its effects and () as meters, if it is a
+    pointer pair (its bounds are the exact norms) or if every bound from the
+    Kraus roots (_instrument_bounds) is within commutation_tol. Otherwise the
+    whole stack takes the compound path, in compose's order:
+    _evolved_meters (only now is an interaction stack built), _span_bounds,
+    _pinch. compose runs one point (m = 1); the eta sweep's points all have
+    one bound from the roots, so no stack is split. side2 is side1 for a
     process both observers share, whose meters are then evolved, spanned
     and pinched once: e2 is e1 and f2 is f1.
     """
     r1, r2 = side1[3], side2[3]
-    on_h = None
     if r1 is not None and r2 is not None:
-        h_bounds = _instrument_bounds(r1, r2, d_sys)
-        on_h = None if r1.factors * r2.factors == 1 else h_bounds <= commutation_tol
-        if on_h is None or on_h.all():
-            return (), r1.effects, r2.effects, h_bounds
+        bounds = _instrument_bounds(r1, r2, d_sys)
+        if r1.factors * r2.factors == 1 or (bounds <= commutation_tol).all():
+            return (), r1.effects, r2.effects, bounds
     sides = (side1,) if side2 is side1 else (side1, side2)
     evolved = [_evolved_meters(build(), meter, d_sys) for build, meter, *_ in sides]
     bounds = _span_bounds(evolved[0], evolved[-1], d_sys)
     effects = [_pinch(e, xi) for e, (_, _, xi, _) in zip(evolved, sides)]
-    f1, f2 = effects[0], effects[-1]
-    if on_h is not None and on_h.any():
-        bounds = np.where(on_h, h_bounds, bounds)
-        f1, f2 = (np.where(on_h[:, None, None, None], r.effects, f) for r, f in ((r1, f1), (r2, f2)))
-    return (evolved[0], evolved[-1]), f1, f2, bounds
+    return (evolved[0], evolved[-1]), effects[0], effects[-1], bounds
 
 
 def _instrument_bounds(r1: _Instrument, r2: _Instrument, d_sys: int) -> np.ndarray:
@@ -535,7 +529,8 @@ def sample_outcomes(scenario: JointScenario, n: int, seed: int) -> SampleResult:
     holds exactly (draws below edge j) - (draws below edge j-1): the counts
     equal a per-draw lookup's. The generator yields the same stream in
     chunks as in one call, so the counts do not depend on the chunk size,
-    and memory is bounded by the chunk, not by n. Cells with zero analytic
+    and memory is bounded by the chunk, not by n. A one-cell table has no
+    edge and draws nothing: its count is n. Cells with zero analytic
     probability are never drawn. A scenario that is not commuting raises
     NonCommutingMetersError, as in joint_distribution.
     """
@@ -546,8 +541,9 @@ def sample_outcomes(scenario: JointScenario, n: int, seed: int) -> SampleResult:
     edges, slot = np.unique(np.cumsum(dist.probabilities.ravel())[:-1], return_inverse=True)
     rng = np.random.default_rng(seed)
     below = np.zeros(edges.size, dtype=np.int64)
-    for start in range(0, n, SAMPLE_CHUNK):
-        chunk = rng.random(min(SAMPLE_CHUNK, n - start))
+    drawn = n if edges.size else 0  # a one-cell table has no edge: every draw lands in it
+    for start in range(0, drawn, SAMPLE_CHUNK):
+        chunk = rng.random(min(SAMPLE_CHUNK, drawn - start))
         if edges.size > SAMPLE_MAX_PASSES:
             chunk.sort()
             below += np.searchsorted(chunk, edges, side="left")

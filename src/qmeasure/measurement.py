@@ -126,15 +126,6 @@ def _evolved_meters(interactions: np.ndarray, meter: Pvm, system_dim: int) -> np
     return evolved
 
 
-def evolve_meter(process: MeasurementProcess) -> Pvm:
-    """Heisenberg-evolved meter: E(x) = U^dag (I x E_M(x)) U on system x apparatus.
-
-    The one-process case of _evolved_meters; the Pvm is derived and trusted.
-    """
-    evolved = _evolved_meters(process.interaction[None], process.meter, process.system_dim)
-    return _derived(Pvm, process.meter.outcomes, evolved[0], process.total_dim)
-
-
 def _pinch(evolved: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Hermitian part of Pi(x) = <xi|E(x)|xi> for each meter of an (m, n, D, D) evolved stack."""
     m, n, total, _ = evolved.shape
@@ -209,9 +200,9 @@ def _model_process(system_dim: int, outcomes, stack: tuple) -> MeasurementProces
 
     Only for the constructive models below, whose interaction on system x
     apparatus is unitary by construction, on the _pointer apparatus. stack
-    is a one-point _pointer_stack or _dilation_stack; the process keeps its
-    instrument as the private record _instrument, which the checking
-    constructor always clears.
+    is the builder of a one-point interaction stack and its _Instrument, as
+    _dilation_stack returns them; the process keeps the instrument as the
+    private record _instrument, which the checking constructor always clears.
     """
     build, instrument = stack
     xi, meter = _pointer(outcomes)
@@ -233,12 +224,6 @@ def _pointer_unitaries(projectors: np.ndarray) -> np.ndarray:
     return u.reshape(m, d * n, d * n)
 
 
-def _pointer_stack(projectors: np.ndarray) -> tuple:
-    """The builder of _pointer_unitaries and the _Instrument of an (m, n, d, d) projector stack."""
-    # E(x)[a, c] = delta_ac P_(x-a): each meter block is one projector
-    return partial(_pointer_unitaries, projectors), _Instrument(projectors, projectors, 1)
-
-
 def von_neumann_model(target: Pvm) -> MeasurementProcess:
     """Pointer model realizing an accurate observable.
 
@@ -247,11 +232,13 @@ def von_neumann_model(target: Pvm) -> MeasurementProcess:
     outcome (a unitary, since the eigenspace projectors are orthogonal and
     complete). It is the one-PVM case of _pointer_unitaries. The process is
     derived and trusted. It induces the target exactly; its recorded
-    instrument has the projectors as effects and as roots.
+    instrument has the projectors as effects and as roots, since each block
+    of its evolved meter is one projector: E(x)[a, c] = delta_ac P_(x-a).
     """
     _check_dim(target.dim * len(target.outcomes))
-    projectors = _frozen(np.array(target.projectors))
-    return _model_process(target.dim, target.outcomes, _pointer_stack(projectors[None]))
+    projectors = _frozen(np.array(target.projectors))[None]
+    stack = partial(_pointer_unitaries, projectors), _Instrument(projectors, projectors, 1)
+    return _model_process(target.dim, target.outcomes, stack)
 
 
 def _dilation_unitaries(roots: np.ndarray) -> np.ndarray:

@@ -55,7 +55,6 @@ from .measurement import (
     MeasurementProcess,
     _dilation_stack,
     _pointer,
-    _pointer_stack,
     check_reproducibility,
     dilation_model,
     induced_povm,
@@ -200,12 +199,6 @@ def _build_observable(data, dim: int, cluster_tol: float):
     return kind, unsharp_qubit_povm(float(eta))
 
 
-def _von_neumann_target(pvm: Optional[Pvm], where: str) -> Pvm:
-    """The PVM a von_neumann model realizes; None, a noisy observable's, raises ValidationError."""
-    _require(pvm is not None, f"{where}: the von_neumann model needs a projective observable")
-    return pvm
-
-
 def _build_process(entry, index: int, observable, pvm: Optional[Pvm], system_dim: int):
     """One checked process; pvm is the observable's PVM when the load needs one, else None."""
     where = f"processes[{index}]"
@@ -217,7 +210,8 @@ def _build_process(entry, index: int, observable, pvm: Optional[Pvm], system_dim
         if model == "dilation":
             povm = as_povm(observable) if isinstance(observable, Pvm) else observable
             return dilation_model(povm)
-        return von_neumann_model(_von_neumann_target(pvm, where))
+        _require(pvm is not None, f"{where}: the von_neumann model needs a projective observable")
+        return von_neumann_model(pvm)
     if model == "custom":
         fields = ("model", "apparatus_dim", "xi", "unitary", "meter")
         _check_keys(entry, fields, fields, where)
@@ -484,25 +478,25 @@ def sweep_agreement(scenario: Scenario, etas):
     """Agreement probability as a function of the unsharpness eta.
 
     At each eta the observable is unsharp_qubit_povm(eta), realized by the
-    scenario's derived models, so only the unsharp family with derived
-    models (not custom interactions, which do not depend on eta) can be
-    swept. Only a von_neumann model asks whether the observable is projective.
+    scenario's dilation models. Only the unsharp family with dilation
+    models can be swept: a custom interaction does not depend on eta, and
+    a von_neumann model realizes the unsharp POVM only where it is
+    projective, at eta = 1.
 
     The etas are checked one by one, and each run of SWEEP_CHUNK checked
     etas is evaluated in one stacked pass (see _sweep_chunk), so memory is
     bounded by the chunk, not by the number of etas. Errors come in the
     order a point-by-point loop gives them: a point's locality or table
-    error before any later eta's, and the error of an eta that fails its
-    check (out of range, or noisy for a von_neumann model) only after
-    every eta before it has been evaluated.
+    error before any later eta's, and the error of an eta out of range only
+    after every eta before it has been evaluated.
     """
     _require(
         scenario.kind == "unsharp",
         "sweep: only the unsharp observable has an eta to sweep",
     )
     _require(
-        all(m != "custom" for m in scenario.models),
-        "sweep: custom processes do not depend on eta and cannot be swept",
+        all(m == "dilation" for m in scenario.models),
+        "sweep: only dilation models depend on eta and can be swept",
     )
     _require(
         len(scenario.processes) == 2,
@@ -511,8 +505,8 @@ def sweep_agreement(scenario: Scenario, etas):
     rows, chunk, error = [], [], None
     for eta in etas:
         try:
-            chunk.append(_swept_eta(eta, scenario.models))
-        except (ParameterError, ValidationError) as exc:  # raised after the etas before it
+            chunk.append(_checked_eta(eta))
+        except ParameterError as exc:  # raised after the etas before it
             error = exc
             break
         if len(chunk) == SWEEP_CHUNK:
@@ -525,36 +519,22 @@ def sweep_agreement(scenario: Scenario, etas):
     return rows
 
 
-def _swept_eta(eta, models) -> float:
-    """eta as a float, checked as unsharp_qubit_povm and the loader's von_neumann entry check it."""
-    eta = _checked_eta(eta)
-    if "von_neumann" in models:
-        where = f"processes[{models.index('von_neumann')}]"
-        _von_neumann_target(_projective_pvm(unsharp_qubit_povm(eta)), where)
-    return eta
-
-
 def _sweep_chunk(scenario: Scenario, etas: list) -> list:
     """The (eta, agreement) rows of checked etas, from one stacked pass.
 
-    The von_neumann model's PVM is the unsharp POVM itself, so one effect
-    stack feeds both models: it is the effects of both sides' recorded
-    instruments, and the von_neumann side's roots; the dilation side's
-    roots are taken once. Each model's side (the builder of its interaction
-    stack, the pointer meter, start state and instrument) is made once, and
-    a model both entries name passes one side, as the loader shares a model
-    process. An interaction stack is built only for a chunk that the
-    instruments do not decide on H (see intersubjectivity._pair_kernel).
+    The loader shares one dilation process between both entries, so one
+    side (the builder of the interaction stack, the pointer meter, start
+    state and instrument, from one _dilation_stack of the chunk's effects)
+    is passed as both. The chunk is decided on H as a whole or not at all
+    (see intersubjectivity._pair_kernel): every unsharp point has diagonal
+    effects and roots, so every point's bound from the roots is the same.
+    An interaction stack is built only when that bound is over the
+    commutation tolerance.
     """
-    effects = _unsharp_effects(etas)
     xi, meter = _pointer(scenario.observable.outcomes)
-    stacks = {"dilation": _dilation_stack, "von_neumann": _pointer_stack}
-    sides = {}
-    for model in set(scenario.models):
-        build, instrument = stacks[model](effects)
-        sides[model] = (build, meter, xi, instrument)
-    agreements = _model_agreements(scenario.psi, *(sides[m] for m in scenario.models),
-                                   scenario.tolerances["commutation"])
+    build, instrument = _dilation_stack(_unsharp_effects(etas))
+    side = (build, meter, xi, instrument)
+    agreements = _model_agreements(scenario.psi, side, side, scenario.tolerances["commutation"])
     return list(zip(etas, agreements.tolist()))
 
 

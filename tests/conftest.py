@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from qmeasure import MeasurementProcess, Povm, Pvm
+from qmeasure import MeasurementProcess, Povm, Pvm, measurement
+from qmeasure.observables import _derived
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -114,3 +115,14 @@ def as_custom(process):
     """
     return MeasurementProcess(process.system_dim, process.apparatus_dim,
                               process.apparatus_state, process.interaction, process.meter)
+
+
+def evolved_meter(process):
+    """E(x) = U^dag (I x E_M(x)) U on system x apparatus, as a derived Pvm.
+
+    The one-process case of measurement._evolved_meters, the stack compose
+    keeps as a scenario's private meters.
+    """
+    evolved = measurement._evolved_meters(process.interaction[None], process.meter,
+                                          process.system_dim)
+    return _derived(Pvm, process.meter.outcomes, evolved[0], process.total_dim)

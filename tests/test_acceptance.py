@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    evolved_meter,
     random_hermitian_with_outcomes,
     random_povm,
     random_process,
@@ -27,7 +28,6 @@ from qmeasure import (
     check_reproducibility,
     compose,
     dilation_model,
-    evolve_meter,
     induced_povm,
     is_projector,
     joint_distribution,
@@ -128,7 +128,7 @@ def test_criterion_5_born_rule_consistency():
             process = random_process(rng, d_sys, d_app)
             psi = random_state(rng, d_sys)
             xi = process.apparatus_state
-            direct = born_povm(as_povm(evolve_meter(process)), np.kron(psi, xi))
+            direct = born_povm(as_povm(evolved_meter(process)), np.kron(psi, xi))
             indirect = born_povm(induced_povm(process), psi)
             assert direct.outcomes == indirect.outcomes
             worst = max(abs(a - b) for a, b in
@@ -184,7 +184,7 @@ def test_criterion_7_structural_invariant_suite():
         for seed in range(200):
             rng = np.random.default_rng(1200 + seed)
             process = random_process(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)))
-            evolved = evolve_meter(process)
+            evolved = evolved_meter(process)
             assert all(is_projector(p) for p in evolved.projectors)
             assert max_abs(sum(evolved.projectors) - np.eye(evolved.dim)) < 1e-9
             # derived objects are built unchecked: run the public constructors' checks

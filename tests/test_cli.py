@@ -427,12 +427,11 @@ def test_sweep_with_pointer_models_needs_a_sharp_eta(capsys, tmp_path):
     doc = _bundled(UNSHARP_SCENARIO, observable={"unsharp": {"eta": 1.0}},
                    processes=[{"model": "von_neumann"}, {"model": "von_neumann"}])
     path = _write(tmp_path, doc)
-    code, out, _ = _run(capsys, "sweep", path, "--param", "eta", "--values", "1")
-    assert code == 0
-    assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(1.0, abs=1e-12)
-    code, _, err = _run(capsys, "sweep", path, "--param", "eta", "--values", "1,0.5")
-    assert code == 2
-    assert "von_neumann" in err
+    # a pointer model realizes the unsharp POVM only at eta = 1, so it is refused up front
+    for values in ("1", "1,0.5"):
+        code, out, err = _run(capsys, "sweep", path, "--param", "eta", "--values", values)
+        assert (code, out) == (2, "")
+        assert "sweep: only dilation models depend on eta and can be swept" in err
 
 
 def test_sweep_rejects_non_sweepable_scenario(capsys):

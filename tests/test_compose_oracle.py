@@ -24,6 +24,7 @@ from conftest import (
     PAULI_X,
     as_custom,
     controlled_process,
+    evolved_meter,
     random_hermitian_with_outcomes,
     random_labels,
     random_povm,
@@ -41,7 +42,6 @@ from qmeasure import (
     Pvm,
     compose,
     dilation_model,
-    evolve_meter,
     induced_povm,
     intersubjectivity,
     joint_distribution,
@@ -73,24 +73,33 @@ def dense(op, d, k_own, k_other, own_first):
     return full.reshape(size, size)
 
 
-def dense_meters(psi, p1, p2):
-    """Both evolved meters on H x K1 x K2, and the product state psi x xi1 x xi2."""
+def dense_products(psi, p1, p2):
+    """[x, y] = E1(x) E2(y) on H x K1 x K2, one stacked product, and Psi = psi x xi1 x xi2."""
     d, d1, d2 = psi.shape[0], p1.apparatus_dim, p2.apparatus_dim
-    e1 = [dense(p, d, d1, d2, True) for p in evolve_meter(p1).projectors]
-    e2 = [dense(p, d, d2, d1, False) for p in evolve_meter(p2).projectors]
-    return e1, e2, np.kron(np.kron(psi, p1.apparatus_state), p2.apparatus_state)
+    e1 = np.array([dense(p, d, d1, d2, True) for p in evolved_meter(p1).projectors])
+    e2 = np.array([dense(p, d, d2, d1, False) for p in evolved_meter(p2).projectors])
+    state = np.kron(np.kron(psi, p1.apparatus_state), p2.apparatus_state)
+    return e1[:, None] @ e2[None], state
+
+
+def _table(products, state):
+    return np.array([[np.vdot(state, ab @ state) for ab in row] for row in products])
 
 
 def dense_table(psi, p1, p2):
     """The complex <Psi|E1(x) E2(y)|Psi>, meters commuting or not."""
-    e1, e2, state = dense_meters(psi, p1, p2)
-    return np.array([[np.vdot(state, a @ b @ state) for b in e2] for a in e1])
+    return _table(*dense_products(psi, p1, p2))
 
 
 def dense_reference(psi, p1, p2):
-    e1, e2, _ = dense_meters(psi, p1, p2)
-    worst = max(np.max(np.abs(a @ b - b @ a)) for a in e1 for b in e2)
-    return worst, dense_table(psi, p1, p2).real
+    """The largest entry of any dense commutator [E1(x), E2(y)], and the real dense table.
+
+    The meters are built once. They are Hermitian, so [a, b] = ab - (ab)^dag
+    and every commutator comes from the one stacked product.
+    """
+    products, state = dense_products(psi, p1, p2)
+    worst = np.max(np.abs(products - products.conj().swapaxes(2, 3)))
+    return worst, _table(products, state).real
 
 
 @pytest.fixture
@@ -285,7 +294,7 @@ def test_pointer_pairs_on_h_match_the_compound_path(d, commuting):
             c1 = as_custom(p1)
             compound = compose(psi, c1, c1 if p2 is p1 else as_custom(p2))
             assert js._meters == () and len(compound._meters) == 2
-            meters = [np.array(evolve_meter(p).projectors) for p in (p1, p2)]
+            meters = [np.array(evolved_meter(p).projectors) for p in (p1, p2)]
             exact = intersubjectivity._max_commutator_norm(*meters, d)
             assert js.commutator_bound == js.max_commutator_norm
             assert abs(js.commutator_bound - exact) <= 1e-14, (n, len(b))
@@ -444,7 +453,7 @@ def test_truncated_bound_of_pointer_models(d):
         pvm = random_pvm(rng, d, n)
         p, p_copy = as_custom(von_neumann_model(pvm)), as_custom(von_neumann_model(pvm))
         psi = random_state(rng, d)
-        kept, _, dropped = _block_span(np.array(evolve_meter(p).projectors)[None], d)
+        kept, _, dropped = _block_span(np.array(evolved_meter(p).projectors)[None], d)
         assert kept.shape == (1, n)
         assert dropped[0] < 1e-20  # rounding residue only
         for other in (p, p_copy):  # shared process, then a distinct equal one
@@ -524,7 +533,7 @@ def test_span_of_a_tall_stack_is_taken_from_its_qr_factor(monkeypatch, d, family
     # the bound equal the plain svd's, and only tall, wide enough stacks take the qr
     rng = np.random.default_rng(800 + 10 * d + m)
     sides = [_span_family(rng, family, d, m) for _ in range(2)]
-    e1, e2 = (np.array([evolve_meter(p).projectors for p in side]) for side in sides)
+    e1, e2 = (np.array([evolved_meter(p).projectors for p in side]) for side in sides)
     total = e1.shape[2]
     stacked = intersubjectivity._blocks(e1.reshape(-1, total, total), d).reshape(m, -1, d * d)
     rows, cols = stacked.shape[1:]

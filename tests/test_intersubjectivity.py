@@ -10,6 +10,7 @@ from conftest import (
     PAULI_X,
     as_custom,
     controlled_process,
+    evolved_meter,
     pointer_meter,
     random_hermitian_with_outcomes,
     random_labels,
@@ -34,7 +35,6 @@ from qmeasure import (
     check_reproducibility,
     compose,
     dilation_model,
-    evolve_meter,
     induced_povm,
     intersubjectivity,
     is_projective,
@@ -98,7 +98,7 @@ def test_compose_embedded_meters_pass_the_pvm_checks():
     assert len(js._meters) == 2
     for meters, process in zip(js._meters, (p1, p2)):
         assert process.total_dim == 2 * process.apparatus_dim
-        assert np.array_equal(meters, np.array(evolve_meter(process).projectors))
+        assert np.array_equal(meters, np.array(evolved_meter(process).projectors))
         Pvm(process.meter.outcomes, meters, process.total_dim)
 
 
@@ -185,16 +185,12 @@ def _refuse_compound_stages(monkeypatch):
 
 def test_pointer_pair_runs_build_nothing_on_the_compound_space(monkeypatch):
     # two von_neumann models are decided on H: no evolved meter, span bound,
-    # pinch or pair loop, for compose and for the eta sweep alike
+    # pinch or pair loop
     _refuse_compound_stages(monkeypatch)
     doc = json.loads((ROOT / "scenarios" / "oit_sigma_z.json").read_text())
     for experiment in ("oit", "joint", "sample"):
         diagnostics = run_experiment(load_scenario({**doc, "experiment": experiment}))["diagnostics"]
         assert (diagnostics["commuting"], diagnostics["max_commutator_norm"]) == (True, 0.0)
-    sweep = json.loads((ROOT / "scenarios" / "unsharp_eta08.json").read_text())
-    sweep["processes"] = [{"model": "von_neumann"}] * 2
-    sweep["observable"] = {"unsharp": {"eta": 1.0}}
-    assert sweep_agreement(load_scenario(sweep), [1.0, 1.0]) == [(1.0, 1.0)] * 2
 
 
 def test_a_pointer_model_reproduces_from_its_record(monkeypatch):
@@ -257,7 +253,7 @@ def _commuting_model_pairs(rng, d):
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_max_commutator_norm_of_a_pair_decided_on_h_is_the_exact_loop(d):
     # a dilation or mixed pair decided on H keeps no meters; its exact norm evolves
-    # both processes' meters on first read, bit for bit the loop over evolve_meter's
+    # both processes' meters on first read, bit for bit the loop over _evolved_meters'
     rng = np.random.default_rng(50 + d)
     for p1, p2 in _commuting_model_pairs(rng, d):
         js = compose(random_state(rng, d), p1, p2)
@@ -700,6 +696,27 @@ def test_sampling_memory_is_bounded_by_the_chunk():
     assert result.counts.sum() == 10**6
     # one chunk of draws is 0.5 MB; all 10^6 draws at once would be 8 MB
     assert peak < 4 * 2**20
+
+
+def test_a_one_cell_table_is_counted_without_drawing(monkeypatch):
+    # a one-outcome observable's 1 x 1 table has no inner CDF edge: every draw
+    # lands in its one cell, so the count is n and no uniform is drawn
+    drawn, default_rng = [], np.random.default_rng
+
+    class CountingRng:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def random(self, size):
+            drawn.append(size)
+            return self._rng.random(size)
+
+    one_cell, d3 = _pointer_pair([2.0], [1.0]), SAMPLER_TABLES["d3"]()
+    monkeypatch.setattr(np.random, "default_rng", CountingRng)
+    assert sample_outcomes(one_cell, 10**6, seed=4).counts.tolist() == [[10**6]]
+    assert drawn == []
+    assert sample_outcomes(d3, 3, seed=4).counts.sum() == 3
+    assert drawn == [3]
 
 
 def _reference_counts(table, n, seed):

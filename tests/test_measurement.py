@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    evolved_meter,
     pointer_meter,
     random_hermitian_with_outcomes,
     random_povm,
@@ -22,7 +23,6 @@ from qmeasure import (
     born_povm,
     check_reproducibility,
     dilation_model,
-    evolve_meter,
     induced_povm,
     is_projective,
     is_unitary,
@@ -69,7 +69,7 @@ def test_von_neumann_sigma_z_artifacts():
         [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex
     )
     assert max_abs(process.interaction - expected_u) < 1e-12
-    evolved = evolve_meter(process)
+    evolved = evolved_meter(process)
     assert max_abs(evolved.projectors[1] - np.diag([1.0, 0, 0, 1.0])) < 1e-12
     assert max_abs(evolved.projectors[0] - np.diag([0, 1.0, 1.0, 0])) < 1e-12
     induced = induced_povm(process)
@@ -97,7 +97,7 @@ def test_meter_distribution_matches_born_of_induced(seed):
     rng = np.random.default_rng(seed)
     process = random_process(rng, 3, 2)
     psi = random_state(rng, 3)
-    direct = born_povm(as_povm(evolve_meter(process)), np.kron(psi, process.apparatus_state))
+    direct = born_povm(as_povm(evolved_meter(process)), np.kron(psi, process.apparatus_state))
     via_povm = born_povm(induced_povm(process), psi)
     assert direct.outcomes == via_povm.outcomes
     assert direct.probabilities == pytest.approx(via_povm.probabilities, abs=1e-10)
@@ -217,7 +217,7 @@ def test_dilation_respects_dimension_cap():
 
 def test_evolved_meter_projectors_are_projectors():
     process = dilation_model(unsharp_qubit_povm(0.6))
-    evolved = evolve_meter(process)
+    evolved = evolved_meter(process)
     assert evolved.dim == process.total_dim
     assert is_projective(as_povm(evolved))
     # evolved meters are built unchecked; the public constructor checks them here
@@ -310,7 +310,7 @@ def _pvm(rng, dim, n):
 
 
 def _assert_evolved_like_the_loop(process):
-    for fast, slow in zip(evolve_meter(process).projectors, _loop_evolved(process)):
+    for fast, slow in zip(evolved_meter(process).projectors, _loop_evolved(process)):
         _assert_same_bits(fast, slow)
 
 
@@ -366,5 +366,5 @@ def test_builders_take_one_eigh_per_call(monkeypatch):
     dilation_model(povm)
     assert calls == [(4, 3, 3)]
     calls.clear()
-    evolve_meter(process)
+    evolved_meter(process)
     assert calls == [(4, 4, 4)]

@@ -19,7 +19,6 @@ from qmeasure import (
     PAULI_Z,
     NonCommutingMetersError,
     ParameterError,
-    Povm,
     Pvm,
     agreement_probability,
     compose,
@@ -29,6 +28,7 @@ from qmeasure import (
     joint_distribution,
     load_scenario,
     measurement,
+    observables,
     pvm_from_observable,
     scenario,
     sweep_agreement,
@@ -43,8 +43,6 @@ UNSHARP_SCENARIO = REPO / "scenarios" / "unsharp_eta08.json"
 STATES = {"ground": [[1.0, 0.0], [0.0, 0.0]], "complex": [[0.6, 0.0], [0.0, 0.8]]}
 # the endpoints, the smallest subnormal, the largest double below 1, and 99 interior points
 GRID = [0.0, 1.0, 5e-324, 1 - 1e-16] + np.random.default_rng(5).uniform(0, 1, 99).tolist()
-SHARP_MODELS = [("von_neumann", "von_neumann"), ("dilation", "von_neumann"),
-                ("von_neumann", "dilation")]
 
 
 def _doc(models=("dilation", "dilation"), state="ground", eta=0.8):
@@ -79,14 +77,19 @@ def test_stacked_sweep_equals_the_point_by_point_loop(state):
     assert sweep_agreement(sc, GRID) == point_by_point(sc, GRID)
 
 
-@pytest.mark.parametrize("models", SHARP_MODELS)
 @pytest.mark.parametrize("state", sorted(STATES))
-def test_sharp_sweeps_equal_the_point_by_point_loop(models, state):
-    sc = load_scenario(_doc(models, state, eta=1.0))
-    etas = [1.0, 1 - 1e-10, 1.0]  # 1 - 1e-10 is projective within OP_TOL
-    rows = sweep_agreement(sc, etas)
-    assert rows == point_by_point(sc, etas)
-    assert rows[0][1] == 1.0
+def test_a_sweep_stack_has_one_bound_from_the_roots(state):
+    # the unsharp effects and their roots are diagonal, so every point of a dilation
+    # pair's stack has the same bound from the roots, and _pair_kernel decides the
+    # stack on H whole or not at all; at tolerance 0, under that bound, every point
+    # takes the compound path and still reads what compose gives it alone
+    instrument = measurement._dilation_stack(observables._unsharp_effects(GRID))[1]
+    bounds = intersubjectivity._instrument_bounds(instrument, instrument, 2)
+    assert np.unique(bounds).size == 1
+    sc = load_scenario(_doc(state=state))
+    exact = dataclasses.replace(sc, tolerances={**sc.tolerances, "commutation": 0.0})
+    assert 0.0 < bounds[0]
+    assert sweep_agreement(exact, GRID) == point_by_point(exact, GRID)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, scenario.SWEEP_CHUNK])
@@ -105,7 +108,6 @@ def test_sweep_composes_no_point_on_its_own(monkeypatch):
     for name in ("compose", "dilation_model", "von_neumann_model"):
         monkeypatch.setattr(scenario, name, refuse)
     monkeypatch.setattr(intersubjectivity, "compose", refuse)
-    monkeypatch.setattr(measurement, "evolve_meter", refuse)
     assert len(sweep_agreement(sc, GRID)) == len(GRID)
 
 
@@ -116,7 +118,7 @@ def _cli(capsys, path, values):
 
 
 ETA_ERROR = "error: sharpness eta must lie in [0, 1], got {}\n"
-NOISY_ERROR = "error: processes[0]: the von_neumann model needs a projective observable\n"
+MODEL_ERROR = "error: sweep: only dilation models depend on eta and can be swept\n"
 
 
 @pytest.mark.parametrize(
@@ -125,23 +127,23 @@ NOISY_ERROR = "error: processes[0]: the von_neumann model needs a projective obs
         (("dilation", "dilation"), "0.5,1.2", 2, ETA_ERROR.format("1.2")),
         (("dilation", "dilation"), "1.2,0.5", 2, ETA_ERROR.format("1.2")),
         (("dilation", "dilation"), "nan", 2, ETA_ERROR.format("nan")),
-        (("von_neumann", "von_neumann"), "1,0.5", 2, NOISY_ERROR),
-        (("von_neumann", "von_neumann"), "0.5,1", 2, NOISY_ERROR),
-        (("dilation", "von_neumann"), "1,0.5",
-         2, NOISY_ERROR.replace("processes[0]", "processes[1]")),
+        (("von_neumann", "von_neumann"), "1,0.5", 2, MODEL_ERROR),
+        (("von_neumann", "von_neumann"), "0.5,1", 2, MODEL_ERROR),
+        (("dilation", "von_neumann"), "1,0.5", 2, MODEL_ERROR),
     ],
 )
 def test_sweep_errors_are_the_recorded_ones(capsys, tmp_path, models, values, code, err):
-    # exit codes and messages recorded from the point-by-point implementation
+    # exit codes and messages recorded from the point-by-point implementation; a
+    # von_neumann entry is refused before any eta
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(_doc(models, eta=1.0)))
     assert _cli(capsys, path, values) == (code, "", err)
 
 
-@pytest.mark.parametrize("models", [("dilation", "dilation"), *SHARP_MODELS])
+@pytest.mark.parametrize("models", [("dilation", "dilation")])
 def test_sweep_of_a_sharp_pointer_pair_is_the_recorded_table(capsys, tmp_path, models):
-    # every model pair is decided on H from the recorded effects, so an eta projective
-    # only within OP_TOL reads the closed form ((1 + eta)^2 + (1 - eta)^2) / 4
+    # the dilation pair is decided on H from the recorded effects, so an eta near 1
+    # reads the closed form ((1 + eta)^2 + (1 - eta)^2) / 4
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(_doc(models, eta=1.0)))
     expected = "eta,agreement\n1.0,1.0\n0.9999999999,0.9999999999\n"
@@ -167,23 +169,20 @@ def _refuse_interactions(monkeypatch):
         monkeypatch.setattr(measurement, name, refuse)
 
 
-@pytest.mark.parametrize("models", [("dilation", "dilation"), *SHARP_MODELS])
+@pytest.mark.parametrize("models", [("dilation", "dilation")])
 def test_a_sweep_decided_on_h_builds_no_interaction(monkeypatch, models):
     sc = load_scenario(_doc(models, state="complex", eta=1.0))
-    etas = [1.0, 1 - 1e-10] if "von_neumann" in models else GRID
-    expected = point_by_point(sc, etas)
+    expected = point_by_point(sc, GRID)
     non_local = dataclasses.replace(sc, tolerances={**sc.tolerances, "commutation": -1.0})
-    message = _failing_point_error(non_local, etas[0])
+    message = _failing_point_error(non_local, GRID[0])
     _refuse_interactions(monkeypatch)
-    assert sweep_agreement(sc, etas) == expected
-    if models != ("von_neumann", "von_neumann"):
-        # a bound over the tolerance needs the stack for the point's exact norm;
-        # a pointer pair's recorded bound is that norm
-        with pytest.raises(AssertionError, match="interaction stack was built"):
-            sweep_agreement(non_local, etas)
-        monkeypatch.undo()
+    assert sweep_agreement(sc, GRID) == expected
+    # a bound over the tolerance needs the stack for the point's exact norm
+    with pytest.raises(AssertionError, match="interaction stack was built"):
+        sweep_agreement(non_local, GRID)
+    monkeypatch.undo()
     with pytest.raises(NonCommutingMetersError) as exc:
-        sweep_agreement(non_local, etas)
+        sweep_agreement(non_local, GRID)
     assert str(exc.value) == message
 
 
@@ -231,8 +230,7 @@ def test_a_table_error_raises_in_point_order(monkeypatch, chunk):
         sweep_agreement(sc, [0.25])
 
 
-NON_LOCAL_SWEEPS = [(("dilation", "dilation"), [0.3, 0.7]),
-                    *((models, [1.0]) for models in SHARP_MODELS)]
+NON_LOCAL_SWEEPS = [(("dilation", "dilation"), [0.3, 0.7])]
 
 
 @pytest.mark.parametrize("models, etas", NON_LOCAL_SWEEPS,
@@ -267,8 +265,8 @@ def _turned_pointer_sides(angles, recorded):
         interactions = np.stack([p.interaction for p in processes])
         record = None
         if recorded:
-            record = measurement._pointer_stack(
-                np.concatenate([p._instrument.roots for p in processes]))[1]
+            roots = np.concatenate([p._instrument.roots for p in processes])
+            record = measurement._Instrument(roots, roots, 1)
         return (lambda: interactions, z.meter, z.apparatus_state, record)
 
     return side([z] * len(turned)), side(turned), z, turned
@@ -316,38 +314,3 @@ def test_sweep_memory_is_bounded_by_the_chunk():
     assert len(rows) == len(etas)
     # the rows take under 1 MB; all 8000 points in one pass would peak above 16 MB
     assert peak < 3 * 2**20
-
-
-def _stacked_side(processes):
-    """dilation_model processes of one shape as one _pair_kernel side, point by point."""
-    first = processes[0]
-    record = measurement._dilation_stack(
-        np.concatenate([p._instrument.effects for p in processes]))[1]
-    return (lambda: np.stack([p.interaction for p in processes]), first.meter,
-            first.apparatus_state, record)
-
-
-def test_a_point_over_its_bound_leaves_the_others_on_h():
-    # point 1's effects are turned by 1e-9 out of point 0's basis: its bound from the
-    # roots is over the tolerance while its exact norm is within it, so the stack takes
-    # the compound path for point 1's exact norm, and point 0 keeps its recorded
-    # effects; each row is compose's on that point alone
-    rng = np.random.default_rng(12)
-    v = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-    turn = np.array([[np.cos(1e-9), -np.sin(1e-9)], [np.sin(1e-9), np.cos(1e-9)]]) @ v
-
-    def povm(basis, weights):
-        effects = [basis @ np.diag(w) @ basis.conj().T for w in (weights, 1 - weights)]
-        return dilation_model(Povm((-1.0, 1.0), effects, 2))
-
-    left = povm(v, np.array([0.9, 0.2]))
-    right = [povm(v, np.array([0.3, 0.6])), povm(turn, np.array([0.3, 0.6]))]
-    psi = np.array([0.6, 0.8j])
-    loose = compose(psi, left, right[1], np.inf)
-    tol = np.sqrt(loose.max_commutator_norm * loose.commutator_bound)
-    assert loose.max_commutator_norm < tol < loose.commutator_bound
-    rows = intersubjectivity._model_agreements(psi, _stacked_side([left, left]),
-                                               _stacked_side(right), tol)
-    points = [compose(psi, left, r, tol) for r in right]
-    assert [js._meters == () for js in points] == [True, False]
-    assert rows.tolist() == [agreement_probability(js) for js in points]
