@@ -14,12 +14,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import PAULI_X
+from conftest import PAULI_X, as_custom
 from qmeasure import (
     PAULI_Z,
     NonCommutingMetersError,
     ParameterError,
+    Povm,
     Pvm,
+    ValidationError,
     agreement_probability,
     compose,
     dilation_model,
@@ -43,6 +45,8 @@ UNSHARP_SCENARIO = REPO / "scenarios" / "unsharp_eta08.json"
 STATES = {"ground": [[1.0, 0.0], [0.0, 0.0]], "complex": [[0.6, 0.0], [0.0, 0.8]]}
 # the endpoints, the smallest subnormal, the largest double below 1, and 99 interior points
 GRID = [0.0, 1.0, 5e-324, 1 - 1e-16] + np.random.default_rng(5).uniform(0, 1, 99).tolist()
+POINTER_MODELS = [("von_neumann", "von_neumann"), ("dilation", "von_neumann"),
+                  ("von_neumann", "dilation")]
 
 
 def _doc(models=("dilation", "dilation"), state="ground", eta=0.8):
@@ -92,6 +96,24 @@ def test_a_sweep_stack_has_one_bound_from_the_roots(state):
     assert sweep_agreement(exact, GRID) == point_by_point(exact, GRID)
 
 
+@pytest.mark.parametrize("models", POINTER_MODELS)
+@pytest.mark.parametrize("state", sorted(STATES))
+def test_a_sweep_with_a_pointer_model_is_refused_before_any_eta(monkeypatch, models, state):
+    # a von_neumann model realizes the unsharp POVM only where it is projective, so
+    # the sweep refuses it up front, even at eta = 1; run still composes each point
+    sc = load_scenario(_doc(models, state, eta=1.0))
+    etas = [1.0, 1 - 1e-10, 1.0]  # 1 - 1e-10 is projective within OP_TOL
+    assert point_by_point(sc, etas)[0][1] == 1.0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eta was checked")
+
+    monkeypatch.setattr(scenario, "_checked_eta", refuse)
+    with pytest.raises(ValidationError) as exc:
+        sweep_agreement(sc, etas)
+    assert str(exc.value) == MODEL_ERROR[len("error: "):-1]
+
+
 @pytest.mark.parametrize("chunk", [1, 7, scenario.SWEEP_CHUNK])
 def test_sweep_rows_do_not_depend_on_the_chunk_size(monkeypatch, chunk):
     sc = load_scenario(_doc(state="complex"))
@@ -130,6 +152,11 @@ MODEL_ERROR = "error: sweep: only dilation models depend on eta and can be swept
         (("von_neumann", "von_neumann"), "1,0.5", 2, MODEL_ERROR),
         (("von_neumann", "von_neumann"), "0.5,1", 2, MODEL_ERROR),
         (("dilation", "von_neumann"), "1,0.5", 2, MODEL_ERROR),
+        (("von_neumann", "dilation"), "1,0.5", 2, MODEL_ERROR),
+        (("von_neumann", "von_neumann"), "1", 2, MODEL_ERROR),
+        (("dilation", "von_neumann"), "1", 2, MODEL_ERROR),
+        (("von_neumann", "dilation"), "1", 2, MODEL_ERROR),
+        (("von_neumann", "von_neumann"), "nan", 2, MODEL_ERROR),
     ],
 )
 def test_sweep_errors_are_the_recorded_ones(capsys, tmp_path, models, values, code, err):
@@ -141,11 +168,12 @@ def test_sweep_errors_are_the_recorded_ones(capsys, tmp_path, models, values, co
 
 
 @pytest.mark.parametrize("models", [("dilation", "dilation")])
-def test_sweep_of_a_sharp_pointer_pair_is_the_recorded_table(capsys, tmp_path, models):
+@pytest.mark.parametrize("state", sorted(STATES))
+def test_sweep_of_a_sharp_pointer_pair_is_the_recorded_table(capsys, tmp_path, models, state):
     # the dilation pair is decided on H from the recorded effects, so an eta near 1
-    # reads the closed form ((1 + eta)^2 + (1 - eta)^2) / 4
+    # reads the closed form ((1 + eta)^2 + (1 - eta)^2) / 4, whatever the state
     path = tmp_path / "sweep.json"
-    path.write_text(json.dumps(_doc(models, eta=1.0)))
+    path.write_text(json.dumps(_doc(models, state, eta=1.0)))
     expected = "eta,agreement\n1.0,1.0\n0.9999999999,0.9999999999\n"
     assert _cli(capsys, path, "1,0.9999999999") == (0, expected, "")
 
@@ -170,8 +198,9 @@ def _refuse_interactions(monkeypatch):
 
 
 @pytest.mark.parametrize("models", [("dilation", "dilation")])
-def test_a_sweep_decided_on_h_builds_no_interaction(monkeypatch, models):
-    sc = load_scenario(_doc(models, state="complex", eta=1.0))
+@pytest.mark.parametrize("state", sorted(STATES))
+def test_a_sweep_decided_on_h_builds_no_interaction(monkeypatch, models, state):
+    sc = load_scenario(_doc(models, state, eta=1.0))
     expected = point_by_point(sc, GRID)
     non_local = dataclasses.replace(sc, tolerances={**sc.tolerances, "commutation": -1.0})
     message = _failing_point_error(non_local, GRID[0])
@@ -314,3 +343,41 @@ def test_sweep_memory_is_bounded_by_the_chunk():
     assert len(rows) == len(etas)
     # the rows take under 1 MB; all 8000 points in one pass would peak above 16 MB
     assert peak < 3 * 2**20
+
+
+def _stacked_side(processes):
+    """dilation_model processes of one shape as one _pair_kernel side, point by point."""
+    first = processes[0]
+    record = measurement._dilation_stack(
+        np.concatenate([p._instrument.effects for p in processes]))[1]
+    return (lambda: np.stack([p.interaction for p in processes]), first.meter,
+            first.apparatus_state, record)
+
+
+def test_a_point_over_its_bound_sends_the_whole_stack_to_the_compound_path():
+    # point 1's effects are turned by 1e-9 out of point 0's basis: its bound from the
+    # roots is over the tolerance while its exact norm is within it. point 0 alone is
+    # decided on H, but the stack is not split: both points take the compound path,
+    # and each row and bound is compose's on that point as a custom pair
+    rng = np.random.default_rng(12)
+    v = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    turn = np.array([[np.cos(1e-9), -np.sin(1e-9)], [np.sin(1e-9), np.cos(1e-9)]]) @ v
+
+    def povm(basis, weights):
+        effects = [basis @ np.diag(w) @ basis.conj().T for w in (weights, 1 - weights)]
+        return dilation_model(Povm((-1.0, 1.0), effects, 2))
+
+    left = povm(v, np.array([0.9, 0.2]))
+    right = [povm(v, np.array([0.3, 0.6])), povm(turn, np.array([0.3, 0.6]))]
+    psi = np.array([0.6, 0.8j])
+    loose = compose(psi, left, right[1], np.inf)
+    tol = np.sqrt(loose.max_commutator_norm * loose.commutator_bound)
+    assert loose.max_commutator_norm < tol < loose.commutator_bound
+    assert [compose(psi, left, r, tol)._meters == () for r in right] == [True, False]
+    sides = _stacked_side([left, left]), _stacked_side(right)
+    meters, _, _, bounds = intersubjectivity._pair_kernel(*sides, 2, tol)
+    assert meters[0].shape[0] == meters[1].shape[0] == 2
+    rows = intersubjectivity._model_agreements(psi, *sides, tol)
+    points = [compose(psi, as_custom(left), as_custom(r), tol) for r in right]
+    assert bounds.tolist() == [js.commutator_bound for js in points]
+    assert rows.tolist() == [agreement_probability(js) for js in points]
