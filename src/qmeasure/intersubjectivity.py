@@ -35,6 +35,7 @@ probability within PROB_TOL, checked once per table by one stacked kernel
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -428,15 +429,17 @@ def _model_agreements(psi, side1: tuple, side2: tuple, commutation_tol: float) -
     The sides are _pair_kernel's (side2 is side1 for a shared process); each
     stage runs once on the whole stack. Errors come in point-by-point order:
     a bound above commutation_tol leaves locality to the exact norm of the
-    point's own meters e1[k] and e2[k], once the tables before it pass.
+    point's own meters e1[k] and e2[k], once the tables before it pass. The
+    sweep passes only dilation sides, whose stack _pair_kernel decides on H
+    only when every bound is within commutation_tol, so such a point always
+    has its meters.
     """
     d_sys = psi.shape[0]
     meters, f1, f2, bounds = _pair_kernel(side1, side2, d_sys, commutation_tol)
     tables = _tables(psi, f1, f2)
     for k in np.flatnonzero(~(bounds <= commutation_tol)):
         _checked_tables(tables[:k])
-        exact = _max_commutator_norm(*(e[k] for e in meters), d_sys) if meters else bounds[k]
-        _require_local(exact, commutation_tol)
+        _require_local(_max_commutator_norm(*(e[k] for e in meters), d_sys), commutation_tol)
     return _agreements(_checked_tables(tables), side1[1].outcomes, side2[1].outcomes)
 
 
@@ -491,8 +494,10 @@ def verify_oit(
                 f"use agreement_probability for noisy observables"
             )
     dist = joint_distribution(scenario)
-    expected = {x: float(np.linalg.norm(proj @ scenario.psi) ** 2)
-                for x, proj in zip(observable.outcomes, observable.projectors)}
+    kets = np.array(observable.projectors) @ scenario.psi  # [x] = E(x) psi
+    # |E(x) psi|^2 to the bit as np.linalg.norm(E(x) psi) ** 2 takes it
+    expected = {x: math.sqrt(re.dot(re) + im.dot(im)) ** 2
+                for x, re, im in zip(observable.outcomes, kets.real, kets.imag)}
     row_label = dict(_label_pairs(dist.outcomes1, observable.outcomes))
     diagonal = {}
     for i, j in _label_pairs(dist.outcomes1, dist.outcomes2):
@@ -532,10 +537,15 @@ def sample_outcomes(scenario: JointScenario, n: int, seed: int) -> SampleResult:
     and memory is bounded by the chunk, not by n. A one-cell table has no
     edge and draws nothing: its count is n. Cells with zero analytic
     probability are never drawn. A scenario that is not commuting raises
-    NonCommutingMetersError, as in joint_distribution.
+    NonCommutingMetersError, as in joint_distribution. n and seed follow the
+    loader's rules for params.n_samples and params.seed, integers >= 1 and
+    >= 0 (no bool, no float); either one off raises ValidationError before
+    anything is drawn.
     """
     if not _is_count(n):
         raise ValidationError(f"sample count must be an integer >= 1, got {n!r}")
+    if not _is_count(seed, 0):  # the loader's rule for params.seed
+        raise ValidationError(f"sample seed must be an integer >= 0, got {seed!r}")
     n = int(n)
     dist = joint_distribution(scenario)
     edges, slot = np.unique(np.cumsum(dist.probabilities.ravel())[:-1], return_inverse=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,7 +50,15 @@ class _Instrument(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class MeasurementProcess:
-    """The measuring-process quadruple with an explicit system dimension."""
+    """The measuring-process quadruple with an explicit system dimension.
+
+    The checking constructor checks every field and freezes a copy of each
+    array. A model process (see _model_process) starts without its
+    interaction: it holds the private builder _build, and its interaction
+    is built and frozen on the first read of process.interaction; later
+    reads return that same array. The checking constructor, and so
+    dataclasses.replace, clears _build and _instrument.
+    """
 
     system_dim: int
     apparatus_dim: int
@@ -58,6 +66,16 @@ class MeasurementProcess:
     interaction: np.ndarray
     meter: Pvm
     _instrument: _Instrument | None = field(default=None, repr=False)  # see _model_process
+    _build: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: a model process's unread interaction
+        build = self.__dict__.get("_build")
+        if name != "interaction" or build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        u = _frozen(build().reshape(self.total_dim, self.total_dim))
+        object.__setattr__(self, "interaction", u)
+        return u
 
     def __post_init__(self):
         system_dim = int(self.system_dim)
@@ -89,6 +107,7 @@ class MeasurementProcess:
         object.__setattr__(self, "apparatus_state", _frozen(xi.copy()))
         object.__setattr__(self, "interaction", _frozen(u.copy()))
         object.__setattr__(self, "_instrument", None)  # so a dataclasses.replace copy has none
+        object.__setattr__(self, "_build", None)
 
     @property
     def total_dim(self) -> int:
@@ -200,28 +219,30 @@ def _model_process(system_dim: int, outcomes, stack: tuple) -> MeasurementProces
 
     Only for the constructive models below, whose interaction on system x
     apparatus is unitary by construction, on the _pointer apparatus. stack
-    is the builder of a one-point interaction stack and its _Instrument, as
-    _dilation_stack returns them; the process keeps the instrument as the
-    private record _instrument, which the checking constructor always clears.
+    is the builder of the interaction, or of a one-point interaction stack,
+    and its _Instrument, as _dilation_stack returns them. The process keeps
+    both as private records, which the checking constructor always clears:
+    the interaction is not built here, only on the first read of
+    process.interaction (a pair decided on H never reads it).
     """
     build, instrument = stack
     xi, meter = _pointer(outcomes)
     return _trusted(MeasurementProcess, system_dim=system_dim, apparatus_dim=len(outcomes),
-                    apparatus_state=xi, interaction=_frozen(build()[0]), meter=meter,
-                    _instrument=instrument)
+                    apparatus_state=xi, meter=meter, _instrument=instrument, _build=build)
 
 
 def _pointer_unitaries(projectors: np.ndarray) -> np.ndarray:
-    """von_neumann_model's interaction for each PVM of an (m, n, d, d) projector stack.
+    """von_neumann_model's interaction for an (n, d, d) stack of PVM projectors.
 
-    U = sum_j P_j x S^j, with S the cyclic shift of the n pointer levels, is
-    one einsum over the stacked projectors and shifts; (m, d n, d n) stack.
+    U = sum_j P_j x S^j, with S the cyclic shift of the n pointer levels, has
+    the block P_((a - b) mod n) at pointer levels (a, b): one gather of the
+    projectors, as a (d n, d n) array. Adding 0.0 turns -0.0 into 0.0, as
+    summing the Kronecker terms does.
     """
-    m, n, d, _ = projectors.shape
+    n, d, _ = projectors.shape
     levels = np.arange(n)
-    shifts = np.eye(n, dtype=complex)[(levels - levels[:, None]) % n]  # [j] = roll(I, j)
-    u = np.einsum("mjik,jab->miakb", projectors, shifts, order="C")
-    return u.reshape(m, d * n, d * n)
+    blocks = (projectors + 0.0)[(levels[:, None] - levels) % n]  # [a, b] = P_((a - b) mod n)
+    return blocks.transpose(2, 0, 3, 1).reshape(d * n, d * n)
 
 
 def von_neumann_model(target: Pvm) -> MeasurementProcess:
@@ -230,14 +251,15 @@ def von_neumann_model(target: Pvm) -> MeasurementProcess:
     The apparatus is one pointer level per outcome, started in level 0; the
     interaction shifts the pointer by j on the eigenspace of the j-th
     outcome (a unitary, since the eigenspace projectors are orthogonal and
-    complete). It is the one-PVM case of _pointer_unitaries. The process is
+    complete), built by _pointer_unitaries on first read. The process is
     derived and trusted. It induces the target exactly; its recorded
     instrument has the projectors as effects and as roots, since each block
     of its evolved meter is one projector: E(x)[a, c] = delta_ac P_(x-a).
     """
     _check_dim(target.dim * len(target.outcomes))
-    projectors = _frozen(np.array(target.projectors))[None]
-    stack = partial(_pointer_unitaries, projectors), _Instrument(projectors, projectors, 1)
+    projectors = _frozen(np.array(target.projectors))
+    stacked = projectors[None]
+    stack = partial(_pointer_unitaries, projectors), _Instrument(stacked, stacked, 1)
     return _model_process(target.dim, target.outcomes, stack)
 
 
@@ -281,8 +303,9 @@ def dilation_model(povm: Povm) -> MeasurementProcess:
 
     which is unitary because A >= 0 and A^2 + B^dag B = I. The induced POVM
     equals the input POVM whatever the completion. It is the one-POVM case
-    of _dilation_unitaries; the process is derived and trusted, and records
-    the POVM's effects and their roots R_x as its instrument.
+    of _dilation_unitaries, built on first read; the process is derived and
+    trusted, and records the POVM's effects and their roots R_x as its
+    instrument.
 
     The completion is covariant, and more: with C = (I + R_0)^-1 and the
     apparatus index slow, every block of U is R_0, -R_c, R_x or

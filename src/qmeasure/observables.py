@@ -210,42 +210,62 @@ def pvm_from_observable(a, cluster_tol: float = CLUSTER_TOL) -> Pvm:
 
     Consecutive eigenvalues closer than cluster_tol are merged into a single
     outcome; its label is the arithmetic mean of the cluster and its
-    projector is the sum of the clustered rank-1 projectors.
+    projector is the sum of the clustered rank-1 projectors. One stacked
+    pass takes the projector of every cluster's first eigenvector, from
+    broadcast products of its real and imaginary parts: memory no larger
+    than the PVM's. Only a cluster of several eigenvalues then takes its
+    sum and its mean as a per-cluster loop takes them, so the labels equal
+    that loop's and a degenerate observable never holds d rank-1 projectors.
 
     The input is checked: finite, square, Hermitian within OP_TOL, within
     linalg.MAX_DIM, and with a Hermitian part that does not overflow,
-    before eigh runs. The PVM is derived and trusted (_derived): eigh's
-    orthonormal eigenvectors give orthogonal projectors that resolve the
-    identity, so Pvm's operator checks are not run. What eigh does not
-    settle is checked with Pvm's errors: finite labels, more than LABEL_TOL
-    apart, so a cluster_tol below LABEL_TOL can raise.
+    before eigh runs; cluster_tol must be a number >= 0 (NaN is not). The
+    PVM is derived and trusted (_derived): eigh's orthonormal eigenvectors
+    give orthogonal projectors that resolve the identity, so Pvm's operator
+    checks are not run. What eigh does not settle is checked with Pvm's
+    errors: finite labels, more than LABEL_TOL apart, so a cluster_tol below
+    LABEL_TOL can raise.
     """
     a = _square(a)
-    if cluster_tol < 0:
+    if not cluster_tol >= 0:  # a NaN fails too
         raise ParameterError(f"cluster_tol must be >= 0, got {cluster_tol}")
     if not is_hermitian(a):
         raise NotHermitianError("spectral decomposition needs a Hermitian matrix")
-    _check_dim(a.shape[0])
-    values = []
-    projectors = []
+    dim = a.shape[0]
+    _check_dim(dim)
     with np.errstate(over="ignore", invalid="ignore"):  # overflows are checked, not warned of
         hermitian = (a + a.conj().T) / 2
         if not np.all(np.isfinite(hermitian)):
             raise ValidationError("matrix entries overflow in its Hermitian part (a + a^dag) / 2")
         w, vecs = np.linalg.eigh(hermitian)
-        breaks = [0] + [i for i in range(1, len(w)) if w[i] - w[i - 1] > cluster_tol] + [len(w)]
-        for lo, hi in zip(breaks, breaks[1:]):
-            block = vecs[:, lo:hi]
-            proj = block @ block.conj().T
-            values.append(float(np.mean(w[lo:hi])))
-            projectors.append((proj + proj.conj().T) / 2)
+        starts = np.flatnonzero(np.concatenate(([True], np.diff(w) > cluster_tol)))
+        # [c] = |v><v| of the cluster's first eigenvector v, from real products, so
+        # Hermitian to the bit (numpy's complex product can fuse a multiply-add)
+        lead = vecs.T[starts]
+        re, im = lead.real, lead.imag
+        projectors = np.empty((starts.size, dim, dim), dtype=complex)
+        real, imag = projectors.real, projectors.imag
+        np.multiply(re[:, :, None], re[:, None, :], out=real)
+        real += im[:, :, None] * im[:, None, :]
+        np.multiply(im[:, :, None], re[:, None, :], out=imag)
+        imag -= re[:, :, None] * im[:, None, :]
+        values = w[starts] + 0.0  # np.mean of one value: it turns -0.0 into 0.0
+        if starts.size < dim:  # a cluster of several eigenvalues takes its own sum and mean
+            breaks = [*starts.tolist(), dim]
+            for c, (lo, hi) in enumerate(zip(breaks, breaks[1:])):
+                if hi - lo > 1:
+                    block = vecs[:, lo:hi]
+                    proj = block @ block.conj().T
+                    projectors[c] = (proj + proj.conj().T) / 2
+                    values[c] = np.mean(w[lo:hi])
     if not np.all(np.isfinite(values)):
         raise ValidationError("outcome labels must be finite")
     # sorted as Pvm sorts: rounding can swap the means of clusters an ulp apart
-    order = sorted(range(len(values)), key=values.__getitem__)
-    labels = [values[i] for i in order]
+    order = np.argsort(values, kind="stable")
+    labels = values[order].tolist()
     _check_separated(labels, "PVM")
-    return _derived(Pvm, labels, [projectors[i] for i in order], a.shape[0])
+    _frozen(projectors)
+    return _derived(Pvm, labels, (projectors[i] for i in order), dim)
 
 
 def born_povm(povm: Povm, psi) -> OutcomeDistribution:

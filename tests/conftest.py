@@ -126,3 +126,12 @@ def evolved_meter(process):
     evolved = measurement._evolved_meters(process.interaction[None], process.meter,
                                           process.system_dim)
     return _derived(Pvm, process.meter.outcomes, evolved[0], process.total_dim)
+
+
+def refuse_interaction_builders(monkeypatch):
+    """Make building a model's interaction fail; models made after this record the failing builder."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model interaction was built")
+
+    for name in ("_pointer_unitaries", "_dilation_unitaries"):
+        monkeypatch.setattr(measurement, name, refuse)

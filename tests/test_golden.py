@@ -19,6 +19,8 @@ import pathlib
 
 import pytest
 
+from conftest import refuse_interaction_builders
+from qmeasure import load_scenario_file, run_experiment
 from qmeasure.cli import main
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -62,6 +64,19 @@ def test_run_report_matches_recorded(capsys, name):
     out = _stdout(capsys, "run", SCENARIO_DIRS[name] / f"{name}.json")
     want = json.loads((DATA / f"run_{name}.json").read_text())
     assert_matches(json.loads(out), want)
+
+
+# the model pairs decided on H, every one of them as both observers' shared process
+DECIDED_ON_H = ("oit_sigma_z", "unsharp_eta08", "oit_nondiagonal_d4", "joint_unsharp_x")
+
+
+@pytest.mark.parametrize("name", DECIDED_ON_H)
+def test_a_pair_decided_on_h_builds_no_interaction(monkeypatch, name):
+    # a hot path that reads process.interaction fails here, not only in the benchmark
+    refuse_interaction_builders(monkeypatch)
+    report = run_experiment(load_scenario_file(SCENARIO_DIRS[name] / f"{name}.json"))
+    want = json.loads((DATA / f"run_{name}.json").read_text())
+    assert_matches(json.loads(json.dumps(report)), want)
 
 
 def _csv(text):

@@ -430,6 +430,9 @@ def test_oit_holds_for_pointer_models_of_random_observables(seed):
     assert report.intersubjective
     assert report.off_diagonal_mass < 1e-9
     assert report.max_diagonal_deviation < 1e-9
+    # the stacked Born weights are the per-outcome norms' to the bit
+    assert report.expected_diagonal == {x: float(np.linalg.norm(p @ psi) ** 2)
+                                        for x, p in zip(pvm.outcomes, pvm.projectors)}
 
 
 def test_oit_qutrit_degenerate_oracle():
@@ -636,6 +639,27 @@ def test_sample_count_must_be_an_integer(n):
 def test_sample_count_accepts_numpy_integers():
     result = sample_outcomes(_accurate_z_scenario(PLUS), np.int64(3), seed=1)
     assert result.counts.sum() == 3
+
+
+@pytest.mark.parametrize("seed", [-1, "7", None, True, 2.0, np.float64(7.0)])
+def test_sample_seed_follows_the_loader_rule_before_any_draw(monkeypatch, seed):
+    # the loader's rule for params.seed: an integer >= 0, no bool, no float; it is
+    # checked before the generator is made, so None draws no OS entropy
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was made for a rejected seed")
+
+    js = _accurate_z_scenario(PLUS)
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    with pytest.raises(ValidationError, match="sample seed must be an integer >= 0"):
+        sample_outcomes(js, 10, seed)
+
+
+def test_sample_seed_accepts_numpy_integers():
+    js = _unsharp_scenario(0.8, GROUND)
+    result = sample_outcomes(js, 500, seed=np.int64(21))
+    assert np.array_equal(result.counts, sample_outcomes(js, 500, seed=21).counts)
+    assert result.seed == 21 and type(result.seed) is int
+    assert sample_outcomes(js, 5, seed=0).counts.sum() == 5
 
 
 def _pointer_pair(labels, psi):

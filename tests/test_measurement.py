@@ -1,3 +1,9 @@
+import copy
+import dataclasses
+import json
+import pathlib
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,6 +17,7 @@ from conftest import (
     random_state,
     random_unitary,
     recompleted,
+    refuse_interaction_builders,
 )
 from qmeasure import (
     PAULI_Z,
@@ -26,9 +33,12 @@ from qmeasure import (
     induced_povm,
     is_projective,
     is_unitary,
+    load_scenario,
     max_abs,
     measurement,
     pvm_from_observable,
+    run_experiment,
+    scenario_to_json,
     unsharp_qubit_povm,
     von_neumann_model,
 )
@@ -368,3 +378,70 @@ def test_builders_take_one_eigh_per_call(monkeypatch):
     calls.clear()
     evolved_meter(process)
     assert calls == [(4, 4, 4)]
+
+
+# A model process builds its interaction on the first read of process.interaction.
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("model", ["von_neumann", "dilation"])
+def test_a_loaded_model_pair_runs_every_experiment_without_its_interaction(monkeypatch, model):
+    refuse_interaction_builders(monkeypatch)
+    doc = json.loads((ROOT / "scenarios" / "oit_sigma_z.json").read_text())
+    doc["processes"] = [{"model": model}] * 2
+    for experiment, count in (("oit", 2), ("joint", 2), ("sample", 2), ("induce", 1),
+                              ("reproduce", 1)):
+        scenario = load_scenario({**doc, "experiment": experiment,
+                                  "processes": doc["processes"][:count]})
+        run_experiment(scenario)
+        assert all("interaction" not in vars(p) for p in scenario.processes)
+    with pytest.raises(AssertionError, match="a model interaction was built"):
+        scenario.processes[0].interaction
+
+
+def _models(seed):
+    rng = np.random.default_rng(seed)
+    pvm = pvm_from_observable(random_hermitian_with_outcomes(rng, 3, 2))
+    return pvm, von_neumann_model(pvm), dilation_model(random_povm(rng, 2, 3))
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_the_first_read_builds_the_eager_interaction_once(seed):
+    pvm, pointer, dilation = _models(seed)
+    (roots,) = dilation._instrument.roots
+    eager = (_loop_von_neumann_interaction(pvm), measurement._dilation_unitaries(roots[None])[0])
+    for process, want in zip((pointer, dilation), eager):
+        assert "interaction" not in vars(process)
+        u = process.interaction
+        _assert_same_bits(u, want)
+        assert not u.flags.writeable
+        assert process.interaction is u and vars(process)["interaction"] is u
+
+
+def test_replace_copy_and_pickle_keep_the_lazy_interaction():
+    pvm, pointer, dilation = _models(5)
+    for process in (pointer, dilation):
+        # copies of a process that was never read hold its builder, not its interaction
+        twins = copy.deepcopy(process), pickle.loads(pickle.dumps(process))
+        assert all("interaction" not in vars(p) for p in (process, *twins))
+        for twin in twins:
+            assert twin.interaction.tobytes() == process.interaction.tobytes()
+            for e, f in zip(twin._instrument.effects[0], process._instrument.effects[0]):
+                assert np.array_equal(e, f)
+        # the checking constructor keeps the interaction it is given and drops the records
+        u = np.array(process.interaction)
+        checked = dataclasses.replace(process, interaction=u)
+        assert checked._instrument is None and checked._build is None
+        assert checked.interaction is not u and np.array_equal(checked.interaction, u)
+    with pytest.raises(AttributeError, match="no attribute 'no_such_field'"):
+        pointer.no_such_field
+
+
+def test_scenario_to_json_writes_the_eager_interaction():
+    pvm, pointer, _ = _models(7)
+    eager = MeasurementProcess(pvm.dim, pointer.apparatus_dim, pointer.apparatus_state,
+                               _loop_von_neumann_interaction(pvm), pointer.meter)
+    psi = random_state(np.random.default_rng(7), pvm.dim)
+    docs = [json.dumps(scenario_to_json(psi, pvm, [p, p], "oit")) for p in (pointer, eager)]
+    assert docs[0] == docs[1]

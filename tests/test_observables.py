@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -339,3 +340,71 @@ def test_a_born_weight_is_real_within_half_prob_tol(dim):
     assert worst <= PROB_TOL / 2
     dist = born_povm(povm, psi)
     assert dist.probabilities == pytest.approx((0.5, 0.5), abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1e-3, -np.inf])
+def test_pvm_from_observable_rejects_a_nan_or_negative_cluster_tol(tol):
+    # a NaN tolerance used to merge the whole spectrum into one outcome with projector I
+    with pytest.raises(ParameterError, match="cluster_tol must be >= 0"):
+        pvm_from_observable(PAULI_Z, cluster_tol=tol)
+
+
+def _loop_spectral_pvm(a, cluster_tol=CLUSTER_TOL):
+    """The per-cluster loop the stacked pvm_from_observable replaced: labels and projectors."""
+    a = np.asarray(a, dtype=complex)
+    w, vecs = np.linalg.eigh((a + a.conj().T) / 2)
+    breaks = [0] + [i for i in range(1, len(w)) if w[i] - w[i - 1] > cluster_tol] + [len(w)]
+    values, projectors = [], []
+    for lo, hi in zip(breaks, breaks[1:]):
+        block = vecs[:, lo:hi]
+        proj = block @ block.conj().T
+        values.append(float(np.mean(w[lo:hi])))
+        projectors.append((proj + proj.conj().T) / 2)
+    order = sorted(range(len(values)), key=values.__getitem__)
+    return [values[i] for i in order], [projectors[i] for i in order]
+
+
+def _planted_spectrum(rng, dim):
+    """A sorted spectrum of a few distinct values, each repeated, some spread within CLUSTER_TOL."""
+    distinct = int(rng.integers(1, dim + 1))
+    values = np.sort(rng.choice(np.arange(-6.0, 7.0), size=distinct, replace=False))
+    values = values * rng.uniform(0.1, 10.0)
+    counts = rng.multinomial(dim - distinct, np.ones(distinct) / distinct) + 1
+    spectrum = np.repeat(values, counts)
+    return np.sort(spectrum + rng.uniform(-1, 1, dim) * CLUSTER_TOL / (4 * dim))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_stacked_spectral_pvm_matches_the_per_cluster_loop(seed):
+    # one-value clusters take the stacked rank-1 products, merged clusters of up to
+    # 16 values their own sum and mean, both in one PVM
+    rng = np.random.default_rng(seed)
+    for dim in (1, 2, 3, 5, 9, 16):
+        spectrum = _planted_spectrum(rng, dim)
+        u = random_unitary(rng, dim)
+        for a, exact in (((u * spectrum) @ u.conj().T, False), (np.diag(spectrum), True)):
+            labels, projectors = _loop_spectral_pvm(a)
+            pvm = pvm_from_observable(a)
+            assert list(pvm.outcomes) == labels
+            for got, want in zip(pvm.projectors, projectors):
+                assert np.array_equal(got, got.conj().T)  # Hermitian to the bit
+                if exact:  # eigh's eigenvectors of a diagonal input are exact
+                    assert got.tobytes() == want.tobytes()
+                else:
+                    assert max_abs(got - want) <= 1e-12
+
+
+def test_a_degenerate_observable_holds_no_rank_1_projector_per_eigenvalue():
+    # 64 eigenvalues in two clusters: d rank-1 projectors would take 4 MiB,
+    # the PVM's two projectors take 128 KiB
+    rng = np.random.default_rng(4)
+    u = random_unitary(rng, 64)
+    a = (u * np.repeat([-1.0, 1.0], 32)) @ u.conj().T
+    tracemalloc.start()
+    try:
+        pvm = pvm_from_observable(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pvm.outcomes == pytest.approx((-1.0, 1.0))
+    assert peak < 2**20

@@ -280,11 +280,11 @@ def test_a_non_local_point_is_decided_from_its_own_meters(monkeypatch, models, e
     assert str(exc.value) == message
 
 
-def _turned_pointer_sides(angles, recorded):
+def _turned_pointer_sides(angles):
     """Sides of a z pointer model against pointer models turned towards x by each angle.
 
-    With recorded, the sides carry the models' instruments and are decided
-    on H; without, their meters are evolved, as a custom pair's are.
+    The sides carry no instrument, so their meters are evolved, as a custom
+    pair's are.
     """
     z = von_neumann_model(pvm_from_observable(PAULI_Z))
     turned = [von_neumann_model(pvm_from_observable(np.cos(t) * PAULI_Z + np.sin(t) * PAULI_X))
@@ -292,22 +292,16 @@ def _turned_pointer_sides(angles, recorded):
 
     def side(processes):
         interactions = np.stack([p.interaction for p in processes])
-        record = None
-        if recorded:
-            roots = np.concatenate([p._instrument.roots for p in processes])
-            record = measurement._Instrument(roots, roots, 1)
-        return (lambda: interactions, z.meter, z.apparatus_state, record)
+        return (lambda: interactions, z.meter, z.apparatus_state, None)
 
     return side([z] * len(turned)), side(turned), z, turned
 
 
-@pytest.mark.parametrize("recorded", [False, True])
-def test_each_point_of_a_stack_reads_its_own_exact_norm(recorded):
+def test_each_point_of_a_stack_reads_its_own_exact_norm():
     # the unsharp family always commutes, so pointer pairs whose second axis turns
-    # away from z point by point pin which point's meters (or projectors) the exact
-    # norm is taken from
+    # away from z point by point pin which point's meters the exact norm is taken from
     psi = np.array([0.6, 0.8j])
-    side1, side2, z, turned = _turned_pointer_sides((0.0, 0.4, 0.2), recorded)
+    side1, side2, z, turned = _turned_pointer_sides((0.0, 0.4, 0.2))
     with pytest.raises(NonCommutingMetersError) as exc:
         intersubjectivity._model_agreements(psi, side1, side2, COMMUTATION_TOL)
     with pytest.raises(NonCommutingMetersError) as want:
@@ -316,12 +310,11 @@ def test_each_point_of_a_stack_reads_its_own_exact_norm(recorded):
     assert "max commutator norm 1.947e-01" in str(exc.value)
 
 
-@pytest.mark.parametrize("recorded", [False, True])
-def test_a_table_error_raises_before_a_later_non_local_point(monkeypatch, recorded):
+def test_a_table_error_raises_before_a_later_non_local_point(monkeypatch):
     # only point 2 is non-local; point 1's table fails its check, so it must raise
     # before point 2's exact norm decides locality, as the point-by-point loop raises
     psi = np.array([0.6, 0.8j])
-    sides = _turned_pointer_sides((0.0, 0.0, 0.4), recorded)[:2]
+    sides = _turned_pointer_sides((0.0, 0.0, 0.4))[:2]
     with pytest.raises(NonCommutingMetersError, match="max commutator norm 1.947e-01"):
         intersubjectivity._model_agreements(psi, *sides, COMMUTATION_TOL)
     tables = intersubjectivity._tables
