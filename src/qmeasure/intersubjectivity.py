@@ -4,21 +4,22 @@ Two measuring processes that share the system are composed on H x K1 x K2.
 The scenario is local when every pair of evolved meter projectors, each
 extended by the identity on the other apparatus, commutes: its
 commutator_bound, else the exact max_commutator_norm, is within the
-commutation tolerance given to compose. Model pairs are decided on H from
-the instrument each model records, its effects and Kraus roots R_x =
-sqrt(Pi(x)). Two pointer models' meter blocks are their projectors P_j and
-Q_k, so the exact norm is max_jk |[P_j, Q_k]|. Any pair with a dilation has
-its norm bounded by c1 c2 max_xy ||[R1_x, R2_y]||_F, c = 6 for a dilation
-and 1 for a pointer model (see measurement.dilation_model); when that bound
-is within the tolerance, the pair is local and its effects are the recorded
-ones. Any other pair (a custom process, or a model pair over its bound) has
-each meter evolved by its own interaction and kept on its own factor,
-H x K1 or H x K2, as a private array; nothing on the whole compound space
-is ever built. Every other number lives on H: for Psi = psi x xi1 x xi2,
-contracting the apparatus factors gives
+commutation tolerance given to compose. Every process records its
+instrument on H (see measurement._Instrument): the effects Pi(x) it
+induces, and for a model its Kraus roots R_x = sqrt(Pi(x)). Model pairs are
+decided on H from those roots. Two pointer models' meter blocks are their
+projectors P_j and Q_k, so the exact norm is max_jk |[P_j, Q_k]|. Any pair
+with a dilation has its norm bounded by c1 c2 max_xy ||[R1_x, R2_y]||_F,
+c = 6 for a dilation and 1 for a pointer model (see
+measurement.dilation_model); when that bound is within the tolerance, the
+pair is local. Any other pair (a custom process, or a model pair over its
+bound) has each meter evolved by its own interaction and kept on its own
+factor, H x K1 or H x K2, as a private array, only to decide locality;
+nothing on the whole compound space is ever built. Every other number lives
+on H: for Psi = psi x xi1 x xi2, contracting the apparatus factors gives
 <Psi| E1(x) E2(y) |Psi> = <psi| Pi1(x) Pi2(y) |psi> for any two processes,
-Pi1 and Pi2 the effects they induce (Ozawa, arXiv:1911.10893), one stacked
-pinch of each side's evolved meters. For local scenarios that joint table is
+Pi1 and Pi2 the effects each records (Ozawa, arXiv:1911.10893). For local
+scenarios that joint table is
 a probability, and when both processes reproduce the same accurate
 observable, both observers read the same outcome with probability one. For
 noisy observables the agreement drops below one; a seeded sampler draws
@@ -51,13 +52,11 @@ from .linalg import _check_dim, _frozen, as_state, max_abs
 from .measurement import (
     REPRO_TOL,
     MeasurementProcess,
-    _compare,
     _evolved_meters,
     _Instrument,
-    _pinch,
+    check_reproducibility,
 )
-from .observables import (PROB_TOL, Povm, Pvm, _checked_probabilities, _derived,
-                          _label_pairs, _trusted)
+from .observables import PROB_TOL, Pvm, _checked_probabilities, _label_pairs, _trusted
 from .serialize import _is_count
 
 COMMUTATION_TOL = 1e-8  # default locality decision tolerance
@@ -72,13 +71,13 @@ class JointScenario:
     """A system state with two measuring processes composed on H x K1 x K2.
 
     commuting is the one locality verdict, made with the commutation_tol
-    compose was given. compose passes the private arrays, which
-    dataclasses.replace copies: _meters, each side's (n, D, D) evolved
-    meter from measurement._evolved_meters, read only by max_commutator_norm,
-    and _effects, both sides' (1, n, d, d) induced effects on H. A pair
-    decided on H (see _pair_kernel) has no _meters: a pointer pair's
-    commutator_bound is the exact max_commutator_norm, and any other pair's
-    meters are evolved from its processes when the exact norm is first read.
+    compose was given. compose passes the private _meters, which
+    dataclasses.replace copies: each side's (n, D, D) evolved meter from
+    measurement._evolved_meters, read only by max_commutator_norm. The
+    effects on H are the ones each process records. A pair decided on H
+    (see _pair_kernel) has no _meters: a pointer pair's commutator_bound is
+    the exact max_commutator_norm, and any other pair's meters are evolved
+    from its processes when the exact norm is first read.
     """
 
     psi: np.ndarray
@@ -87,7 +86,6 @@ class JointScenario:
     commutator_bound: float
     commutation_tol: float
     _meters: tuple = field(repr=False)
-    _effects: tuple = field(repr=False)
 
     @property
     def total_dim(self) -> int:
@@ -186,7 +184,8 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
     The scenario keeps commutation_tol and decides JointScenario.commuting
     with it, the verdict every consumer reads; commutator_bound (see
     _span_bounds) decides it whenever the bound is within the tolerance.
-    Meters, effects and bound come from _pair_kernel, as in the eta sweep.
+    Meters and bound come from _pair_kernel, as in the eta sweep; the
+    effects on H are the ones each process records.
     """
     psi = as_state(psi)
     d_sys = psi.shape[0]
@@ -196,9 +195,8 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
             f"{process2.system_dim}, state has dim {d_sys}"
         )
     _check_dim(process1.total_dim * process2.apparatus_dim)
-    side1 = _side(process1)
-    side2 = side1 if process2 is process1 else _side(process2)
-    meters, f1, f2, bounds = _pair_kernel(side1, side2, d_sys, commutation_tol)
+    meters, bounds = _pair_kernel(process1._instrument, process2._instrument, d_sys,
+                                  commutation_tol)
     return JointScenario(
         psi=_frozen(psi.copy()),
         process1=process1,
@@ -206,42 +204,29 @@ def compose(psi, process1: MeasurementProcess, process2: MeasurementProcess,
         commutator_bound=float(bounds[0]),
         commutation_tol=commutation_tol,
         _meters=tuple(_frozen(e[0]) for e in meters),
-        _effects=(_frozen(f1), _frozen(f2)),
     )
 
 
-def _side(process: MeasurementProcess) -> tuple:
-    """A process as a _pair_kernel side of one point."""
-    return (lambda: process.interaction[None], process.meter, process.apparatus_state,
-            process._instrument)
+def _pair_kernel(r1: _Instrument, r2: _Instrument, d_sys: int, commutation_tol: float) -> tuple:
+    """Evolved meters (e1, e2) (m, n, D, D) and (m,) bounds of two instrument stacks.
 
-
-def _pair_kernel(side1: tuple, side2: tuple, d_sys: int, commutation_tol: float) -> tuple:
-    """Evolved meters (e1, e2) (m, n, D, D), effects f1, f2 (m, n, d, d) and (m,) bounds.
-
-    A side is a callable that builds its (m, D, D) interaction stack, its
-    meter, its apparatus state and a model's stacked measurement._Instrument,
-    else None. When both sides hold one, the whole stack is decided on H,
-    with the recorded effects as its effects and () as meters, if it is a
-    pointer pair (its bounds are the exact norms) or if every bound from the
-    Kraus roots (_instrument_bounds) is within commutation_tol. Otherwise the
-    whole stack takes the compound path, in compose's order:
-    _evolved_meters (only now is an interaction stack built), _span_bounds,
-    _pinch. compose runs one point (m = 1); the eta sweep's points all have
-    one bound from the roots, so no stack is split. side2 is side1 for a
-    process both observers share, whose meters are then evolved, spanned
-    and pinched once: e2 is e1 and f2 is f1.
+    When both instruments hold a model's roots, the whole stack is decided
+    on H, with () as meters, if it is a pointer pair (its bounds are the
+    exact norms) or if every bound from the roots (_instrument_bounds) is
+    within commutation_tol. Otherwise the whole stack takes the compound
+    path: _evolved_meters (only now is an interaction stack built), then
+    _span_bounds. compose runs one point (m = 1); the eta sweep's points
+    all have one bound from the roots, so no stack is split. r2 is r1 for a
+    process both observers share, whose meters are then evolved and spanned
+    once: e2 is e1.
     """
-    r1, r2 = side1[3], side2[3]
-    if r1 is not None and r2 is not None:
+    if r1.roots is not None and r2.roots is not None:
         bounds = _instrument_bounds(r1, r2, d_sys)
         if r1.factors * r2.factors == 1 or (bounds <= commutation_tol).all():
-            return (), r1.effects, r2.effects, bounds
-    sides = (side1,) if side2 is side1 else (side1, side2)
-    evolved = [_evolved_meters(build(), meter, d_sys) for build, meter, *_ in sides]
-    bounds = _span_bounds(evolved[0], evolved[-1], d_sys)
-    effects = [_pinch(e, xi) for e, (_, _, xi, _) in zip(evolved, sides)]
-    return (evolved[0], evolved[-1]), effects[0], effects[-1], bounds
+            return (), bounds
+    sides = (r1,) if r2 is r1 else (r1, r2)
+    evolved = [_evolved_meters(r.build(), r.meter, d_sys) for r in sides]
+    return (evolved[0], evolved[-1]), _span_bounds(evolved[0], evolved[-1], d_sys)
 
 
 def _instrument_bounds(r1: _Instrument, r2: _Instrument, d_sys: int) -> np.ndarray:
@@ -380,9 +365,11 @@ def joint_distribution(scenario: JointScenario) -> JointDistribution:
     P >= 0, either means the meters do not commute on this state.
     """
     _require_local(scenario.locality_value, scenario.commutation_tol)
-    table = _checked_tables(_tables(scenario.psi, *scenario._effects))[0]
-    return _trusted(JointDistribution, outcomes1=scenario.process1.meter.outcomes,
-                    outcomes2=scenario.process2.meter.outcomes, probabilities=_frozen(table))
+    p1, p2 = scenario.process1, scenario.process2
+    table = _checked_tables(_tables(scenario.psi, p1._instrument.effects,
+                                    p2._instrument.effects))[0]
+    return _trusted(JointDistribution, outcomes1=p1.meter.outcomes, outcomes2=p2.meter.outcomes,
+                    probabilities=_frozen(table))
 
 
 def _require_local(value: float, limit: float) -> None:
@@ -423,24 +410,24 @@ def _checked_tables(tables: np.ndarray) -> np.ndarray:
     return probs.reshape(tables.shape)
 
 
-def _model_agreements(psi, side1: tuple, side2: tuple, commutation_tol: float) -> np.ndarray:
-    """agreement_probability of a process pair at each point of two sides' (m, D, D) stacks.
+def _model_agreements(psi, r1: _Instrument, r2: _Instrument, commutation_tol: float) -> np.ndarray:
+    """agreement_probability of a process pair at each point of two instrument stacks.
 
-    The sides are _pair_kernel's (side2 is side1 for a shared process); each
+    The instruments are _pair_kernel's (r2 is r1 for a shared process); each
     stage runs once on the whole stack. Errors come in point-by-point order:
     a bound above commutation_tol leaves locality to the exact norm of the
     point's own meters e1[k] and e2[k], once the tables before it pass. The
-    sweep passes only dilation sides, whose stack _pair_kernel decides on H
-    only when every bound is within commutation_tol, so such a point always
-    has its meters.
+    sweep passes only dilation stacks, which _pair_kernel decides on H only
+    when every bound is within commutation_tol, so such a point always has
+    its meters.
     """
     d_sys = psi.shape[0]
-    meters, f1, f2, bounds = _pair_kernel(side1, side2, d_sys, commutation_tol)
-    tables = _tables(psi, f1, f2)
+    meters, bounds = _pair_kernel(r1, r2, d_sys, commutation_tol)
+    tables = _tables(psi, r1.effects, r2.effects)
     for k in np.flatnonzero(~(bounds <= commutation_tol)):
         _checked_tables(tables[:k])
         _require_local(_max_commutator_norm(*(e[k] for e in meters), d_sys), commutation_tol)
-    return _agreements(_checked_tables(tables), side1[1].outcomes, side2[1].outcomes)
+    return _agreements(_checked_tables(tables), r1.meter.outcomes, r2.meter.outcomes)
 
 
 def _agreements(probabilities: np.ndarray, outcomes1, outcomes2) -> np.ndarray:
@@ -482,11 +469,9 @@ def verify_oit(
     the pairs of the table's two label sequences, and each is keyed by the
     observable label its row pairs with.
     """
-    f1, f2 = scenario._effects
-    sides = [("process1", scenario.process1, f1), ("process2", scenario.process2, f2)]
-    for name, process, effects in sides[:1] if f2 is f1 else sides:
-        induced = _derived(Povm, process.meter.outcomes, effects[0], process.system_dim)
-        report = _compare(induced, observable, reproducibility_tol)
+    sides = [("process1", scenario.process1), ("process2", scenario.process2)]
+    for name, process in sides[:1] if scenario.process2 is scenario.process1 else sides:
+        report = check_reproducibility(process, observable, reproducibility_tol)
         if not report.reproducible:
             raise PreconditionError(
                 f"{name} does not reproduce the observable's statistics "

@@ -2,11 +2,14 @@
 
 A measuring process is the quadruple (apparatus space, apparatus state,
 interaction unitary, meter PVM). Conjugating the embedded meter with the
-interaction gives the evolved meter on system x apparatus; pinching the
-evolved meter with the apparatus state gives the POVM the process induces
-on the system. Constructive models are provided in both directions: a
-pointer model realizing any accurate observable, and a dilation model
-realizing any generalized observable.
+interaction gives the evolved meter E(x) on system x apparatus. What the
+process does on the system is its instrument: the Kraus rows
+K_x = (I x W_x^dag) U (I x xi), W_x an orthonormal basis of the meter
+projector's range, and the effects Pi(x) = K_x^dag K_x = <xi|E(x)|xi> of
+the POVM it induces. Every process records its instrument once, when it is
+built. Constructive models are provided in both directions: a pointer model
+realizing any accurate observable, and a dilation model realizing any
+generalized observable.
 """
 
 from __future__ import annotations
@@ -33,47 +36,53 @@ REPRO_TOL = 1e-9  # default reproducibility decision tolerance
 
 
 class _Instrument(NamedTuple):
-    """A model's instrument on H for each point of a stack, recorded when the model is built.
+    """A process's instrument on H for each point of a stack, recorded when it is built.
 
-    effects (m, n, d, d) are the POVMs the model's processes induce and
-    roots their Kraus rows K_x = sqrt(Pi(x)), the blocks each interaction is
-    made of; a model process records a one-point stack (m = 1). factors
-    counts the roots (or (I + K_0)^-1 factors) a block of an evolved meter is
-    a product of: 1 for a pointer model, whose roots are its projectors
-    (sqrt(P) = P), and 6 for a dilation (see dilation_model).
+    effects (m, n, d, d) are the POVMs the processes induce, meter their
+    meter and build the builder of their (m, D, D) interaction stack; a
+    process records a one-point stack (m = 1). Only a model records roots,
+    its Kraus rows R_x = sqrt(Pi(x)), the blocks each interaction is made
+    of, and factors, the number of roots (or (I + R_0)^-1 factors) a block of
+    an evolved meter is a product of: 1 for a pointer model, whose roots are
+    its projectors (sqrt(P) = P), and 6 for a dilation (see dilation_model).
+    A process the checking constructor builds has neither.
     """
 
     effects: np.ndarray
-    roots: np.ndarray
-    factors: int
+    meter: Pvm
+    build: Callable[[], np.ndarray]
+    roots: np.ndarray | None = None
+    factors: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementProcess:
     """The measuring-process quadruple with an explicit system dimension.
 
-    The checking constructor checks every field and freezes a copy of each
-    array. A model process (see _model_process) starts without its
-    interaction: it holds the private builder _build, and its interaction
-    is built and frozen on the first read of process.interaction; later
-    reads return that same array. The checking constructor, and so
-    dataclasses.replace, clears _build and _instrument.
+    The checking constructor checks every field, freezes a copy of each
+    array and records the process's _Instrument from its Kraus rows (see
+    _kraus_effects); dataclasses.replace runs it too. A model process is
+    built trusted, unitary by construction on the _pointer apparatus, with
+    the instrument recorded when the model is built. It starts without its
+    interaction: the instrument holds its builder, and the interaction is
+    built and frozen on the first read of process.interaction (a pair
+    decided on H never reads it); later reads return that same array. repr
+    leaves the interaction out, so it builds nothing.
     """
 
     system_dim: int
     apparatus_dim: int
     apparatus_state: np.ndarray
-    interaction: np.ndarray
+    interaction: np.ndarray = field(repr=False)
     meter: Pvm
-    _instrument: _Instrument | None = field(default=None, repr=False)  # see _model_process
-    _build: Callable[[], np.ndarray] | None = field(default=None, repr=False)
+    _instrument: _Instrument = field(init=False, repr=False)
 
     def __getattr__(self, name):
         # reached only for an attribute the instance lacks: a model process's unread interaction
-        build = self.__dict__.get("_build")
-        if name != "interaction" or build is None:
+        instrument = self.__dict__.get("_instrument")
+        if name != "interaction" or instrument is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        u = _frozen(build().reshape(self.total_dim, self.total_dim))
+        u = _frozen(instrument.build().reshape(self.total_dim, self.total_dim))
         object.__setattr__(self, "interaction", u)
         return u
 
@@ -102,12 +111,14 @@ class MeasurementProcess:
             raise DimensionError(
                 f"meter acts on dim {self.meter.dim}, expected apparatus dim {apparatus_dim}"
             )
+        xi, u = _frozen(xi.copy()), _frozen(u.copy())
+        effects = _frozen(_kraus_effects(u, xi, self.meter, system_dim)[None])
         object.__setattr__(self, "system_dim", system_dim)
         object.__setattr__(self, "apparatus_dim", apparatus_dim)
-        object.__setattr__(self, "apparatus_state", _frozen(xi.copy()))
-        object.__setattr__(self, "interaction", _frozen(u.copy()))
-        object.__setattr__(self, "_instrument", None)  # so a dataclasses.replace copy has none
-        object.__setattr__(self, "_build", None)
+        object.__setattr__(self, "apparatus_state", xi)
+        object.__setattr__(self, "interaction", u)
+        object.__setattr__(self, "_instrument",
+                           _Instrument(effects, self.meter, partial(np.expand_dims, u, 0)))
 
     @property
     def total_dim(self) -> int:
@@ -122,6 +133,22 @@ class ReproducibilityReport:
     max_operator_deviation: float
     per_outcome_deviation: dict
     tolerance: float
+
+
+def _kraus_effects(u: np.ndarray, xi: np.ndarray, meter: Pvm, system_dim: int) -> np.ndarray:
+    """The (n, d, d) effects Pi(x) = K_x^dag K_x of the Kraus rows K_x = (I x W_x^dag) U (I x xi).
+
+    W_x is an orthonormal basis of the meter projector E_M(x)'s range, so
+    W_x W_x^dag = E_M(x) and Pi(x) = V^dag (I x E_M(x)) V, V = U (I x xi)
+    the (D, d) isometry of U's columns contracted with xi: the pinch
+    <xi|E(x)|xi> of the evolved meter. Every outcome's effect comes from the
+    same two products, and no W_x is formed. Returned Hermitised.
+    """
+    d, k = system_dim, xi.shape[0]
+    v = u.reshape(d, k, d, k) @ xi  # [i, a, j] = <i a|U|j xi>
+    metered = (np.array(meter.projectors)[:, None] @ v).reshape(-1, d * k, d)
+    effects = v.reshape(d * k, d).conj().T @ metered
+    return (effects + effects.conj().swapaxes(1, 2)) / 2
 
 
 def _evolved_meters(interactions: np.ndarray, meter: Pvm, system_dim: int) -> np.ndarray:
@@ -145,31 +172,24 @@ def _evolved_meters(interactions: np.ndarray, meter: Pvm, system_dim: int) -> np
     return evolved
 
 
-def _pinch(evolved: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Hermitian part of Pi(x) = <xi|E(x)|xi> for each meter of an (m, n, D, D) evolved stack."""
-    m, n, total, _ = evolved.shape
-    k = xi.shape[0]
-    kets = evolved.reshape(m, n, total // k, k, total // k, k) @ xi  # [., x, i, a, j]
-    effects = kets.swapaxes(3, 4) @ xi.conj()
-    return (effects + effects.conj().swapaxes(2, 3)) / 2
-
-
 def induced_povm(process: MeasurementProcess) -> Povm:
-    """System-side POVM Pi(x) = <xi|E_evolved(x)|xi>, or a model's recorded effects; trusted."""
-    if process._instrument is not None:
-        effects = process._instrument.effects[0]
-    else:
-        evolved = _evolved_meters(process.interaction[None], process.meter, process.system_dim)
-        effects = _pinch(evolved, process.apparatus_state)[0]
-    return _derived(Povm, process.meter.outcomes, effects, process.system_dim)
+    """System-side POVM Pi(x) = <xi|E_evolved(x)|xi>, the process's recorded effects; trusted."""
+    return _derived(Povm, process.meter.outcomes, process._instrument.effects[0],
+                    process.system_dim)
 
 
-def _compare(induced: Povm, target: Pvm, tol: float = REPRO_TOL) -> ReproducibilityReport:
-    """check_reproducibility on an induced POVM that is already built.
+def check_reproducibility(
+    process: MeasurementProcess, target: Pvm, tol: float = REPRO_TOL
+) -> ReproducibilityReport:
+    """Compare the induced POVM against the target PVM, outcome by outcome.
 
-    Outcomes are paired by observables._label_pairs; an outcome left
-    unpaired on either side is compared against the zero operator.
+    Outcome labels are paired one to one within the constant LABEL_TOL, the
+    separation every observable's labels already keep; an outcome present on
+    only one side is compared against the zero operator. The process
+    reproduces the target's statistics iff the largest per-outcome operator
+    deviation is at most tol, the scenario's reproducibility tolerance.
     """
+    induced = induced_povm(process)
     if induced.dim != target.dim:
         raise DimensionError(
             f"process system dim {induced.dim} does not match PVM dim {target.dim}"
@@ -192,20 +212,6 @@ def _compare(induced: Povm, target: Pvm, tol: float = REPRO_TOL) -> Reproducibil
     )
 
 
-def check_reproducibility(
-    process: MeasurementProcess, target: Pvm, tol: float = REPRO_TOL
-) -> ReproducibilityReport:
-    """Compare the induced POVM against the target PVM, outcome by outcome.
-
-    Outcome labels are paired one to one within the constant LABEL_TOL, the
-    separation every observable's labels already keep; an outcome present on
-    only one side is compared against the zero operator. The process
-    reproduces the target's statistics iff the largest per-outcome operator
-    deviation is at most tol, the scenario's reproducibility tolerance.
-    """
-    return _compare(induced_povm(process), target, tol)
-
-
 def _pointer(outcomes):
     """The model apparatus: its start state, level 0, and its pointer meter, one level per outcome."""
     n = len(outcomes)
@@ -214,35 +220,18 @@ def _pointer(outcomes):
     return _frozen(basis[0]), _derived(Pvm, outcomes, projectors, n)
 
 
-def _model_process(system_dim: int, outcomes, stack: tuple) -> MeasurementProcess:
-    """A model process built without running the MeasurementProcess checks.
-
-    Only for the constructive models below, whose interaction on system x
-    apparatus is unitary by construction, on the _pointer apparatus. stack
-    is the builder of the interaction, or of a one-point interaction stack,
-    and its _Instrument, as _dilation_stack returns them. The process keeps
-    both as private records, which the checking constructor always clears:
-    the interaction is not built here, only on the first read of
-    process.interaction (a pair decided on H never reads it).
-    """
-    build, instrument = stack
-    xi, meter = _pointer(outcomes)
-    return _trusted(MeasurementProcess, system_dim=system_dim, apparatus_dim=len(outcomes),
-                    apparatus_state=xi, meter=meter, _instrument=instrument, _build=build)
-
-
 def _pointer_unitaries(projectors: np.ndarray) -> np.ndarray:
-    """von_neumann_model's interaction for an (n, d, d) stack of PVM projectors.
+    """von_neumann_model's interaction for each PVM of an (m, n, d, d) projector stack.
 
     U = sum_j P_j x S^j, with S the cyclic shift of the n pointer levels, has
     the block P_((a - b) mod n) at pointer levels (a, b): one gather of the
-    projectors, as a (d n, d n) array. Adding 0.0 turns -0.0 into 0.0, as
-    summing the Kronecker terms does.
+    projectors, as an (m, d n, d n) stack. Adding 0.0 turns -0.0 into 0.0,
+    as summing the Kronecker terms does.
     """
-    n, d, _ = projectors.shape
+    m, n, d, _ = projectors.shape
     levels = np.arange(n)
-    blocks = (projectors + 0.0)[(levels[:, None] - levels) % n]  # [a, b] = P_((a - b) mod n)
-    return blocks.transpose(2, 0, 3, 1).reshape(d * n, d * n)
+    blocks = (projectors + 0.0)[:, (levels[:, None] - levels) % n]  # [., a, b] = P_((a - b) mod n)
+    return blocks.transpose(0, 3, 1, 4, 2).reshape(m, d * n, d * n)
 
 
 def von_neumann_model(target: Pvm) -> MeasurementProcess:
@@ -257,10 +246,11 @@ def von_neumann_model(target: Pvm) -> MeasurementProcess:
     of its evolved meter is one projector: E(x)[a, c] = delta_ac P_(x-a).
     """
     _check_dim(target.dim * len(target.outcomes))
-    projectors = _frozen(np.array(target.projectors))
-    stacked = projectors[None]
-    stack = partial(_pointer_unitaries, projectors), _Instrument(stacked, stacked, 1)
-    return _model_process(target.dim, target.outcomes, stack)
+    stacked = _frozen(np.array(target.projectors))[None]
+    xi, meter = _pointer(target.outcomes)
+    instrument = _Instrument(stacked, meter, partial(_pointer_unitaries, stacked), stacked, 1)
+    return _trusted(MeasurementProcess, system_dim=target.dim, apparatus_dim=meter.dim,
+                    apparatus_state=xi, meter=meter, _instrument=instrument)
 
 
 def _dilation_unitaries(roots: np.ndarray) -> np.ndarray:
@@ -281,14 +271,15 @@ def _dilation_unitaries(roots: np.ndarray) -> np.ndarray:
     return u.reshape(m, n, d, n, d).transpose(0, 2, 1, 4, 3).reshape(m, total, total)
 
 
-def _dilation_stack(effects: np.ndarray) -> tuple:
-    """The builder of _dilation_unitaries and the _Instrument of an (m, n, d, d) effect stack.
+def _dilation_stack(effects: np.ndarray, meter: Pvm) -> _Instrument:
+    """The _Instrument of dilations of an (m, n, d, d) effect stack on the pointer meter.
 
-    Every effect's root comes from one _psd_roots call, taken once for both.
+    Every effect's root comes from one _psd_roots call; the roots are both
+    recorded and the arguments of the _dilation_unitaries builder.
     """
     roots = _frozen(_psd_roots(effects.reshape(-1, *effects.shape[2:])).reshape(effects.shape))
     # E(x)[a, c] = U_xa^dag U_xc, each U block a product of up to 3 roots or C
-    return partial(_dilation_unitaries, roots), _Instrument(effects, roots, 6)
+    return _Instrument(effects, meter, partial(_dilation_unitaries, roots), roots, 6)
 
 
 def dilation_model(povm: Povm) -> MeasurementProcess:
@@ -319,5 +310,7 @@ def dilation_model(povm: Povm) -> MeasurementProcess:
     meters: the bound is linear in the roots' commutators.
     """
     _check_dim(povm.dim * len(povm.outcomes))
-    effects = _frozen(np.array(povm.effects))
-    return _model_process(povm.dim, povm.outcomes, _dilation_stack(effects[None]))
+    xi, meter = _pointer(povm.outcomes)
+    effects = _frozen(np.array(povm.effects))[None]
+    return _trusted(MeasurementProcess, system_dim=povm.dim, apparatus_dim=meter.dim,
+                    apparatus_state=xi, meter=meter, _instrument=_dilation_stack(effects, meter))

@@ -523,18 +523,17 @@ def _sweep_chunk(scenario: Scenario, etas: list) -> list:
     """The (eta, agreement) rows of checked etas, from one stacked pass.
 
     The loader shares one dilation process between both entries, so one
-    side (the builder of the interaction stack, the pointer meter, start
-    state and instrument, from one _dilation_stack of the chunk's effects)
-    is passed as both. The chunk is decided on H as a whole or not at all
-    (see intersubjectivity._pair_kernel): every unsharp point has diagonal
-    effects and roots, so every point's bound from the roots is the same.
-    An interaction stack is built only when that bound is over the
+    instrument stack (from one _dilation_stack of the chunk's effects on the
+    pointer meter) is passed as both. The chunk is decided on H as a whole
+    or not at all (see intersubjectivity._pair_kernel): every unsharp point
+    has diagonal effects and roots, so every point's bound from the roots is
+    the same. An interaction stack is built only when that bound is over the
     commutation tolerance.
     """
-    xi, meter = _pointer(scenario.observable.outcomes)
-    build, instrument = _dilation_stack(_unsharp_effects(etas))
-    side = (build, meter, xi, instrument)
-    agreements = _model_agreements(scenario.psi, side, side, scenario.tolerances["commutation"])
+    _, meter = _pointer(scenario.observable.outcomes)
+    instrument = _dilation_stack(_unsharp_effects(etas), meter)
+    agreements = _model_agreements(scenario.psi, instrument, instrument,
+                                   scenario.tolerances["commutation"])
     return list(zip(etas, agreements.tolist()))
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from qmeasure import MeasurementProcess, Povm, Pvm, measurement
+from qmeasure import MeasurementProcess, Povm, Pvm, intersubjectivity, measurement
 from qmeasure.observables import _derived
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -110,8 +110,9 @@ def recompleted(rng, process):
 def as_custom(process):
     """The process rebuilt by the checking constructor, as the loader builds a custom entry.
 
-    A checked process carries no pointer record, so compose evolves its meter
-    and decides locality by the span bound, whatever model it was built by.
+    A checked process records its effects from its Kraus rows but no roots,
+    so compose evolves its meter and decides locality by the span bound,
+    whatever model it was built by.
     """
     return MeasurementProcess(process.system_dim, process.apparatus_dim,
                               process.apparatus_state, process.interaction, process.meter)
@@ -126,6 +127,28 @@ def evolved_meter(process):
     evolved = measurement._evolved_meters(process.interaction[None], process.meter,
                                           process.system_dim)
     return _derived(Pvm, process.meter.outcomes, evolved[0], process.total_dim)
+
+
+def pinched_effects(process):
+    """Reference (n, d, d) effects Pi(x) = <xi|E(x)|xi> of a process, Hermitised.
+
+    Each evolved meter (see evolved_meter) pinched with the apparatus state;
+    every process's recorded effects are checked against it.
+    """
+    d, k, xi = process.system_dim, process.apparatus_dim, process.apparatus_state
+    evolved = np.array(evolved_meter(process).projectors)
+    kets = evolved.reshape(-1, d, k, d, k) @ xi  # [x, i, a, j]
+    effects = kets.swapaxes(2, 3) @ xi.conj()
+    return (effects + effects.conj().swapaxes(1, 2)) / 2
+
+
+def refuse_meter_evolution(monkeypatch):
+    """Make evolving any meter on system x apparatus fail, wherever the library evolves one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a meter was evolved")
+
+    for module in (measurement, intersubjectivity):
+        monkeypatch.setattr(module, "_evolved_meters", refuse)
 
 
 def refuse_interaction_builders(monkeypatch):

@@ -25,6 +25,7 @@ from conftest import (
     as_custom,
     controlled_process,
     evolved_meter,
+    pinched_effects,
     random_hermitian_with_outcomes,
     random_labels,
     random_povm,
@@ -45,7 +46,6 @@ from qmeasure import (
     induced_povm,
     intersubjectivity,
     joint_distribution,
-    measurement,
     pvm_from_observable,
     scenario_to_json,
     unsharp_qubit_povm,
@@ -280,8 +280,9 @@ def test_pointer_pair_norm_is_the_largest_projector_commutator(d, commuting):
 @pytest.mark.parametrize("d", range(1, 7))
 def test_pointer_pairs_on_h_match_the_compound_path(d, commuting):
     # two pointer models evolve no meter: the bound is the exact norm max_jk |[P_j, Q_k]|
-    # and the effects are the recorded projectors, as the evolved meters and the dense
-    # oracle give them, for a shared process, an equal distinct one and another PVM's
+    # and the effects are the recorded projectors, as the pinched evolved meters and the
+    # custom copies' Kraus rows give them, for a shared process, an equal distinct one
+    # and another PVM's
     rng = np.random.default_rng(1300 + 10 * d + commuting)
     for n in sorted({1, max(1, d // 2), d}):  # degenerate PVMs first
         a = random_pvm(rng, d, n)
@@ -298,9 +299,10 @@ def test_pointer_pairs_on_h_match_the_compound_path(d, commuting):
             exact = intersubjectivity._max_commutator_norm(*meters, d)
             assert js.commutator_bound == js.max_commutator_norm
             assert abs(js.commutator_bound - exact) <= 1e-14, (n, len(b))
-            for effects, e, p in zip(js._effects, meters, (p1, p2)):
-                pinched = measurement._pinch(e[None], p.apparatus_state)
-                assert np.max(np.abs(effects - pinched)) <= 1e-15
+            for p, c in ((p1, c1), (p2, compound.process2)):
+                (recorded,), (kraus,) = p._instrument.effects, c._instrument.effects
+                assert np.max(np.abs(recorded - pinched_effects(p))) <= 1e-15
+                assert np.max(np.abs(kraus - recorded)) <= 1e-15
             if exact > 1e-10:  # the two paths' rounding cannot tell 1e-3 of it apart
                 for tol in (exact * (1 - 1e-3), exact * (1 + 1e-3)):
                     verdicts = [dataclasses.replace(j, commutation_tol=tol).commuting
@@ -319,15 +321,18 @@ def test_pointer_pairs_on_h_match_the_compound_path(d, commuting):
 @pytest.mark.parametrize("d", [2, 3])
 def test_a_replaced_interaction_carries_no_stale_record(d):
     # a copy of A's pointer model given B's interaction measures B: the checking
-    # constructor drops A's projectors, so the pair with B's model is decided on
-    # the compound space, and is local as the dense oracle says
+    # constructor records the new interaction's effects and no roots, so the pair
+    # with B's model is decided on the compound space, and is local as the dense
+    # oracle says
     rng = np.random.default_rng(1400 + d)
     pairs = [(SIGMA_Z_PVM, SIGMA_X_PVM)] if d == 2 else []
     pairs += [(random_pvm(rng, d, d), random_pvm(rng, d, d)) for _ in range(3)]
     for a, b in pairs:
         pb = von_neumann_model(b)
         swapped = dataclasses.replace(von_neumann_model(a), interaction=pb.interaction)
-        assert swapped._instrument is None
+        assert swapped._instrument.roots is None and swapped._instrument.factors is None
+        (effects,) = swapped._instrument.effects
+        assert np.max(np.abs(effects - pinched_effects(swapped))) <= 1e-15
         induced = induced_povm(swapped)
         assert max(np.max(np.abs(e - q)) for e, q in zip(induced.effects, b.projectors)) < 1e-14
         psi = random_state(rng, d)

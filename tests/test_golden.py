@@ -19,7 +19,7 @@ import pathlib
 
 import pytest
 
-from conftest import refuse_interaction_builders
+from conftest import refuse_interaction_builders, refuse_meter_evolution
 from qmeasure import load_scenario_file, run_experiment
 from qmeasure.cli import main
 
@@ -72,8 +72,10 @@ DECIDED_ON_H = ("oit_sigma_z", "unsharp_eta08", "oit_nondiagonal_d4", "joint_uns
 
 @pytest.mark.parametrize("name", DECIDED_ON_H)
 def test_a_pair_decided_on_h_builds_no_interaction(monkeypatch, name):
-    # a hot path that reads process.interaction fails here, not only in the benchmark
+    # a hot path that reads process.interaction or evolves a meter fails here, not
+    # only in the benchmark
     refuse_interaction_builders(monkeypatch)
+    refuse_meter_evolution(monkeypatch)
     report = run_experiment(load_scenario_file(SCENARIO_DIRS[name] / f"{name}.json"))
     want = json.loads((DATA / f"run_{name}.json").read_text())
     assert_matches(json.loads(json.dumps(report)), want)

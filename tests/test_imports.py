@@ -147,7 +147,6 @@ SCENARIO_TOLERANCES = {
     ("observables.py", "pvm_from_observable", "cluster_tol"),
     ("scenario.py", "_build_observable", "cluster_tol"),
     ("measurement.py", "check_reproducibility", "tol"),
-    ("measurement.py", "_compare", "tol"),
     ("intersubjectivity.py", "verify_oit", "tol"),
     ("intersubjectivity.py", "verify_oit", "reproducibility_tol"),
     ("intersubjectivity.py", "compose", "commutation_tol"),

@@ -18,6 +18,7 @@ from conftest import (
     random_pvm,
     random_state,
     random_unitary,
+    refuse_meter_evolution,
 )
 from qmeasure import (
     PAULI_Z,
@@ -124,21 +125,21 @@ def test_oit_run_checks_only_the_observable_as_a_pvm(monkeypatch):
 
 
 def test_oit_run_evolves_each_meter_once(monkeypatch):
-    evolved, pinched = [], []
-    original, pinch = measurement._evolved_meters, measurement._pinch
+    evolved, recorded = [], []
+    original, kraus = measurement._evolved_meters, measurement._kraus_effects
 
     def counting(interactions, meter, system_dim):
         evolved.append(interactions)
         return original(interactions, meter, system_dim)
 
-    def counting_pinch(meters, xi):
-        pinched.append(meters)
-        return pinch(meters, xi)
+    def counting_kraus(*args):
+        recorded.append(args)
+        return kraus(*args)
 
-    # compose and induced_povm look the kernels up in their own modules
+    # count every evolution, in whichever module the kernel is looked up
     for module in (intersubjectivity, measurement):
         monkeypatch.setattr(module, "_evolved_meters", counting)
-        monkeypatch.setattr(module, "_pinch", counting_pinch)
+    monkeypatch.setattr(measurement, "_kraus_effects", counting_kraus)
     root = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
     oit = load_scenario_file(root / "oit_sigma_z.json")
     joint = load_scenario_file(root / "unsharp_eta08.json")
@@ -155,7 +156,7 @@ def test_oit_run_evolves_each_meter_once(monkeypatch):
     assert unequal.processes[0] is not unequal.processes[1]
     for scenario, distinct in ((oit, 0), (joint, 0), (custom, 1), (unequal, 2)):
         evolved.clear()
-        pinched.clear()
+        recorded.clear()
         report = run_experiment(scenario)
         assert report["diagnostics"]["commuting"] is True
         # a model pair decided on H evolves no meter; a custom pair, one evolution
@@ -166,9 +167,10 @@ def test_oit_run_evolves_each_meter_once(monkeypatch):
         assert all(len({id(p) for p in found}) == 1 for found in owners)
         assert {id(found[0]) for found in owners} == (
             {id(p) for p in scenario.processes} if distinct else set())
-        # the reproducibility check and the table share one pinch per distinct process
-        assert len(pinched) == distinct
-        assert all(m.shape[0] == 1 for m in evolved + pinched)
+        # the reproducibility check and the table read the effects each process
+        # recorded when it was loaded: running records none
+        assert recorded == []
+        assert all(m.shape[0] == 1 for m in evolved)
     assert report["results"]["intersubjective"] is True
 
 
@@ -176,16 +178,14 @@ def _refuse_compound_stages(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a compound-space stage ran for two model processes")
 
-    kernels = ("_evolved_meters", "_pinch")
-    for module, names in ((measurement, kernels),
-                          (intersubjectivity, kernels + ("_span_bounds", "_max_commutator_norm"))):
-        for name in names:
-            monkeypatch.setattr(module, name, refuse)
+    refuse_meter_evolution(monkeypatch)
+    for name in ("_span_bounds", "_max_commutator_norm"):
+        monkeypatch.setattr(intersubjectivity, name, refuse)
 
 
 def test_pointer_pair_runs_build_nothing_on_the_compound_space(monkeypatch):
-    # two von_neumann models are decided on H: no evolved meter, span bound,
-    # pinch or pair loop
+    # two von_neumann models are decided on H: no evolved meter, span bound
+    # or pair loop
     _refuse_compound_stages(monkeypatch)
     doc = json.loads((ROOT / "scenarios" / "oit_sigma_z.json").read_text())
     for experiment in ("oit", "joint", "sample"):
@@ -207,18 +207,19 @@ def test_a_pointer_model_reproduces_from_its_record(monkeypatch):
     pvm = random_pvm(rng, 4, 3)
     process = von_neumann_model(pvm)
     induced = induced_povm(process).effects
-    (composed,) = compose(random_state(rng, 4), process, process)._effects[0]
-    assert all(np.shares_memory(e, f) for e, f in zip(induced, composed))
+    (recorded,) = process._instrument.effects
+    assert all(np.shares_memory(e, f) for e, f in zip(induced, recorded))
+    assert compose(random_state(rng, 4), process, process).commuting
     assert check_reproducibility(process, pvm).max_operator_deviation == 0.0
 
 
 def test_a_dilation_model_runs_from_its_record(monkeypatch):
     # induce, reproduce and the two-process experiments read the effects and roots
-    # dilation_model recorded: no meter is evolved, spanned or pinched
+    # dilation_model recorded: no meter is evolved or spanned
     rng = np.random.default_rng(43)
     povm = random_povm(rng, 3, 4)
     process = dilation_model(povm)
-    (effects,), (roots,), _ = process._instrument
+    (effects,), (roots,) = process._instrument.effects, process._instrument.roots
     assert all(np.array_equal(e, f) for e, f in zip(effects, povm.effects))
     assert np.array_equal(roots, _psd_roots(effects))
     assert np.array_equal(process.interaction, measurement._dilation_unitaries(roots[None])[0])
@@ -323,8 +324,9 @@ def test_joint_distribution_marginals_match_induced_povms():
 
 
 def test_a_replaced_scenario_holds_the_effects_compose_passed():
-    # compose passes its evolved meters and pinched effects to the scenario as fields,
-    # so a copy made with dataclasses.replace holds the same arrays and gives the same numbers
+    # compose passes its evolved meters to the scenario as a field, and the effects are
+    # the ones its processes record, so a copy made with dataclasses.replace holds the
+    # same arrays and gives the same numbers
     rng = np.random.default_rng(31)
     shared = von_neumann_model(SIGMA_Z_PVM)
     pairs = [(shared, shared), (shared, dilation_model(unsharp_qubit_povm(1.0))),
@@ -333,12 +335,13 @@ def test_a_replaced_scenario_holds_the_effects_compose_passed():
     for p1, p2 in pairs:
         js = compose(PLUS, p1, p2)
         copy = dataclasses.replace(js, commutation_tol=js.commutation_tol)
-        assert all(a is b for a, b in zip(copy._effects, js._effects))
-        assert (copy._effects[1] is copy._effects[0]) == (p2 is p1)
+        assert (copy.process1, copy.process2) == (p1, p2)
         assert all(a is b for a, b in zip(copy._meters, js._meters))
         assert copy.max_commutator_norm == js.max_commutator_norm
-        for effects, process in zip(js._effects, (p1, p2)):
-            assert np.array_equal(effects[0], np.array(induced_povm(process).effects))
+        for process in (p1, p2):
+            (recorded,) = process._instrument.effects
+            assert all(np.shares_memory(e, f)
+                       for e, f in zip(induced_povm(process).effects, recorded))
         got, want = joint_distribution(copy), joint_distribution(js)
         assert np.array_equal(got.probabilities, want.probabilities)
         if p1.meter.outcomes == p2.meter.outcomes:
@@ -346,11 +349,11 @@ def test_a_replaced_scenario_holds_the_effects_compose_passed():
 
 
 def test_composed_effects_and_derived_tables_are_frozen():
-    # a write to a scenario's effects would move every later table built from them
+    # a write to a process's recorded effects would move every later table built from them
     js = compose(PLUS, von_neumann_model(SIGMA_Z_PVM), von_neumann_model(SIGMA_Z_PVM))
-    for effects in js._effects:
+    for process in (js.process1, js.process2, as_custom(js.process1)):
         with pytest.raises(ValueError):
-            effects[0, 0] = 0
+            process._instrument.effects[0, 0, 0, 0] = 0
     # the records built trusted from checked tables are frozen as the constructor freezes them
     sample = sample_outcomes(js, 10, seed=1)
     for dist in (joint_distribution(js), sample.empirical, sample.analytic):

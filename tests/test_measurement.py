@@ -6,9 +6,13 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
+    as_custom,
     evolved_meter,
+    pinched_effects,
     pointer_meter,
     random_hermitian_with_outcomes,
     random_povm,
@@ -18,6 +22,7 @@ from conftest import (
     random_unitary,
     recompleted,
     refuse_interaction_builders,
+    refuse_meter_evolution,
 )
 from qmeasure import (
     PAULI_Z,
@@ -42,7 +47,7 @@ from qmeasure import (
     unsharp_qubit_povm,
     von_neumann_model,
 )
-from qmeasure.linalg import OP_TOL
+from qmeasure.linalg import MAX_DIM, OP_TOL
 
 SIGMA_Z_PVM = pvm_from_observable(PAULI_Z)
 
@@ -429,13 +434,66 @@ def test_replace_copy_and_pickle_keep_the_lazy_interaction():
             assert twin.interaction.tobytes() == process.interaction.tobytes()
             for e, f in zip(twin._instrument.effects[0], process._instrument.effects[0]):
                 assert np.array_equal(e, f)
-        # the checking constructor keeps the interaction it is given and drops the records
+        # the checking constructor keeps the interaction it is given and records its
+        # effects from it, with no roots; its builder stacks that same interaction
         u = np.array(process.interaction)
         checked = dataclasses.replace(process, interaction=u)
-        assert checked._instrument is None and checked._build is None
+        assert checked._instrument.roots is None and checked._instrument.factors is None
+        (effects,), (recorded,) = checked._instrument.effects, process._instrument.effects
+        assert np.max(np.abs(effects - recorded)) <= 1e-15
         assert checked.interaction is not u and np.array_equal(checked.interaction, u)
+        assert np.shares_memory(checked._instrument.build(), checked.interaction)
     with pytest.raises(AttributeError, match="no attribute 'no_such_field'"):
         pointer.no_such_field
+
+
+# Every process records its effects on H; a checked one takes them from its Kraus rows.
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(d=st.integers(1, 8), k=st.integers(1, MAX_DIM), n=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_the_kraus_effects_are_the_pinched_evolved_meters(d, k, n, seed):
+    # meters with n < k outcomes have rank > 1 projectors, xi is a random state
+    # outside the meter's basis, and d k runs up to the cap
+    k = max(1, min(k, MAX_DIM // d))
+    rng = np.random.default_rng(seed)
+    process = MeasurementProcess(d, k, random_state(rng, k), random_unitary(rng, d * k),
+                                 random_pvm(rng, k, min(n, k)))
+    (effects,) = process._instrument.effects
+    assert process._instrument.roots is None
+    assert np.max(np.abs(effects - pinched_effects(process))) <= 1e-12
+    assert np.array_equal(np.array(induced_povm(process).effects), effects)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_model_rebuilt_as_custom_gives_back_its_recorded_effects(seed):
+    rng = np.random.default_rng(900 + seed)
+    d = 1 + seed
+    models = (von_neumann_model(random_pvm(rng, d, max(1, d - 1))),
+              dilation_model(random_povm(rng, d, 3)))
+    for model in models:
+        (recorded,), (kraus,) = model._instrument.effects, as_custom(model)._instrument.effects
+        assert np.max(np.abs(kraus - recorded)) <= 1e-12
+
+
+def test_a_loaded_custom_process_induces_and_reproduces_without_evolving_its_meter(monkeypatch):
+    refuse_meter_evolution(monkeypatch)
+    rng = np.random.default_rng(17)
+    pvm = random_pvm(rng, 3, 2)
+    psi = random_state(rng, 3)
+    for experiment in ("induce", "reproduce"):
+        doc = scenario_to_json(psi, pvm, [von_neumann_model(pvm)], experiment)
+        assert doc["processes"][0]["model"] == "custom"
+        results = run_experiment(load_scenario(doc))["results"]
+        assert results.get("projective", True) and results.get("reproducible", True)
+
+
+def test_repr_of_an_unread_model_builds_no_interaction():
+    _, pointer, dilation = _models(6)
+    for process in (pointer, dilation):
+        text = repr(process)
+        assert "interaction" not in vars(process) and "interaction" not in text
+        assert text.startswith("MeasurementProcess(system_dim=")
 
 
 def test_scenario_to_json_writes_the_eager_interaction():

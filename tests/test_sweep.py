@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import PAULI_X, as_custom
+from conftest import PAULI_X, as_custom, pointer_meter
 from qmeasure import (
     PAULI_Z,
     NonCommutingMetersError,
@@ -87,7 +87,7 @@ def test_a_sweep_stack_has_one_bound_from_the_roots(state):
     # pair's stack has the same bound from the roots, and _pair_kernel decides the
     # stack on H whole or not at all; at tolerance 0, under that bound, every point
     # takes the compound path and still reads what compose gives it alone
-    instrument = measurement._dilation_stack(observables._unsharp_effects(GRID))[1]
+    instrument = measurement._dilation_stack(observables._unsharp_effects(GRID), pointer_meter(2))
     bounds = intersubjectivity._instrument_bounds(instrument, instrument, 2)
     assert np.unique(bounds).size == 1
     sc = load_scenario(_doc(state=state))
@@ -180,13 +180,17 @@ def test_sweep_of_a_sharp_pointer_pair_is_the_recorded_table(capsys, tmp_path, m
 
 def test_a_mixed_pair_reads_the_pointer_record():
     # the pointer side's effects are the projectors it records, not P^dag P pinched
-    # from its meter, so verify_oit and reproduce read the same arrays
+    # from its meter, so verify_oit, reproduce and the joint table read the same arrays
     vn, dil = _process("von_neumann", 1 - 1e-10), _process("dilation", 1 - 1e-10)
     ground = np.array([1.0, 0.0])
+    (recorded,) = vn._instrument.effects
+    assert all(np.shares_memory(e, f) for e, f in zip(induced_povm(vn).effects, recorded))
     for js in (compose(ground, vn, dil), compose(ground, dil, vn)):
-        (effects,) = js._effects[js.process2 is vn]
-        assert np.array_equal(effects, np.array(induced_povm(vn).effects))
         assert js._meters == ()
+        table = intersubjectivity._tables(js.psi, js.process1._instrument.effects,
+                                          js.process2._instrument.effects)
+        assert np.array_equal(joint_distribution(js).probabilities,
+                              np.maximum(table[0].real, 0.0))
 
 
 def _refuse_interactions(monkeypatch):
@@ -281,10 +285,10 @@ def test_a_non_local_point_is_decided_from_its_own_meters(monkeypatch, models, e
 
 
 def _turned_pointer_sides(angles):
-    """Sides of a z pointer model against pointer models turned towards x by each angle.
+    """Instrument stacks of a z pointer model against pointer models turned towards x.
 
-    The sides carry no instrument, so their meters are evolved, as a custom
-    pair's are.
+    One point per angle. The stacks carry no roots, so their meters are
+    evolved, as a custom pair's are.
     """
     z = von_neumann_model(pvm_from_observable(PAULI_Z))
     turned = [von_neumann_model(pvm_from_observable(np.cos(t) * PAULI_Z + np.sin(t) * PAULI_X))
@@ -292,7 +296,8 @@ def _turned_pointer_sides(angles):
 
     def side(processes):
         interactions = np.stack([p.interaction for p in processes])
-        return (lambda: interactions, z.meter, z.apparatus_state, None)
+        effects = np.concatenate([p._instrument.effects for p in processes])
+        return measurement._Instrument(effects, z.meter, lambda: interactions)
 
     return side([z] * len(turned)), side(turned), z, turned
 
@@ -339,19 +344,21 @@ def test_sweep_memory_is_bounded_by_the_chunk():
 
 
 def _stacked_side(processes):
-    """dilation_model processes of one shape as one _pair_kernel side, point by point."""
-    first = processes[0]
+    """dilation_model processes of one shape as one _pair_kernel instrument stack.
+
+    Its builder stacks the processes' own interactions, point by point.
+    """
     record = measurement._dilation_stack(
-        np.concatenate([p._instrument.effects for p in processes]))[1]
-    return (lambda: np.stack([p.interaction for p in processes]), first.meter,
-            first.apparatus_state, record)
+        np.concatenate([p._instrument.effects for p in processes]), processes[0].meter)
+    return record._replace(build=lambda: np.stack([p.interaction for p in processes]))
 
 
 def test_a_point_over_its_bound_sends_the_whole_stack_to_the_compound_path():
     # point 1's effects are turned by 1e-9 out of point 0's basis: its bound from the
     # roots is over the tolerance while its exact norm is within it. point 0 alone is
-    # decided on H, but the stack is not split: both points take the compound path,
-    # and each row and bound is compose's on that point as a custom pair
+    # decided on H, but the stack is not split: both points take the compound path.
+    # Each bound is compose's on that point as a custom pair, and each row the model
+    # pair's, from the effects the models record
     rng = np.random.default_rng(12)
     v = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     turn = np.array([[np.cos(1e-9), -np.sin(1e-9)], [np.sin(1e-9), np.cos(1e-9)]]) @ v
@@ -368,9 +375,9 @@ def test_a_point_over_its_bound_sends_the_whole_stack_to_the_compound_path():
     assert loose.max_commutator_norm < tol < loose.commutator_bound
     assert [compose(psi, left, r, tol)._meters == () for r in right] == [True, False]
     sides = _stacked_side([left, left]), _stacked_side(right)
-    meters, _, _, bounds = intersubjectivity._pair_kernel(*sides, 2, tol)
+    meters, bounds = intersubjectivity._pair_kernel(*sides, 2, tol)
     assert meters[0].shape[0] == meters[1].shape[0] == 2
     rows = intersubjectivity._model_agreements(psi, *sides, tol)
     points = [compose(psi, as_custom(left), as_custom(r), tol) for r in right]
     assert bounds.tolist() == [js.commutator_bound for js in points]
-    assert rows.tolist() == [agreement_probability(js) for js in points]
+    assert rows.tolist() == [agreement_probability(compose(psi, left, r, np.inf)) for r in right]
